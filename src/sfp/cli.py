@@ -57,28 +57,27 @@ def _build_parser() -> _Parser:
     model.add_argument("--model", type=str, default="sfp",
                        choices=["sfp", "lrp", "sfpnn"])
 
+    box = _Parser(add_help=False, parents=[model])
+    box.add_argument("--side", type=int, required=True)
+    box.add_argument("--trunc", type=float, default=None,
+                     help="decide only pairs within this Euclidean distance")
+
     p = sub.add_parser("exponents", parents=[model],
                        help="derived exponents and phase-diagram regime")
 
-    p = sub.add_parser("generate", parents=[model], help="sample one realization")
-    p.add_argument("--side", type=int, required=True)
-    p.add_argument("--trunc", type=float, default=None)
+    p = sub.add_parser("generate", parents=[box], help="sample one realization")
     p.add_argument("--pair-budget", type=int, default=None)
 
-    p = sub.add_parser("degrees", parents=[model], help="degree-tail experiment")
-    p.add_argument("--side", type=int, required=True)
+    p = sub.add_parser("degrees", parents=[box], help="degree-tail experiment")
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--margin", type=int, default=0)
     p.add_argument("--hill-k", type=int, default=None)
-    p.add_argument("--trunc", type=float, default=None)
     p.add_argument("--tol", type=float, default=0.3)
 
-    p = sub.add_parser("distances", parents=[model], help="distance-scaling experiment")
-    p.add_argument("--side", type=int, required=True)
+    p = sub.add_parser("distances", parents=[box], help="distance-scaling experiment")
     p.add_argument("--n-list", type=str, default=None,
                    help="comma-separated separations, e.g. 16,32,64")
     p.add_argument("--sources", type=int, default=32)
-    p.add_argument("--trunc", type=float, default=None)
     p.add_argument("--compare-lrp", action="store_true")
 
     p = sub.add_parser("adjacent", parents=[model],
@@ -99,11 +98,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--n-list", type=str, default="64,128,256,512,1024")
 
-    p = sub.add_parser("coupling", parents=[model], help="SFP/LRP inclusion check")
-    p.add_argument("--side", type=int, required=True)
+    p = sub.add_parser("coupling", parents=[box], help="SFP/LRP inclusion check")
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--lambda-lrp", type=float, default=None)
-    p.add_argument("--trunc", type=float, default=None)
 
     mom = sub.add_parser("moments", help="closed-form / quadrature calculators")
     msub = mom.add_subparsers(dest="moments_command", required=True)
@@ -233,17 +230,13 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from .graph import (DEFAULT_PAIR_BUDGET, BoxSpec, generate_box,
-                        generate_box_truncated, save_realization)
+    from .graph import DEFAULT_PAIR_BUDGET, BoxSpec, generate_box, save_realization
+    if not args.out:
+        raise UsageError("generate requires --out FILE")
     p = _params_from(args)
     spec = BoxSpec(d=args.dim, side=args.side)
     budget = args.pair_budget if args.pair_budget else DEFAULT_PAIR_BUDGET
-    if args.trunc is None:
-        r = generate_box(p, args.seed, spec, pair_budget=budget)
-    else:
-        r = generate_box_truncated(p, args.seed, spec, args.trunc, pair_budget=budget)
-    if not args.out:
-        raise UsageError("generate requires --out FILE")
+    r = generate_box(p, args.seed, spec, args.trunc, pair_budget=budget)
     save_realization(r, args.out)
     print(f"wrote {r.n_edges} edges on {r.n_vertices} vertices to {args.out}",
           file=sys.stderr)

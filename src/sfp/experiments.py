@@ -26,11 +26,11 @@ import numpy as np
 
 from . import __version__
 from .graph import (BoxSpec, clusters, coupled_pair, degree_sequence,
-                    distances_from, generate_box, generate_box_truncated)
+                    distances_from, generate_box)
 from .moments import (BetaOutOfRange, TauOutOfRange, adjacent_expectation_exact,
                       bridging_exponent)
 from .params import ModelKind, ModelParams, derived_exponents
-from .randomness import experiment_uniforms, pareto_from_uniform
+from .randomness import derive_seed, experiment_uniforms, pareto_from_uniform
 
 _CHUNK = 1 << 16
 
@@ -227,14 +227,9 @@ def loglog_slope(points) -> EstimateWithCI:
     return EstimateWithCI(mean=slope, stderr=math.sqrt(s2 / sxx), n=n)
 
 
-def _pareto_draws(seed: int, tau: float, point: int, lo: int, hi: int, slot: int):
-    reps = np.arange(lo, hi, dtype=np.uint64)
-    u = experiment_uniforms(seed, np.uint64(point), reps, np.uint64(slot))
-    return pareto_from_uniform(u, tau)
-
-
-def _pareto_draws_2d(seed: int, tau: float, point: int, lo: int, hi: int,
-                     slot0: int, nslots: int):
+def _pareto_draws(seed: int, tau: float, point: int, lo: int, hi: int,
+                  slot0: int, nslots: int):
+    """Keyed Pareto weights of shape (hi - lo, nslots): replicates by slots."""
     reps = np.arange(lo, hi, dtype=np.uint64)[:, None]
     slots = np.arange(slot0, slot0 + nslots, dtype=np.uint64)[None, :]
     u = experiment_uniforms(seed, np.uint64(point), reps, slots)
@@ -259,9 +254,9 @@ def _adjacent_estimate(cfg: ExperimentConfig, point: int, r_xy: float, r_yz: flo
             p2 = -np.expm1(-cyz)
             prod = np.full(hi - lo, p1 * p2)
         else:
-            wx = _pareto_draws(cfg.seed, tau, point, lo, hi, 0)
-            wy = _pareto_draws(cfg.seed, tau, point, lo, hi, 1)
-            wz = _pareto_draws(cfg.seed, tau, point, lo, hi, 2)
+            # One slot per call keeps each hashed array small enough to stay in cache.
+            wx, wy, wz = (_pareto_draws(cfg.seed, tau, point, lo, hi, slot, 1)[:, 0]
+                          for slot in range(3))
             # expm1(-t) = -(1 - e^-t), so the product of the two is p1 * p2.
             prod = np.expm1(-cxy * wx * wy) * np.expm1(-cyz * wy * wz)
         return float(prod.sum()), float((prod * prod).sum())
@@ -350,7 +345,7 @@ def run_fkg_check(cfg: ExperimentConfig, path, equality_tol_rel: float = 1e-12) 
         if lrp:
             w = np.ones((hi - lo, len(pts)))
         else:
-            w = _pareto_draws_2d(cfg.seed, tau, 0, lo, hi, 0, len(pts))
+            w = _pareto_draws(cfg.seed, tau, 0, lo, hi, 0, len(pts))
         probs = [-np.expm1(-scales[i] * w[:, i] * w[:, i + 1]) for i in range(n_edges)]
         out = []
         for cut in range(1, len(pts) - 1):
@@ -445,9 +440,9 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
 
         def chunk(rg, cxz=cxz, czy=czy, nz=nz, ni=ni):
             lo, hi = rg
-            wx = _pareto_draws(cfg.seed, tau, ni, lo, hi, 0)[:, None]
-            wy = _pareto_draws(cfg.seed, tau, ni, lo, hi, 1)[:, None]
-            wz = _pareto_draws_2d(cfg.seed, tau, ni, lo, hi, 2, nz)
+            wx = _pareto_draws(cfg.seed, tau, ni, lo, hi, 0, 1)
+            wy = _pareto_draws(cfg.seed, tau, ni, lo, hi, 1, 1)
+            wz = _pareto_draws(cfg.seed, tau, ni, lo, hi, 2, nz)
             q = np.expm1(-cxz[None, :] * wx * wz) * np.expm1(-czy[None, :] * wz * wy)
             # q = p_xz * p_zy; success = 1 - prod_z (1 - q).  A saturated
             # q == 1 gives log1p(-q) = -inf and a success probability of
@@ -497,19 +492,14 @@ def run_coupling_check(cfg: ExperimentConfig, lambda_lrp: float | None = None,
     t0 = time.monotonic()
     if cfg.spec is None:
         raise ValueError("coupling check needs a box spec")
-    from .randomness import derive_seed
+    sfp_params = replace(cfg.params, kind=ModelKind.SFP)
+    lrp_params = replace(cfg.params, kind=ModelKind.LRP,
+                         lambda_=cfg.params.lambda_ if lambda_lrp is None else lambda_lrp)
 
     def one(i: int):
         seed_i = derive_seed(cfg.seed, i)
-        if lambda_lrp is None:
-            sfp, lrp = coupled_pair(cfg.params, seed_i, cfg.spec, cutoff=cutoff)
-        else:
-            sfp = generate_box(replace(cfg.params, kind=ModelKind.SFP), seed_i, cfg.spec) \
-                if cutoff is None else generate_box_truncated(
-                    replace(cfg.params, kind=ModelKind.SFP), seed_i, cfg.spec, cutoff)
-            lrp_params = replace(cfg.params, kind=ModelKind.LRP, lambda_=lambda_lrp)
-            lrp = generate_box(lrp_params, seed_i, cfg.spec) if cutoff is None \
-                else generate_box_truncated(lrp_params, seed_i, cfg.spec, cutoff)
+        sfp = generate_box(sfp_params, seed_i, cfg.spec, cutoff)
+        lrp = generate_box(lrp_params, seed_i, cfg.spec, cutoff)
         nv = cfg.spec.vertex_count
         sfp_keys = sfp.edges[:, 0] * nv + sfp.edges[:, 1]
         lrp_keys = lrp.edges[:, 0] * nv + lrp.edges[:, 1]
@@ -557,14 +547,9 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
         raise ValueError("degree experiment needs a box spec")
     if not cfg.params.alpha > cfg.params.d:
         raise ValueError("degree tail needs alpha > d (locally finite degrees)")
-    from .randomness import derive_seed
 
     def one(i: int):
-        seed_i = derive_seed(cfg.seed, i)
-        if cutoff is None:
-            r = generate_box(cfg.params, seed_i, cfg.spec)
-        else:
-            r = generate_box_truncated(cfg.params, seed_i, cfg.spec, cutoff)
+        r = generate_box(cfg.params, derive_seed(cfg.seed, i), cfg.spec, cutoff)
         return degree_sequence(r, margin), r.trunc_bias
 
     parts = _run_chunks(lambda rg: [one(i) for i in range(*rg)],
@@ -648,9 +633,7 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
         sfp, lrp = coupled_pair(base, cfg.seed, spec, cutoff=cutoff)
         reals = [("sfp", sfp), ("lrp", lrp)]
     else:
-        gen = generate_box if cutoff is None else \
-            (lambda p, s, sp: generate_box_truncated(p, s, sp, cutoff))
-        reals = [(cfg.params.kind.value, gen(cfg.params, cfg.seed, spec))]
+        reals = [(cfg.params.kind.value, generate_box(cfg.params, cfg.seed, spec, cutoff))]
 
     # Pair eligibility is decided on the most restrictive realization
     # (the coupled LRP if present: its largest cluster is contained in a

@@ -9,31 +9,34 @@ kind.  Because the uniforms are keyed by the unordered pair, SFP and LRP
 realizations built from the same seed are exactly coupled: every open
 LRP edge is open in SFP.
 
-Baseline generation enumerates all pairs (O(L^2d), guarded by a pair
-budget).  The truncated generator considers only pairs within Euclidean
-distance R; decisions inside R are bit-identical to the exact generator,
-and the realization records the union-bound bias
+`generate_box` is the one entry point.  Without a cutoff it enumerates
+all pairs (O(L^2d), guarded by a pair budget that is checked before any
+work).  With `cutoff=R` it considers only pairs within Euclidean
+distance R; decisions inside R are bit-identical to the exact box, and
+the realization records the union-bound bias
 sum_{|x-y|>R} min(1, lambda W_x W_y |x-y|^-alpha) for the pairs it never
 looked at (computed exactly via FFT lag sums plus a saturation
-correction for the rare pairs whose bound clips at 1).
+correction for the rare pairs whose bound clips at 1).  `coupled_pair`
+is two `generate_box` calls, one per model kind, on the same seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as sfft
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .params import ModelKind, ModelParams
+from .params import ModelKind, ModelParams, RadiusTooSmall
 from .randomness import TAG_EDGE, keyed_uniforms, vertex_weights
 
 DEFAULT_PAIR_BUDGET = 2 ** 32
 
 FORMAT_HEADER = "#sfp-box v1"
+_META_KEYS = {"d", "alpha", "lambda", "tau", "model", "L", "seed", "origin", "trunc", "truncbias"}
 
 
 class BoxTooLarge(ValueError):
@@ -45,10 +48,6 @@ class VertexOutOfBox(ValueError):
 
 
 class MarginTooLarge(ValueError):
-    pass
-
-
-class RadiusTooSmall(ValueError):
     pass
 
 
@@ -84,11 +83,6 @@ class BoxSpec:
     @property
     def vertex_count(self) -> int:
         return self.side ** self.d
-
-    @property
-    def pair_count(self) -> int:
-        n = self.vertex_count
-        return n * (n - 1) // 2
 
     def coords_of(self, flat) -> np.ndarray:
         """Absolute lattice coordinates for flat indices (row-major), shape (..., d)."""
@@ -175,57 +169,36 @@ class BoxRealization:
         return pos < len(nbrs) and nbrs[pos] == j
 
 
-@dataclass(frozen=True)
-class DistanceSample:
-    """Graph distance between two vertices; hops is None if unreachable."""
-
-    x: tuple
-    y: tuple
-    euclid: float
-    hops: int | None
-
-    @property
-    def reachable(self) -> bool:
-        return self.hops is not None
-
-
 # ---------------------------------------------------------------------------
 # Offset enumeration
 # ---------------------------------------------------------------------------
 
 def _canonical_offsets(d: int, side: int, cutoff: float | None):
-    """All offsets delta != 0 with |delta| <= cutoff, first nonzero > 0.
+    """Yield the offsets delta != 0 with |delta| <= cutoff, first nonzero > 0.
 
     For row-major flat indices, canonical offsets give flat(x) <
     flat(x + delta), so emitted pairs are already in canonical order.
+    Offsets come lazily in lexicographic order, and each coordinate range
+    is bounded by the radius the prefix leaves, so the walk visits no
+    offset outside the ball.
     """
     lim = side - 1
-    r2max = math.inf if cutoff is None else float(cutoff) ** 2
-    out = []
+    r2max = None  # integer bound on |delta|^2; None when the ball covers the box
+    if cutoff is not None and float(cutoff) ** 2 < d * lim * lim:
+        r2max = math.floor(float(cutoff) ** 2)
 
     # First nonzero coordinate must be positive: walk axes, keeping the
     # prefix all-zero until a positive coordinate is placed.
     def rec(prefix, sumsq, still_zero):
-        j = len(prefix)
-        if j == d:
+        if len(prefix) == d:
             if not still_zero:
-                out.append(tuple(prefix))
+                yield tuple(prefix)
             return
-        if still_zero:
-            for dj in range(0, lim + 1):
-                s = sumsq + dj * dj
-                if s > r2max:
-                    break
-                rec(prefix + [dj], s, dj == 0)
-        else:
-            for dj in range(-lim, lim + 1):
-                s = sumsq + dj * dj
-                if s > r2max:
-                    continue
-                rec(prefix + [dj], s, False)
+        c = lim if r2max is None else min(lim, math.isqrt(r2max - sumsq))
+        for dj in range(0 if still_zero else -c, c + 1):
+            yield from rec(prefix + [dj], sumsq + dj * dj, still_zero and dj == 0)
 
-    rec([], 0, True)
-    return out
+    return rec([], 0, True)
 
 
 def _offset_pair_count(side: int, delta) -> int:
@@ -267,12 +240,23 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
               weights_override: np.ndarray | None = None) -> BoxRealization:
     if spec.d != params.d:
         raise ValueError(f"spec dimension {spec.d} != params dimension {params.d}")
-    offsets = _canonical_offsets(spec.d, spec.side, cutoff)
-    total_pairs = sum(_offset_pair_count(spec.side, delta) for delta in offsets)
-    if total_pairs > pair_budget:
-        raise BoxTooLarge(
-            f"{total_pairs} pairs exceed the pair budget {pair_budget}; "
-            f"reduce the box, lower the cutoff, or raise the budget")
+    if cutoff is not None:
+        if not cutoff >= 1:
+            raise RadiusTooSmall(f"cutoff must be >= 1, got {cutoff}")
+        cutoff = float(cutoff)
+    # The pair budget is enforced before the work it guards: in closed form
+    # without a cutoff, otherwise as the offsets are produced.
+    n = spec.vertex_count
+    too_large = BoxTooLarge(f"more than {pair_budget} pairs to decide; reduce the box, "
+                            f"lower the cutoff, or raise the pair budget")
+    if cutoff is None and n * (n - 1) // 2 > pair_budget:
+        raise too_large
+    offsets, total_pairs = [], 0
+    for delta in _canonical_offsets(spec.d, spec.side, cutoff):
+        total_pairs += _offset_pair_count(spec.side, delta)
+        if total_pairs > pair_budget:
+            raise too_large
+        offsets.append(delta)
 
     lam, alpha, kind = params.lambda_, params.alpha, params.kind
     lrp = kind is ModelKind.LRP
@@ -332,56 +316,43 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
         if cutoff < spec.diameter:
             w_for_bias = weights if weights is not None \
                 else np.ones(spec.vertex_count, dtype=np.float64)
-            bias = _truncation_bias(spec, params, w_for_bias, float(cutoff))
+            bias = _truncation_bias(spec, params, w_for_bias, cutoff)
 
     return BoxRealization(spec=spec, params=params, seed=seed, weights=weights,
                           edges=edges, trunc=cutoff, trunc_bias=bias)
 
 
 def generate_box(params: ModelParams, seed: int, spec: BoxSpec,
-                 pair_budget: int = DEFAULT_PAIR_BUDGET,
+                 cutoff: float | None = None, pair_budget: int = DEFAULT_PAIR_BUDGET,
                  _weights_override: np.ndarray | None = None) -> BoxRealization:
-    """Sample the full realization, enumerating every vertex pair.
+    """Sample the realization on every vertex pair within Euclidean distance `cutoff`.
 
-    Deterministic in (params, seed, spec).  Raises BoxTooLarge when
-    L^d (L^d - 1) / 2 exceeds the pair budget.
+    Deterministic in (params, seed, spec).  With cutoff None every pair
+    is decided; otherwise pairs beyond the cutoff are never opened, the
+    decisions inside it agree bit for bit with the full box, and the
+    realization records the union-bound truncation bias.  Raises
+    RadiusTooSmall for a cutoff below 1, and BoxTooLarge when the pairs
+    to decide exceed the pair budget.
     """
-    return _generate(params, seed, spec, None, pair_budget, _weights_override)
+    return _generate(params, seed, spec, cutoff, pair_budget, _weights_override)
 
 
 def generate_box_truncated(params: ModelParams, seed: int, spec: BoxSpec,
                            cutoff: float, pair_budget: int = DEFAULT_PAIR_BUDGET,
                            _weights_override: np.ndarray | None = None) -> BoxRealization:
-    """Sample only pairs within Euclidean distance `cutoff`.
-
-    Per-edge decisions agree bit-exactly with generate_box for every pair
-    within the cutoff; pairs beyond it are never opened.  The returned
-    realization records the union-bound truncation bias computed from the
-    sampled weights.
-    """
-    if not cutoff >= 1:
-        raise RadiusTooSmall(f"cutoff must be >= 1, got {cutoff}")
-    return _generate(params, seed, spec, float(cutoff), pair_budget, _weights_override)
+    """`generate_box` with a required cutoff; kept for the benchmark checks."""
+    return generate_box(params, seed, spec, cutoff, pair_budget, _weights_override)
 
 
 def coupled_pair(params: ModelParams, seed: int, spec: BoxSpec,
-                 pair_budget: int = DEFAULT_PAIR_BUDGET,
                  cutoff: float | None = None):
     """The (SFP, LRP) pair built from the same keyed uniforms.
 
     Edge-by-edge domination holds by construction: W >= 1 makes every
     LRP-open uniform also SFP-open.
     """
-    from dataclasses import replace
-    sfp_params = replace(params, kind=ModelKind.SFP)
-    lrp_params = replace(params, kind=ModelKind.LRP)
-    if cutoff is None:
-        sfp = generate_box(sfp_params, seed, spec, pair_budget)
-        lrp = generate_box(lrp_params, seed, spec, pair_budget)
-    else:
-        sfp = generate_box_truncated(sfp_params, seed, spec, cutoff, pair_budget)
-        lrp = generate_box_truncated(lrp_params, seed, spec, cutoff, pair_budget)
-    return sfp, lrp
+    return tuple(generate_box(replace(params, kind=kind), seed, spec, cutoff)
+                 for kind in (ModelKind.SFP, ModelKind.LRP))
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +446,6 @@ class Clusters:
     largest: int
     sizes: dict
 
-    def size_of(self, root: int) -> int:
-        return self.sizes[root]
-
     def largest_mask(self) -> np.ndarray:
         return self.labels == self.largest
 
@@ -516,12 +484,8 @@ def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
-def distances_from(r: BoxRealization, source: int,
-                   target: int | None = None) -> np.ndarray:
-    """BFS hop counts from a flat source to every vertex (-1 unreachable).
-
-    If `target` is given the search stops as soon as its level is settled.
-    """
+def distances_from(r: BoxRealization, source: int) -> np.ndarray:
+    """BFS hop counts from a flat source to every vertex (-1 unreachable)."""
     indptr, indices = r.adjacency()
     n = r.n_vertices
     dist = np.full(n, -1, dtype=np.int64)
@@ -529,8 +493,6 @@ def distances_from(r: BoxRealization, source: int,
     frontier = np.array([source], dtype=np.int64)
     level = 0
     while frontier.size:
-        if target is not None and dist[target] >= 0:
-            break
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
         nbrs = indices[_gather_ranges(starts, counts)]
@@ -541,20 +503,6 @@ def distances_from(r: BoxRealization, source: int,
         level += 1
         dist[frontier] = level
     return dist
-
-
-def graph_distance(r: BoxRealization, x, y) -> DistanceSample:
-    """Shortest open-path length between two vertices given as coordinates."""
-    xi = int(r.spec.flat_of(np.asarray(x, dtype=np.int64).reshape(-1)))
-    yi = int(r.spec.flat_of(np.asarray(y, dtype=np.int64).reshape(-1)))
-    xc = tuple(np.asarray(x, dtype=np.int64).reshape(-1).tolist())
-    yc = tuple(np.asarray(y, dtype=np.int64).reshape(-1).tolist())
-    euclid = math.dist(xc, yc)
-    if xi == yi:
-        return DistanceSample(xc, yc, 0.0, 0)
-    dist = distances_from(r, xi, target=yi)
-    hops = int(dist[yi])
-    return DistanceSample(xc, yc, euclid, hops if hops >= 0 else None)
 
 
 def degree_sequence(r: BoxRealization, margin: int = 0) -> np.ndarray:
@@ -607,8 +555,20 @@ def save_realization(r: BoxRealization, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _record_lines(lines, tag: str) -> list:
+    """Line numbers of the records of type `tag`, in file order (error paths only)."""
+    return [ln for ln, line in enumerate(lines[2:], start=3) if line.split()[:1] == [tag]]
+
+
 def load_realization(path) -> BoxRealization:
-    """Parse the text format v1 back into a BoxRealization (bit-exact)."""
+    """Parse the text format v1 back into a BoxRealization (bit-exact).
+
+    Rejects, with the offending line number: unknown metadata keys,
+    weights that are not finite or below 1, self-loops, edges whose lower
+    endpoint (in flat order) is not written first, and duplicate edges.
+    These checks run vectorised after the parse; the line of a failure is
+    recovered by rescanning the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
@@ -622,6 +582,8 @@ def load_realization(path) -> BoxRealization:
         if "=" not in tok:
             raise ParseError(2, f"bad metadata token {tok!r}")
         k, v = tok.split("=", 1)
+        if k not in _META_KEYS:
+            raise ParseError(2, f"unknown metadata key {k!r}")
         meta[k] = v
     try:
         d = int(meta["d"])
@@ -644,13 +606,12 @@ def load_realization(path) -> BoxRealization:
 
     weights = None
     if kind is not ModelKind.LRP:
-        weights = np.empty(spec.vertex_count, dtype=np.float64)
-        weights.fill(np.nan)
+        weights = np.full(spec.vertex_count, np.nan)
     eis, ejs = [], []
     for ln, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
         parts = line.split()
+        if not parts:
+            continue
         try:
             if parts[0] == "w":
                 if weights is None:
@@ -672,15 +633,28 @@ def load_realization(path) -> BoxRealization:
             raise
         except (ValueError, VertexOutOfBox) as exc:
             raise ParseError(ln, str(exc)) from exc
-    if weights is not None and np.any(np.isnan(weights)):
-        missing = int(np.isnan(weights).sum())
-        raise ParseError(len(lines) + 1, f"{missing} vertex weights missing (truncated file?)")
     if weights is not None:
+        if not np.all((weights >= 1.0) & (weights < math.inf)):
+            for ln in _record_lines(lines, "w"):
+                w = lines[ln - 1].split()[-1]
+                if not 1.0 <= float(w) < math.inf:
+                    raise ParseError(ln, f"weight {w} is not finite and >= 1")
+            missing = int(np.isnan(weights).sum())
+            raise ParseError(len(lines) + 1, f"{missing} vertex weights missing (truncated file?)")
         weights.setflags(write=False)
     if eis:
-        edges = np.stack([np.array(eis, dtype=np.int64), np.array(ejs, dtype=np.int64)], axis=1)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
+        ei, ej = np.array(eis, dtype=np.int64), np.array(ejs, dtype=np.int64)
+        bad = np.nonzero(ei >= ej)[0]
+        if bad.size:
+            k = int(bad[0])
+            raise ParseError(_record_lines(lines, "e")[k], "self-loop" if ei[k] == ej[k]
+                             else "edge endpoints reversed (lower endpoint must come first)")
+        order = np.lexsort((ej, ei))
+        edges = np.stack([ei[order], ej[order]], axis=1)
+        dup = np.nonzero((edges[1:, 0] == edges[:-1, 0]) & (edges[1:, 1] == edges[:-1, 1]))[0]
+        if dup.size:
+            k = int(np.maximum(order[dup], order[dup + 1]).min())
+            raise ParseError(_record_lines(lines, "e")[k], "duplicate edge")
     else:
         edges = np.empty((0, 2), dtype=np.int64)
     edges.setflags(write=False)

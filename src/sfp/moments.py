@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .params import ModelParams, derived_exponents
+from .params import ModelParams, RadiusTooSmall, derived_exponents
 
 _QUAD_REL_TOL = 1e-10
 
@@ -51,10 +51,6 @@ class TauOutOfRange(ValueError):
 
 
 class ThresholdBelowFloor(ValueError):
-    pass
-
-
-class RadiusTooSmall(ValueError):
     pass
 
 

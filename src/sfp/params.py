@@ -53,6 +53,10 @@ class TauTooSmall(ParameterError):
         super().__init__(f"tau must exceed 1, got {value}")
 
 
+class RadiusTooSmall(ValueError):
+    """A truncation cutoff or ball radius below what the computation needs."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Validated model parameters (d, alpha, lambda, tau) plus model kind.

@@ -115,34 +115,21 @@ def weight_for_vertex(seed: int, x, tau: float) -> float:
 # Edge uniforms
 # ---------------------------------------------------------------------------
 
-def edge_uniforms(seed: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Uniforms for edges given as (n, d) coordinate arrays, one per row.
-
-    Caller must supply canonically ordered endpoints (xs < ys
-    lexicographically row by row); the generation loops guarantee this by
-    construction.  Use `uniform_for_edge` for the order-agnostic scalar
-    form.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.int64))
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.int64))
-    cols = [xs[:, j] for j in range(xs.shape[1])] + [ys[:, j] for j in range(ys.shape[1])]
-    return keyed_uniforms(seed, TAG_EDGE, *cols)
-
-
 def uniform_for_edge(seed: int, x, y) -> float:
     """The shared uniform of the unordered edge {x, y}, in (0, 1).
 
     Symmetric in x and y: endpoints are sorted lexicographically by
     coordinates before hashing, so uniform_for_edge(s, x, y) equals
-    uniform_for_edge(s, y, x) bit for bit.
+    uniform_for_edge(s, y, x) bit for bit.  The key columns (lower
+    endpoint, then upper) are the ones the box generator hashes, so this
+    re-decides any generated pair.
     """
     xa = tuple(np.asarray(x, dtype=np.int64).reshape(-1).tolist())
     ya = tuple(np.asarray(y, dtype=np.int64).reshape(-1).tolist())
     if xa == ya:
         raise SelfLoop(f"edge endpoints coincide: {xa}")
     lo, hi = (xa, ya) if xa < ya else (ya, xa)
-    u = edge_uniforms(seed, np.array([lo], dtype=np.int64), np.array([hi], dtype=np.int64))
-    return float(u[0])
+    return float(keyed_uniforms(seed, TAG_EDGE, *lo, *hi))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,11 @@ def test_generate_roundtrips(tmp_path):
     assert np.array_equal(back.weights, fresh.weights)
 
 
+def test_generate_without_out_is_usage_error_before_generating():
+    # An oversized box would raise BoxTooLarge (exit 3) if generated first.
+    assert main(["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "100000"]) == 1
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 1.5\ntau = 2.5\nseed = 11  # comment\n")

@@ -1,14 +1,19 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import special
 
+from sfp import graph
 from sfp.graph import (BoxSpec, BoxTooLarge, FormatVersionMismatch,
                        MarginTooLarge, ParseError, RadiusTooSmall,
                        VertexOutOfBox, clusters, coupled_pair, degree_sequence,
-                       generate_box, generate_box_truncated, graph_distance,
-                       load_realization, save_realization)
+                       distances_from, generate_box, load_realization,
+                       save_realization)
 from sfp.params import ModelKind, validate_params
 from sfp.randomness import derive_seed
 from sfp.verify import forced_realization
@@ -107,6 +112,65 @@ def test_generation_deterministic():
 def test_pair_budget_enforced():
     with pytest.raises(BoxTooLarge):
         generate_box(P, 0, BoxSpec(d=1, side=10_000), pair_budget=10_000)
+    # The budget bounds the pairs decided, inclusively, with and without a cutoff.
+    spec = BoxSpec(d=1, side=10)
+    generate_box(P, 0, spec, pair_budget=45)  # 10 * 9 / 2 pairs
+    with pytest.raises(BoxTooLarge):
+        generate_box(P, 0, spec, pair_budget=44)
+    generate_box(P, 0, spec, cutoff=3, pair_budget=24)  # 9 + 8 + 7 pairs
+    with pytest.raises(BoxTooLarge):
+        generate_box(P, 0, spec, cutoff=3, pair_budget=23)
+
+
+def _brute_offsets(d, side, cutoff):
+    lim = side - 1
+    out = []
+    for delta in itertools.product(range(-lim, lim + 1), repeat=d):
+        nonzero = [c for c in delta if c != 0]
+        if nonzero and nonzero[0] > 0 and (
+                cutoff is None or sum(c * c for c in delta) <= float(cutoff) ** 2):
+            out.append(delta)
+    return out
+
+
+@pytest.mark.parametrize("d, side", [(1, 2), (1, 5), (1, 9), (2, 2), (2, 4), (2, 7),
+                                     (3, 2), (3, 3), (3, 5)])
+def test_canonical_offsets_match_brute_force(d, side):
+    diameter = math.sqrt(d) * (side - 1)
+    for cutoff in (1, 1.5, 2.9, 3, 4.2, diameter, diameter + 0.5, math.inf, None):
+        got = list(graph._canonical_offsets(d, side, cutoff))
+        assert got == _brute_offsets(d, side, cutoff), (d, side, cutoff)
+
+
+def test_canonical_offsets_walk_only_the_ball():
+    # A huge side must cost nothing when the cutoff is small: every
+    # coordinate range is bounded by the radius the prefix leaves.
+    for d in (1, 2, 3):
+        assert list(graph._canonical_offsets(d, 10 ** 12, 2.9)) == _brute_offsets(d, 4, 2.9)
+
+
+def test_pair_budget_checked_before_enumerating_offsets(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("offsets enumerated for a box over budget")
+    monkeypatch.setattr(graph, "_canonical_offsets", fail)
+    with pytest.raises(BoxTooLarge):
+        generate_box(validate_params(2, 3.0, 1.0, 2.5), 0, BoxSpec(d=2, side=1000))
+
+
+def test_pair_budget_stops_enumeration_with_cutoff(monkeypatch):
+    produced = []
+    orig = graph._canonical_offsets
+
+    def counting(*args):
+        for delta in orig(*args):
+            produced.append(delta)
+            yield delta
+    monkeypatch.setattr(graph, "_canonical_offsets", counting)
+    with pytest.raises(BoxTooLarge):
+        generate_box(validate_params(2, 3.0, 1.0, 2.5), 0, BoxSpec(d=2, side=1000),
+                     cutoff=500.0, pair_budget=10 ** 6)
+    # (0, 1) and (0, 2) hold 999,000 and 998,000 pairs: the second passes the budget.
+    assert produced == [(0, 1), (0, 2)]
 
 
 def _phi_pareto_15(c):
@@ -158,7 +222,7 @@ def test_edge_count_within_3_sigma_of_quadrature_oracle():
 def test_truncated_identical_when_cutoff_covers_box():
     spec = BoxSpec(d=1, side=100)
     full = generate_box(P, 0, spec)
-    trunc = generate_box_truncated(P, 0, spec, cutoff=200.0)
+    trunc = generate_box(P, 0, spec, cutoff=200.0)
     assert np.array_equal(full.edges, trunc.edges)
     assert np.array_equal(full.weights, trunc.weights)
     assert trunc.trunc_bias == 0.0
@@ -167,14 +231,14 @@ def test_truncated_identical_when_cutoff_covers_box():
 def test_truncated_agrees_inside_cutoff():
     spec = BoxSpec(d=1, side=400)
     full = generate_box(P, 11, spec)
-    trunc = generate_box_truncated(P, 11, spec, cutoff=25.0)
+    trunc = generate_box(P, 11, spec, cutoff=25.0)
     inside = full.edges[np.abs(full.edges[:, 0] - full.edges[:, 1]) <= 25]
     assert np.array_equal(trunc.edges, inside)
 
 
 def test_truncated_rejects_radius_below_one():
     with pytest.raises(RadiusTooSmall):
-        generate_box_truncated(P, 0, BoxSpec(d=1, side=100), cutoff=0.0)
+        generate_box(P, 0, BoxSpec(d=1, side=100), cutoff=0.0)
 
 
 def test_truncation_bias_matches_brute_force():
@@ -183,7 +247,7 @@ def test_truncation_bias_matches_brute_force():
     # few far pairs saturate at 1, exercising the correction.
     p = validate_params(1, 1.5, 5.0, 2.2)
     spec = BoxSpec(d=1, side=60)
-    r = generate_box_truncated(p, 2, spec, cutoff=10.0)
+    r = generate_box(p, 2, spec, cutoff=10.0)
     w = r.weights
     brute = 0.0
     for i in range(60):
@@ -197,7 +261,7 @@ def test_truncation_bias_matches_brute_force():
 def test_truncation_bias_matches_brute_force_2d():
     p = validate_params(2, 2.5, 2.0, 2.4)
     spec = BoxSpec(d=2, side=14)
-    r = generate_box_truncated(p, 1, spec, cutoff=4.0)
+    r = generate_box(p, 1, spec, cutoff=4.0)
     w = r.weights
     coords = spec.all_coords().astype(float)
     brute = 0.0
@@ -215,8 +279,8 @@ def test_truncation_bias_scales_like_cutoff_power():
     # close to 2^(d-alpha) once the cutoffs sit well inside the box.
     p = validate_params(1, 1.5, 1.0, 3.5)
     spec = BoxSpec(d=1, side=10_000)
-    b1 = generate_box_truncated(p, 0, spec, cutoff=125.0).trunc_bias
-    b2 = generate_box_truncated(p, 0, spec, cutoff=250.0).trunc_bias
+    b1 = generate_box(p, 0, spec, cutoff=125.0).trunc_bias
+    b2 = generate_box(p, 0, spec, cutoff=250.0).trunc_bias
     ratio = b2 / b1
     assert abs(ratio / 2.0 ** (1 - 1.5) - 1.0) < 0.2, ratio
 
@@ -249,16 +313,14 @@ def test_clusters_two_components():
 
 def test_graph_distance_trivial_cases():
     r = forced_realization([((0,), (1,))], d=1, origin=(0,), side=4)
-    assert graph_distance(r, (0,), (0,)).hops == 0
-    assert graph_distance(r, (0,), (1,)).hops == 1
-    assert graph_distance(r, (0,), (3,)).hops is None
-    assert graph_distance(r, (0,), (3,)).euclid == 3.0
+    dist = distances_from(r, 0)
+    assert dist.tolist() == [0, 1, -1, -1]
 
 
 def test_graph_distance_cycle():
     edges = [((0,), (1,)), ((1,), (2,)), ((2,), (3,)), ((0,), (3,))]
     r = forced_realization(edges, d=1, origin=(0,), side=4)
-    assert graph_distance(r, (0,), (2,)).hops == 2
+    assert distances_from(r, 0)[2] == 2
 
 
 def test_graph_distance_symmetry_and_triangle():
@@ -267,11 +329,12 @@ def test_graph_distance_symmetry_and_triangle():
     verts = np.nonzero(cl.largest_mask())[0][:6]
     d = {}
     for a in verts:
+        dist = distances_from(r, int(a))
         for b in verts:
-            d[a, b] = graph_distance(r, (int(a),), (int(b),)).hops
+            d[a, b] = int(dist[b])
     for a in verts:
         for b in verts:
-            assert d[a, b] == d[b, a]
+            assert d[a, b] == d[b, a] >= 0
             for c in verts:
                 assert d[a, c] <= d[a, b] + d[b, c]
 
@@ -279,7 +342,7 @@ def test_graph_distance_symmetry_and_triangle():
 def test_graph_distance_rejects_outside_vertex():
     r = generate_box(P, 0, BoxSpec(d=1, side=10))
     with pytest.raises(VertexOutOfBox):
-        graph_distance(r, (0,), (10,))
+        distances_from(r, int(r.spec.flat_of([10])))
 
 
 def test_degree_sequence_empty_and_complete():
@@ -313,7 +376,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
 def test_save_load_roundtrip_truncated_with_origin(tmp_path):
     spec = BoxSpec(d=2, side=9, origin=(-4, 3))
     p2 = validate_params(2, 2.5, 1.0, 2.5)
-    r = generate_box_truncated(p2, 3, spec, cutoff=4.0)
+    r = generate_box(p2, 3, spec, cutoff=4.0)
     path = tmp_path / "box2.txt"
     save_realization(r, path)
     back = load_realization(path)
@@ -364,7 +427,7 @@ def test_three_dimensional_generation():
     coords = spec.coords_of(np.arange(64))
     assert coords.shape == (64, 3)
     # Exhaustive offset coverage: every unordered pair considered once.
-    trunc = generate_box_truncated(p3, 0, spec, cutoff=spec.diameter + 1)
+    trunc = generate_box(p3, 0, spec, cutoff=spec.diameter + 1)
     assert np.array_equal(trunc.edges, r.edges)
 
 
@@ -376,3 +439,56 @@ def test_load_detects_missing_weights(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError):
         load_realization(path)
+
+
+_VALID_FILE = [
+    "#sfp-box v1",
+    "d=1 alpha=1.5 lambda=1.0 tau=2.5 model=sfp L=4 seed=0",
+    "w 0 1.5",
+    "w 1 2.0",
+    "w 2 1.0",
+    "w 3 3.25",
+    "e 0 1",
+    "e 1 2",
+    "e 2 3",
+]
+
+
+@pytest.mark.parametrize("line, text, expect_line", [
+    (7, "e 2 1", 8),                                    # reversed endpoints
+    (8, "e 2 3\ne 0 1", 10),                            # duplicate edge
+    (7, "e 1 1", 8),                                    # self-loop
+    (3, "w 1 0.5", 4),                                  # weight below 1
+    (3, "w 1 inf", 4),                                  # weight not finite
+    (3, "w 1 nan", 4),                                  # weight not a number
+    (1, _VALID_FILE[1] + " trnc=5", 2),                 # unknown metadata key
+], ids=["reversed", "duplicate", "self-loop", "weight-below-1", "weight-inf",
+        "weight-nan", "unknown-key"])
+def test_load_rejects_malformed_records(tmp_path, line, text, expect_line):
+    path = tmp_path / "box.txt"
+    path.write_text("\n".join(_VALID_FILE) + "\n")
+    assert load_realization(path).n_edges == 3
+    lines = list(_VALID_FILE)
+    lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_realization(path)
+    assert exc.value.line_number == expect_line
+
+
+def test_load_skips_blank_and_whitespace_lines(tmp_path):
+    path = tmp_path / "box.txt"
+    path.write_text("\n".join(_VALID_FILE[:7] + ["", "   \t"] + _VALID_FILE[7:]) + "\n")
+    assert load_realization(path).edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+
+
+def test_radius_too_small_is_one_class():
+    from sfp import moments, params
+    assert graph.RadiusTooSmall is moments.RadiusTooSmall is params.RadiusTooSmall
+
+
+def test_graph_import_does_not_load_moments():
+    src = os.path.dirname(os.path.dirname(graph.__file__))
+    code = "import sys, sfp.graph; sys.exit('sfp.moments' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

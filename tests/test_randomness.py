@@ -3,9 +3,10 @@ import pytest
 from scipy import stats
 
 from sfp.params import TauTooSmall
-from sfp.randomness import (SelfLoop, derive_seed, edge_uniforms,
-                            experiment_uniforms, pareto_from_uniform,
-                            uniform_for_edge, vertex_weights, weight_for_vertex)
+from sfp.randomness import (TAG_EDGE, SelfLoop, derive_seed,
+                            experiment_uniforms, keyed_uniforms,
+                            pareto_from_uniform, uniform_for_edge,
+                            vertex_weights, weight_for_vertex)
 
 
 def test_edge_uniform_symmetric_and_deterministic():
@@ -28,10 +29,10 @@ def test_self_loop_rejected():
 
 
 def test_distinct_keys_give_distinct_streams():
-    xs = np.arange(1000, dtype=np.int64).reshape(-1, 1)
-    u_a = edge_uniforms(0, xs, xs + 1)
-    u_b = edge_uniforms(0, xs, xs + 2)
-    u_c = edge_uniforms(1, xs, xs + 1)
+    xs = np.arange(1000, dtype=np.int64)
+    u_a = keyed_uniforms(0, TAG_EDGE, xs, xs + 1)
+    u_b = keyed_uniforms(0, TAG_EDGE, xs, xs + 2)
+    u_c = keyed_uniforms(1, TAG_EDGE, xs, xs + 1)
     assert len(np.unique(u_a)) == 1000
     assert not np.allclose(u_a, u_b)
     assert not np.allclose(u_a, u_c)
@@ -39,8 +40,8 @@ def test_distinct_keys_give_distinct_streams():
 
 def test_edge_uniforms_pass_ks_at_level_001():
     n = 1_000_000
-    xs = np.arange(n, dtype=np.int64).reshape(-1, 1)
-    u = edge_uniforms(0, xs, xs + 1)
+    xs = np.arange(n, dtype=np.int64)
+    u = keyed_uniforms(0, TAG_EDGE, xs, xs + 1)
     assert np.all(u > 0.0) and np.all(u < 1.0)
     stat, pvalue = stats.kstest(u, "uniform")
     assert pvalue > 0.001, f"KS stat {stat}, p {pvalue}"
