@@ -343,10 +343,13 @@ def run_fkg_check(cfg: ExperimentConfig, path, equality_tol_rel: float = 1e-12) 
     def chunk(rg):
         lo, hi = rg
         if lrp:
-            w = np.ones((hi - lo, len(pts)))
+            w = [np.ones(hi - lo)] * len(pts)
         else:
-            w = _pareto_draws(cfg.seed, tau, 0, lo, hi, 0, len(pts))
-        probs = [-np.expm1(-scales[i] * w[:, i] * w[:, i + 1]) for i in range(n_edges)]
+            # One slot per call: a (replicates, 1) draw hashes faster than a
+            # (replicates, path length) one, with the same keys and values.
+            w = [_pareto_draws(cfg.seed, tau, 0, lo, hi, slot, 1)[:, 0]
+                 for slot in range(len(pts))]
+        probs = [-np.expm1(-scales[i] * w[i] * w[i + 1]) for i in range(n_edges)]
         out = []
         for cut in range(1, len(pts) - 1):
             head = probs[0].copy()

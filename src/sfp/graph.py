@@ -22,7 +22,9 @@ is two `generate_box` calls, one per model kind, on the same seed.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -526,9 +528,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _record_text(fmt: str, columns, chunk: int = 1 << 16):
+    """One `fmt` line per row of the columns, %-formatted a chunk of rows at a time."""
+    for s in range(0, len(columns[0]), chunk):
+        rows = zip(*(c[s:s + chunk].tolist() for c in columns))
+        values = tuple(itertools.chain.from_iterable(rows))
+        yield (fmt * (len(values) // len(columns))) % values
+
+
 def save_realization(r: BoxRealization, path) -> None:
     """Write the text format v1; weights in shortest round-trip decimals."""
-    lines = [FORMAT_HEADER]
     meta = (f"d={r.spec.d} alpha={_fmt(r.params.alpha)} lambda={_fmt(r.params.lambda_)} "
             f"tau={_fmt(r.params.tau)} model={r.params.kind.value} L={r.spec.side} "
             f"seed={r.seed}")
@@ -538,36 +547,75 @@ def save_realization(r: BoxRealization, path) -> None:
         meta += f" trunc={_fmt(r.trunc)}"
         if r.trunc_bias is not None:
             meta += f" truncbias={_fmt(r.trunc_bias)}"
-    lines.append(meta)
+    parts = [f"{FORMAT_HEADER}\n{meta}\n"]
+    d = r.spec.d
     if r.weights is not None:
-        coords = r.spec.all_coords()
-        for i in range(r.n_vertices):
-            cs = " ".join(str(c) for c in coords[i])
-            lines.append(f"w {cs} {_fmt(r.weights[i])}")
-    if r.n_edges:
-        ci = r.spec.coords_of(r.edges[:, 0])
-        cj = r.spec.coords_of(r.edges[:, 1])
-        for i in range(r.n_edges):
-            a = " ".join(str(c) for c in ci[i])
-            b = " ".join(str(c) for c in cj[i])
-            lines.append(f"e {a} {b}")
+        # %r of a Python float is repr(float), the same text as _fmt.
+        parts += _record_text("w" + " %d" * d + " %r\n", [*r.spec.all_coords().T, r.weights])
+    ends = r.spec.coords_of(r.edges)  # (E, 2, d)
+    parts += _record_text("e" + " %d" * (2 * d) + "\n", list(ends.reshape(-1, 2 * d).T))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
 
 
-def _record_lines(lines, tag: str) -> list:
-    """Line numbers of the records of type `tag`, in file order (error paths only)."""
-    return [ln for ln, line in enumerate(lines[2:], start=3) if line.split()[:1] == [tag]]
+def _outside_box(spec: BoxSpec, coords: np.ndarray, line_nos, per_record: int):
+    """ParseError for the first record with a vertex outside the box, or None.
+
+    `coords` holds `per_record` vertices (rows) per record, records in
+    file order; `line_nos[k]` is the line of record k.
+    """
+    rel = coords - np.asarray(spec.origin, dtype=np.int64)
+    out = np.flatnonzero(np.any((rel < 0) | (rel >= spec.side), axis=1))
+    if out.size == 0:
+        return None
+    k = int(out[0])
+    return ParseError(line_nos[k // per_record], f"coordinates {coords[k].tolist()} outside box")
+
+
+def _missing_nn_edge(spec: BoxSpec, edges: np.ndarray):
+    """The first lattice-neighbour pair (lo, hi) absent from the sorted edges, or None."""
+    n, side = spec.vertex_count, spec.side
+    flat = np.arange(n, dtype=np.int64)
+    lo, hi = [], []
+    for j in range(spec.d):
+        stride = side ** (spec.d - 1 - j)
+        x = flat[flat // stride % side < side - 1]
+        lo.append(x)
+        hi.append(x + stride)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    want = lo * n + hi
+    # Keys are ascending because the edges are lexsorted; the sentinel n*n
+    # exceeds every wanted key, so each search lands on a valid slot.
+    keys = np.append(edges[:, 0] * n + edges[:, 1], n * n)
+    gone = np.flatnonzero(keys[np.searchsorted(keys, want)] != want)
+    return None if gone.size == 0 else (int(lo[gone[0]]), int(hi[gone[0]]))
+
+
+def _record_fault(parts: list, d: int, weighted: bool) -> str:
+    """Why a record line with these fields is not a well-formed record."""
+    tag = parts[0]
+    if tag == "w" and not weighted:
+        return "weight line in a weightless model"
+    if tag in ("w", "e"):
+        want = d + 2 if tag == "w" else 2 * d + 1
+        return f"expected {want} fields, got {len(parts)}"
+    return f"unknown record type {tag!r}"
 
 
 def load_realization(path) -> BoxRealization:
     """Parse the text format v1 back into a BoxRealization (bit-exact).
 
-    Rejects, with the offending line number: unknown metadata keys,
-    weights that are not finite or below 1, self-loops, edges whose lower
-    endpoint (in flat order) is not written first, and duplicate edges.
-    These checks run vectorised after the parse; the line of a failure is
-    recovered by rescanning the file.
+    Records may come in any order and their fields may be separated by
+    any whitespace; blank lines are skipped.  Rejects, with the offending
+    line number: unknown metadata keys, malformed records, coordinates
+    outside the box, weights that are not finite or below 1, a second
+    weight for a vertex, self-loops, edges whose lower endpoint (in flat
+    order) is not written first, and duplicate edges.  Missing weights,
+    and for sfpnn a missing nearest-neighbour edge, are reported at the
+    line after the last.
+
+    One Python pass appends the fields of each record, and its line
+    number, to typed buffers; every check then runs in numpy.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -593,70 +641,90 @@ def load_realization(path) -> BoxRealization:
                              lambda_=float(meta["lambda"]),
                              tau=float(meta["tau"]), kind=kind)
         seed = int(meta["seed"])
+        origin = tuple(int(c) for c in meta["origin"].split(",")) if "origin" in meta else None
+        spec = BoxSpec(d=d, side=side, origin=origin)
+        if spec.vertex_count >= 2 ** 63 or not all(-2 ** 63 <= c <= 2 ** 63 - side
+                                                    for c in spec.origin):
+            raise ValueError("box does not fit 64-bit vertex coordinates and indices")
+        trunc = float(meta["trunc"]) if "trunc" in meta else None
+        trunc_bias = float(meta["truncbias"]) if "truncbias" in meta else None
     except KeyError as exc:
         raise ParseError(2, f"missing metadata key {exc.args[0]}") from exc
     except ValueError as exc:
         raise ParseError(2, str(exc)) from exc
-    origin = (0,) * d
-    if "origin" in meta:
-        origin = tuple(int(c) for c in meta["origin"].split(","))
-    spec = BoxSpec(d=d, side=side, origin=origin)
-    trunc = float(meta["trunc"]) if "trunc" in meta else None
-    trunc_bias = float(meta["truncbias"]) if "truncbias" in meta else None
 
-    weights = None
-    if kind is not ModelKind.LRP:
-        weights = np.full(spec.vertex_count, np.nan)
-    eis, ejs = [], []
-    for ln, line in enumerate(lines[2:], start=3):
+    weighted = kind is not ModelKind.LRP
+    w_fields, e_fields = d + 2, 2 * d + 1
+    w_coords, w_values, w_lines = array("q"), array("d"), array("q")
+    e_coords, e_lines = array("q"), array("q")
+    failure = None
+    for ln, line in enumerate(itertools.islice(lines, 2, None), start=3):
         parts = line.split()
         if not parts:
             continue
+        tag = parts[0]
         try:
-            if parts[0] == "w":
-                if weights is None:
-                    raise ParseError(ln, "weight line in a weightless model")
-                if len(parts) != d + 2:
-                    raise ParseError(ln, f"expected {d + 2} fields, got {len(parts)}")
-                c = np.array([int(p) for p in parts[1:1 + d]], dtype=np.int64)
-                weights[int(spec.flat_of(c))] = float(parts[1 + d])
-            elif parts[0] == "e":
-                if len(parts) != 2 * d + 1:
-                    raise ParseError(ln, f"expected {2 * d + 1} fields, got {len(parts)}")
-                a = np.array([int(p) for p in parts[1:1 + d]], dtype=np.int64)
-                b = np.array([int(p) for p in parts[1 + d:1 + 2 * d]], dtype=np.int64)
-                eis.append(int(spec.flat_of(a)))
-                ejs.append(int(spec.flat_of(b)))
+            if tag == "e" and len(parts) == e_fields:
+                e_coords.extend(map(int, parts[1:]))
+                e_lines.append(ln)
+            elif tag == "w" and weighted and len(parts) == w_fields:
+                w_coords.extend(map(int, parts[1:-1]))
+                w_values.append(float(parts[-1]))
+                w_lines.append(ln)
             else:
-                raise ParseError(ln, f"unknown record type {parts[0]!r}")
-        except ParseError:
-            raise
-        except (ValueError, VertexOutOfBox) as exc:
-            raise ParseError(ln, str(exc)) from exc
-    if weights is not None:
-        if not np.all((weights >= 1.0) & (weights < math.inf)):
-            for ln in _record_lines(lines, "w"):
-                w = lines[ln - 1].split()[-1]
-                if not 1.0 <= float(w) < math.inf:
-                    raise ParseError(ln, f"weight {w} is not finite and >= 1")
-            missing = int(np.isnan(weights).sum())
-            raise ParseError(len(lines) + 1, f"{missing} vertex weights missing (truncated file?)")
-        weights.setflags(write=False)
-    if eis:
-        ei, ej = np.array(eis, dtype=np.int64), np.array(ejs, dtype=np.int64)
-        bad = np.nonzero(ei >= ej)[0]
+                failure = ParseError(ln, _record_fault(parts, d, weighted))
+                break
+        except (ValueError, OverflowError) as exc:
+            failure = ParseError(ln, str(exc))
+            break
+
+    # A record that failed part-way may have left fields in a buffer:
+    # keep whole records only.
+    wc = np.frombuffer(w_coords, dtype=np.int64)[:len(w_lines) * d].reshape(-1, d)
+    ec = np.frombuffer(e_coords, dtype=np.int64)[:len(e_lines) * 2 * d].reshape(-1, d)
+    # Every buffered record precedes a failed line, so the first fault in
+    # file order is the least line among these.
+    faults = [f for f in (failure, _outside_box(spec, wc, w_lines, 1),
+                          _outside_box(spec, ec, e_lines, 2)) if f is not None]
+    if faults:
+        raise min(faults, key=lambda f: f.line_number)
+
+    weights = None
+    if weighted:
+        values = np.frombuffer(w_values, dtype=np.float64)
+        bad = np.flatnonzero(~((values >= 1.0) & (values < math.inf)))
         if bad.size:
-            k = int(bad[0])
-            raise ParseError(_record_lines(lines, "e")[k], "self-loop" if ei[k] == ej[k]
-                             else "edge endpoints reversed (lower endpoint must come first)")
-        order = np.lexsort((ej, ei))
-        edges = np.stack([ei[order], ej[order]], axis=1)
-        dup = np.nonzero((edges[1:, 0] == edges[:-1, 0]) & (edges[1:, 1] == edges[:-1, 1]))[0]
-        if dup.size:
-            k = int(np.maximum(order[dup], order[dup + 1]).min())
-            raise ParseError(_record_lines(lines, "e")[k], "duplicate edge")
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+            ln = w_lines[int(bad[0])]
+            raise ParseError(ln, f"weight {lines[ln - 1].split()[-1]} is not finite and >= 1")
+        flat = spec.flat_of(wc)
+        order = np.argsort(flat, kind="stable")
+        repeat = np.flatnonzero(flat[order[1:]] == flat[order[:-1]])
+        if repeat.size:
+            k = int(order[repeat + 1].min())
+            raise ParseError(w_lines[k], f"duplicate weight for vertex {wc[k].tolist()}")
+        missing = spec.vertex_count - len(flat)
+        if missing:
+            raise ParseError(len(lines) + 1, f"{missing} vertex weights missing (truncated file?)")
+        weights = values[order]
+        weights.setflags(write=False)
+
+    pairs = spec.flat_of(ec).reshape(-1, 2)
+    bad = np.flatnonzero(pairs[:, 0] >= pairs[:, 1])
+    if bad.size:
+        k = int(bad[0])
+        raise ParseError(e_lines[k], "self-loop" if pairs[k, 0] == pairs[k, 1]
+                         else "edge endpoints reversed (lower endpoint must come first)")
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    edges = pairs[order]
+    dup = np.flatnonzero(np.all(edges[1:] == edges[:-1], axis=1))
+    if dup.size:
+        k = int(np.maximum(order[dup], order[dup + 1]).min())
+        raise ParseError(e_lines[k], "duplicate edge")
+    if kind is ModelKind.SFP_NN:
+        gap = _missing_nn_edge(spec, edges)
+        if gap is not None:
+            a, b = spec.coords_of(np.array(gap)).tolist()
+            raise ParseError(len(lines) + 1, f"missing nearest-neighbour edge {a} {b}")
     edges.setflags(write=False)
     return BoxRealization(spec=spec, params=params, seed=seed, weights=weights,
                           edges=edges, trunc=trunc, trunc_bias=trunc_bias)

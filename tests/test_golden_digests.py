@@ -9,6 +9,12 @@ TRUNC_BIAS_BITS pins the exact float (as `float.hex`) of the truncation
 bias of each truncated box.  In d >= 2 the bias is a sum over lattice
 lags taken in offset order, which the edge digests cannot see, so a
 change of summation order shows here and nowhere else.
+
+FILE_DIGESTS pins the bytes `save_realization` writes (format v1) for
+the same 36 boxes plus one d=2 box with a negative origin and a cutoff
+(ORIGIN_BOX).  They were generated with the per-line writer, before
+save and load were vectorised, so any change to the file bytes shows
+here.
 """
 
 import hashlib
@@ -16,7 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sfp.graph import BoxSpec, generate_box
+from sfp.graph import BoxSpec, generate_box, load_realization, save_realization
 from sfp.params import ModelKind, ModelParams
 
 SMALL = {1: dict(alpha=1.5, side=128, cutoff=8.0), 2: dict(alpha=3.0, side=12, cutoff=3.0)}
@@ -117,6 +123,85 @@ TRUNC_BIAS_BITS = {
     "sfpnn-d2-s2-R3": "0x1.6ed6689fbefb2p+8",
 }
 
+FILE_DIGESTS = {
+    "sfp-d1-s0-full":
+        "e4e6ceecc4c341e55066532538c97acba539730c78fc9e246a06c3ebdba14eb5",
+    "sfp-d1-s0-R8":
+        "9035590331d9a32374a24258924334f097fe9824e6f5d205cec20702912066cd",
+    "sfp-d1-s1-full":
+        "df0906e9746b4baa57797a4c572dfaf04deb3cf89a8ba32bf7deb791e97a00f9",
+    "sfp-d1-s1-R8":
+        "443a6ef23fcd733b73c245803762fcddd4d7340deaf1a153a5b31073d57c2e63",
+    "sfp-d1-s2-full":
+        "c78e8b2a0dc9d0ecb81dd4971f64667f46f4aa5b9ac98094fc21d20d971e7878",
+    "sfp-d1-s2-R8":
+        "ff5d8c1f2fc42caae0f662db68c08a35ff94b20ccbbb8f67446087bcca7247f0",
+    "sfp-d2-s0-full":
+        "f3cd77a71841b5d9f0c2a7e71438acb9540884dadad5e8c8fc1c528b3ac78022",
+    "sfp-d2-s0-R3":
+        "a3d82424289b6111b34449811c75e0f1cb9705ff1d80e4a0ae17e8c51a1fb084",
+    "sfp-d2-s1-full":
+        "514a2020df031929bbd68eadbe0834f26600636623954d6005f591a15bf41910",
+    "sfp-d2-s1-R3":
+        "72e25b5d1a652b311b09c985271e847907451d814ec2bfd7e9b000e4ce194f5a",
+    "sfp-d2-s2-full":
+        "038d21aec87bdaf1777007db0a970ad82a2211ffc9415e3046ea1559c5d029ff",
+    "sfp-d2-s2-R3":
+        "89c191e684f1fc2dd02f912177fe0d272b90a4180fb42f905e2448e0642c5052",
+    "lrp-d1-s0-full":
+        "f9e69883327d3e4a0b886114a802106a9e7a79c33313e653b37db548bde5ef5b",
+    "lrp-d1-s0-R8":
+        "86b84a178b837aa2814ae6841972bddf7830cfe9e6aa8309504a31360493c21e",
+    "lrp-d1-s1-full":
+        "72ebfaf6257e6e19a5ddb2495875eb189ac96103f0274f94c3af56c7d030323f",
+    "lrp-d1-s1-R8":
+        "065f4189d69f2395ae67a0eede4654fdde8fcb5ab963f046542778cbb3cee03f",
+    "lrp-d1-s2-full":
+        "9bebdec686013b7ef61c0d6444c188575d25666aef02d55901b96ebe9471f5f1",
+    "lrp-d1-s2-R8":
+        "d4d5e60dde31fb3d9ece0b3f96c5c51a00e369d099423eed32e0b274c3750a05",
+    "lrp-d2-s0-full":
+        "d7b7972fcd048e2eee1fb2f820338b27b6882abec8c8868ec243a47b678968bb",
+    "lrp-d2-s0-R3":
+        "53ca29b85b3785557c6dc17a4d823a4aad7eb7f571a3ee1d9150f68e36259c0a",
+    "lrp-d2-s1-full":
+        "a13b9ef838da1b76719c0a29ffac0121b1647fcc3b59bda4a9f1c7024a2aa772",
+    "lrp-d2-s1-R3":
+        "26b80d482e1a4da01870669c7286c06f3bf154d13a841e87091fde76ac23e6f1",
+    "lrp-d2-s2-full":
+        "44e34900f063cca095b2249c4e75234177dc416747c582f61d140fc7f09fb3f9",
+    "lrp-d2-s2-R3":
+        "aadeaffc410babd1f709df9f2a5731499164ec3bac2788180efe653d2b126fe9",
+    "sfpnn-d1-s0-full":
+        "83ed1606b4b866e4d34c6a37489301c565f1209f30240372b67ddca06f6c0852",
+    "sfpnn-d1-s0-R8":
+        "61976537219203e8fc1892902895cb00c6175ae945acf22311648bb76a389df7",
+    "sfpnn-d1-s1-full":
+        "d6a8f1170d5ffaf1aefa8d04e8d0a503ecc10ef2dac8bc313c5aed8c7f95dc6a",
+    "sfpnn-d1-s1-R8":
+        "bebaa2d4a23175a096d7157967caa94a50b5b66c2a55dc63728e88a52c82ee36",
+    "sfpnn-d1-s2-full":
+        "1901b63e360b013b1480dc683c8e8aa7431fdced920d94120279ca8c1579dd12",
+    "sfpnn-d1-s2-R8":
+        "6834b897a1e2d0e3956fc4c11d2a2946ea58b0c1f52cb1e2847683c822267f7b",
+    "sfpnn-d2-s0-full":
+        "4a9f05899923e24e4183c99ec657e5ff113de95526db45c995c2fd943522c6bf",
+    "sfpnn-d2-s0-R3":
+        "9fbb257855702d2315f4ab3f92f7de6318b8da3a75c0e59549d6a3e1a0eed066",
+    "sfpnn-d2-s1-full":
+        "12041ed2e265453ec3419f43194c8126cfe13b69686829ad107ad96df2a5148f",
+    "sfpnn-d2-s1-R3":
+        "8a9b87ff06b192075bb4caa9399cbe378b2c9ec812d83d6c79fdf5511e0a3cd3",
+    "sfpnn-d2-s2-full":
+        "6e0e0b90fb42561fa5d1e40e9be2a9b14c537668f5465f81a1bfb09c3112599b",
+    "sfpnn-d2-s2-R3":
+        "a6c41c8a7116b463884a7ef5b39af6c14a5f9610854a6dcd79913400fd10a09d",
+    "sfp-d2-s3-R4-origin":
+        "c1a3f9857dcb516c9ee902f8d22f018d9b3569724d6565289fdcfbc33ee0ed0e",
+}
+
+ORIGIN_BOX = "sfp-d2-s3-R4-origin"
+
 
 CASES = [(kind, d, seed, cutoff)
          for kind in (ModelKind.SFP, ModelKind.LRP, ModelKind.SFP_NN)
@@ -147,8 +232,31 @@ def test_golden_box(kind, d, seed, cutoff):
         assert r.trunc_bias.hex() == TRUNC_BIAS_BITS[name]
 
 
+def _file_digest(r, path):
+    save_realization(r, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, d, seed, cutoff", CASES, ids=[_name(*c) for c in CASES])
+def test_golden_file_bytes(kind, d, seed, cutoff, tmp_path):
+    name = _name(kind, d, seed, cutoff)
+    path = tmp_path / "box.txt"
+    assert _file_digest(_build(kind, d, seed, cutoff), path) == FILE_DIGESTS[name]
+    # Loading and saving again rewrites the same bytes.
+    assert _file_digest(load_realization(path), tmp_path / "again.txt") == FILE_DIGESTS[name]
+
+
+def test_golden_file_bytes_negative_origin(tmp_path):
+    params = ModelParams(d=2, alpha=2.5, lambda_=1.0, tau=2.5, kind=ModelKind.SFP)
+    r = generate_box(params, 3, BoxSpec(d=2, side=9, origin=(-4, 3)), cutoff=4.0)
+    path = tmp_path / "box.txt"
+    assert _file_digest(r, path) == FILE_DIGESTS[ORIGIN_BOX]
+    assert _file_digest(load_realization(path), tmp_path / "again.txt") == FILE_DIGESTS[ORIGIN_BOX]
+
+
 def test_matrix_covers_every_digest():
     assert sorted(_name(*c) for c in CASES) == sorted(EDGE_DIGESTS)
+    assert sorted([*EDGE_DIGESTS, ORIGIN_BOX]) == sorted(FILE_DIGESTS)
     assert sorted(TRUNC_BIAS_BITS) == sorted(n for n in EDGE_DIGESTS if not n.endswith("full"))
 
 

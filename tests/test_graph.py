@@ -462,8 +462,11 @@ _VALID_FILE = [
     (3, "w 1 inf", 4),                                  # weight not finite
     (3, "w 1 nan", 4),                                  # weight not a number
     (1, _VALID_FILE[1] + " trnc=5", 2),                 # unknown metadata key
+    (5, "w 3 3.25\nw 3 2.0", 7),                        # second weight for a vertex
+    (1, _VALID_FILE[1] + " origin=9223372036854775805", 2),  # coordinates overflow int64
+    (1, _VALID_FILE[1].replace("d=1", "d=3").replace("L=4", "L=3000000"), 2),  # 2.7e19 vertices
 ], ids=["reversed", "duplicate", "self-loop", "weight-below-1", "weight-inf",
-        "weight-nan", "unknown-key"])
+        "weight-nan", "unknown-key", "duplicate-weight", "origin-overflow", "box-too-large"])
 def test_load_rejects_malformed_records(tmp_path, line, text, expect_line):
     path = tmp_path / "box.txt"
     path.write_text("\n".join(_VALID_FILE) + "\n")
@@ -476,10 +479,43 @@ def test_load_rejects_malformed_records(tmp_path, line, text, expect_line):
     assert exc.value.line_number == expect_line
 
 
+@pytest.mark.parametrize("faults, expect_line", [
+    ({3: "w 9 2.0", 7: "e 1 x"}, 4),                    # outside the box, then malformed
+    ({3: "w 1 x", 7: "e 1 9"}, 4),                      # malformed, then outside the box
+    ({3: "w 9 2.0", 7: "e 1 9"}, 4),                    # a weight outside, then an edge outside
+    ({2: "e 0 9", 5: "w 9 3.25"}, 3),                   # an edge outside, then a weight outside
+    ({2: "w 0 0.5", 6: "e 0 9"}, 7),                    # bad weights are checked after the parse
+], ids=["outside-first", "malformed-first", "weight-outside-first", "edge-outside-first",
+        "outside-before-bad-weight"])
+def test_load_reports_the_first_parse_fault(tmp_path, faults, expect_line):
+    lines = list(_VALID_FILE)
+    for i, text in faults.items():
+        lines[i] = text
+    path = tmp_path / "box.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_realization(path)
+    assert exc.value.line_number == expect_line
+
+
 def test_load_skips_blank_and_whitespace_lines(tmp_path):
     path = tmp_path / "box.txt"
     path.write_text("\n".join(_VALID_FILE[:7] + ["", "   \t"] + _VALID_FILE[7:]) + "\n")
     assert load_realization(path).edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+
+
+def test_load_rejects_sfpnn_file_missing_a_nearest_neighbour_edge(tmp_path):
+    spec = BoxSpec(d=2, side=5, origin=(-2, 1))
+    r = generate_box(validate_params(2, 3.0, 1.0, 2.5, ModelKind.SFP_NN), 4, spec)
+    path = tmp_path / "nn.txt"
+    save_realization(r, path)
+    assert np.array_equal(load_realization(path).edges, r.edges)
+    lines = path.read_text().splitlines()
+    lines.remove("e -1 2 -1 3")  # the lattice neighbours flat 6 and 7
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=r"nearest-neighbour edge \[-1, 2\] \[-1, 3\]") as exc:
+        load_realization(path)
+    assert exc.value.line_number == len(lines) + 1
 
 
 def test_radius_too_small_is_one_class():
