@@ -10,6 +10,13 @@ bias of each truncated box.  In d >= 2 the bias is a sum over lattice
 lags taken in offset order, which the edge digests cannot see, so a
 change of summation order shows here and nowhere else.
 
+BIAS_BITS pins the truncation bias of boxes where the d >= 2 lag sum
+and the saturation correction do real work: a d=2 box at cutoff 3,
+where about 8% of the vertices are in the saturated set, at three
+sides, a d=1 box with a saturated set, a d=3 box and boxes with
+negative origins.  They were generated with the per-lag and per-pair
+Python loops, before those were vectorised.
+
 FILE_DIGESTS pins the bytes `save_realization` writes (format v1) for
 the same 36 boxes plus one d=2 box with a negative origin and a cutoff
 (ORIGIN_BOX).  They were generated with the per-line writer, before
@@ -202,6 +209,17 @@ FILE_DIGESTS = {
 
 ORIGIN_BOX = "sfp-d2-s3-R4-origin"
 
+# name: (d, alpha, tau, lambda, kind, side, origin, cutoff, seed, float.hex of trunc_bias)
+BIAS_BITS = {
+    "sat-d2-L64": (2, 3.0, 2.5, 1.0, "sfp", 64, None, 3.0, 0, "0x1.65527f5d83d3bp+14"),
+    "sat-d2-L96": (2, 3.0, 2.5, 1.0, "sfp", 96, None, 3.0, 1, "0x1.d5c835e716b1dp+15"),
+    "sat-d2-L128": (2, 3.0, 2.5, 1.0, "sfp", 128, None, 3.0, 0, "0x1.9914088111551p+16"),
+    "sat-d1-L1000": (1, 1.5, 2.5, 1.0, "sfp", 1000, None, 4.0, 0, "0x1.4194b1bb2bf8cp+12"),
+    "d3-L10-origin": (3, 4.0, 2.5, 2.0, "sfp", 10, (-3, 2, 5), 2.5, 0, "0x1.6144f9f5a5088p+13"),
+    "d2-L40-origin-lrp": (2, 3.0, 2.5, 1.0, "lrp", 40, (-7, -2), 5.5, 2, "0x1.f0ef5ed0fb189p+8"),
+    "d2-L33-sfpnn": (2, 2.5, 3.5, 0.5, "sfpnn", 33, None, 4.2, 3, "0x1.d305d83f3da3dp+10"),
+}
+
 
 CASES = [(kind, d, seed, cutoff)
          for kind in (ModelKind.SFP, ModelKind.LRP, ModelKind.SFP_NN)
@@ -252,6 +270,14 @@ def test_golden_file_bytes_negative_origin(tmp_path):
     path = tmp_path / "box.txt"
     assert _file_digest(r, path) == FILE_DIGESTS[ORIGIN_BOX]
     assert _file_digest(load_realization(path), tmp_path / "again.txt") == FILE_DIGESTS[ORIGIN_BOX]
+
+
+@pytest.mark.parametrize("name", sorted(BIAS_BITS))
+def test_golden_truncation_bias(name):
+    d, alpha, tau, lam, kind, side, origin, cutoff, seed, bits = BIAS_BITS[name]
+    params = ModelParams(d=d, alpha=alpha, lambda_=lam, tau=tau, kind=ModelKind.parse(kind))
+    r = generate_box(params, seed, BoxSpec(d=d, side=side, origin=origin), cutoff=cutoff)
+    assert r.trunc_bias.hex() == bits
 
 
 def test_matrix_covers_every_digest():

@@ -4,9 +4,28 @@ from scipy import stats
 
 from sfp.params import TauTooSmall
 from sfp.randomness import (TAG_EDGE, SelfLoop, derive_seed,
-                            experiment_uniforms, keyed_uniforms,
+                            experiment_uniforms, keyed_uniforms, keyed_words,
                             pareto_from_uniform, uniform_for_edge,
+                            unit_from_word, unit_lower_bound,
                             vertex_weights, weight_for_vertex)
+
+MASK64 = 2 ** 64 - 1
+EDGE_WORDS = [0, 1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63,
+              2 ** 64 - 1025, 2 ** 64 - 1024, 2 ** 64 - 1]
+
+
+def _splitmix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def _reference_word(seed: int, tag: int, *key: int) -> int:
+    """The keyed hash in Python integers: absorb each key word through splitmix64."""
+    h = _splitmix64((seed & MASK64) ^ ((tag * 0x9E3779B97F4A7C15) & MASK64))
+    for k in key:
+        h = _splitmix64(h ^ (k & MASK64))
+    return h
 
 
 def test_edge_uniform_symmetric_and_deterministic():
@@ -97,3 +116,41 @@ def test_experiment_uniforms_keyed_by_all_columns():
 def test_derive_seed_distinct():
     seeds = {derive_seed(0, i) for i in range(1000)}
     assert len(seeds) == 1000
+
+
+def test_keyed_words_match_python_integer_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        seed = int(rng.integers(0, 2 ** 63))
+        key = [int(k) for k in rng.integers(-2 ** 40, 2 ** 40, size=int(rng.integers(0, 5)))]
+        cols = [np.array([k], dtype=np.int64) for k in key]
+        want = _reference_word(seed, TAG_EDGE, *key)
+        assert int(keyed_words(seed, TAG_EDGE, *cols).reshape(-1)[0]) == want
+    assert int(keyed_words(3, TAG_EDGE)) == _reference_word(3, TAG_EDGE)
+
+
+def _reference_uniform(w: int) -> float:
+    """(w + 1) / 2^64 with w rounded to float first, clamped below 1."""
+    return min((float(w) + 1.0) * 2.0 ** -64, 1.0 - 2.0 ** -53)
+
+
+def test_unit_from_word_is_correctly_rounded_on_edge_and_random_words():
+    rng = np.random.default_rng(11)
+    words = np.concatenate([np.array(EDGE_WORDS, dtype=np.uint64),
+                            rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64, endpoint=False)])
+    want = np.minimum((words.astype(np.float64) + 1.0) * 2.0 ** -64, 1.0 - 2.0 ** -53)
+    assert np.array_equal(unit_from_word(words), want)
+    for w in EDGE_WORDS:
+        assert float(unit_from_word(np.uint64(w))) == _reference_uniform(w)
+    assert float(unit_from_word(np.uint64(2 ** 64 - 1))) < 1.0
+
+
+def test_unit_lower_bound_is_exact_top_bits_and_never_above_the_uniform():
+    rng = np.random.default_rng(12)
+    words = np.concatenate([np.array(EDGE_WORDS, dtype=np.uint64),
+                            rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64, endpoint=False)])
+    bound = unit_lower_bound(words, np.empty_like(words))
+    assert np.all(bound <= unit_from_word(words))
+    for w in EDGE_WORDS:
+        b = float(unit_lower_bound(np.array([w], dtype=np.uint64), np.empty(1, np.uint64))[0])
+        assert b == (w >> 12) * 2.0 ** -52
