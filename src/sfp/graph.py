@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .params import ModelKind, ModelParams, RadiusTooSmall
 from .randomness import (TAG_EDGE, absorb, keyed_words, unit_from_word,
@@ -134,7 +134,7 @@ class BoxRealization:
     edges: np.ndarray
     trunc: float | None = None
     trunc_bias: float | None = None
-    _adjacency: tuple | None = field(default=None, repr=False, compare=False)
+    _adjacency: csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -144,31 +144,34 @@ class BoxRealization:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> tuple:
-        """(indptr, indices) CSR arrays, neighbour lists sorted per vertex."""
+    def adjacency(self) -> csr_matrix:
+        """The graph as a symmetric n x n CSR matrix, built on first use and cached.
+
+        Row v holds the neighbours of v in increasing order, each with
+        value 1.0.  The values are float64, the dtype scipy.sparse.csgraph
+        works in, so its traversals take the matrix as it is instead of
+        converting it on every call.  `degrees`, `has_edge`, `clusters`
+        and `distances_from` all read this one matrix; treat it as
+        immutable.
+        """
         if self._adjacency is None:
+            # The edges are canonical, so the reversed pairs list each
+            # row's lower neighbours in increasing order and the forward
+            # pairs its higher ones; the COO -> CSR conversion is a stable
+            # counting sort, so every row comes out sorted and scipy's
+            # canonical-format check finds nothing left to sort.
+            lo, hi = self.edges[:, 0], self.edges[:, 1]
+            rows, cols = np.concatenate([hi, lo]), np.concatenate([lo, hi])
             n = self.n_vertices
-            if self.n_edges == 0:
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                indices = np.empty(0, dtype=np.int64)
-            else:
-                src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-                dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-                order = np.lexsort((dst, src))
-                indices = dst[order]
-                counts = np.bincount(src, minlength=n)
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(counts, out=indptr[1:])
-            self._adjacency = (indptr, indices)
+            self._adjacency = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
         return self._adjacency
 
     def degrees(self) -> np.ndarray:
-        indptr, _ = self.adjacency()
-        return np.diff(indptr)
+        return np.diff(self.adjacency().indptr).astype(np.int64)
 
     def has_edge(self, i: int, j: int) -> bool:
-        indptr, indices = self.adjacency()
-        nbrs = indices[indptr[i]:indptr[i + 1]]
+        m = self.adjacency()
+        nbrs = m.indices[m.indptr[i]:m.indptr[i + 1]]
         pos = np.searchsorted(nbrs, j)
         return pos < len(nbrs) and nbrs[pos] == j
 
@@ -530,24 +533,37 @@ def _truncation_bias(spec: BoxSpec, params: ModelParams,
             # kept are a superset of the saturated ones, in the same order.
             return (lam * w * wmax) ** (2.0 / alpha) * (1.0 + 1e-9)
 
-        # Squared distances are integers below 2^53, so summing the squares
-        # a column at a time gives the same floats as any other order.
-        axes = spec.all_coords().T.astype(np.float64)
+        def radius(w):
+            # No coordinate of a kept pair differs by more than this.
+            return math.isqrt(int(min(reach2(w), d * (L - 1) ** 2)))
+
+        # Each vertex meets only the sub-box within its radius, taken in
+        # flat order, so the pairs kept and the sums are those of the
+        # whole box.  Squared distances are integers below 2^53, so summing
+        # the squares an axis at a time gives the same floats in any order.
         for x in hi:
-            r2 = sum((c - c[x]) * (c - c[x]) for c in axes)
+            rad = radius(weights[x])
+            xc = np.unravel_index(x, grid.shape)
+            win = tuple(slice(max(0, c - rad), min(L, c + rad + 1)) for c in xc)
+            sq = [np.arange(s.start - c, s.stop - c, dtype=np.float64) ** 2 for s, c in zip(win, xc)]
+            r2 = sum(np.ix_(*sq)).ravel()
             r = np.sqrt(r2)
             near = (r > cutoff) & (r2 <= reach2(weights[x]))
-            t = lam * weights[x] * weights[near] * r[near] ** -alpha
+            t = lam * weights[x] * grid[win].ravel()[near] * r[near] ** -alpha
             correction += float(np.sum(1.0 - t[t > 1.0]))
-        # Pairs with both endpoints in the high set were visited twice.
-        hi_axes, hi_w = axes[:, hi], weights[hi]
+        # Pairs with both endpoints in the high set were visited twice.  The
+        # partners of a within its radius lie at most `rad * span` past it
+        # in flat order, a run of `hi` that keeps their order.
+        span = sum(L ** j for j in range(d))
+        hi_axes, hi_w = spec.coords_of(hi).T.astype(np.float64), weights[hi]
         cache = {}
         for a in range(len(hi) - 1):
-            r2 = sum((c[a + 1:] - c[a]) * (c[a + 1:] - c[a]) for c in hi_axes)
+            stop = int(np.searchsorted(hi, hi[a] + radius(hi_w[a]) * span, side="right"))
+            r2 = sum((c[a + 1:stop] - c[a]) * (c[a + 1:stop] - c[a]) for c in hi_axes)
             near = (np.sqrt(r2) > cutoff) & (r2 <= reach2(hi_w[a]))
             pw = _powers(cache, r2[near].astype(np.int64),
                          lambda v: math.sqrt(float(v)) ** -alpha)
-            t = lam * hi_w[a] * hi_w[a + 1:][near] * pw
+            t = lam * hi_w[a] * hi_w[a + 1:stop][near] * pw
             correction = _fold(correction, 1.0 - t[t > 1.0], np.subtract)
     return float(raw + correction)
 
@@ -574,15 +590,14 @@ class Clusters:
 
 
 def clusters(r: BoxRealization) -> Clusters:
+    """The open clusters of `r`: scipy's connected components of its cached CSR.
+
+    Reads the matrix `BoxRealization.adjacency` builds once per
+    realization, as `degrees` and `distances_from` do; an edge-free box
+    has one singleton cluster per vertex, the largest labelled 0.
+    """
     n = r.n_vertices
-    if r.n_edges == 0:
-        labels = np.arange(n, dtype=np.int64)
-        return Clusters(labels=labels, largest=0, sizes={i: 1 for i in range(n)})
-    data = np.ones(2 * r.n_edges, dtype=np.int8)
-    rows = np.concatenate([r.edges[:, 0], r.edges[:, 1]])
-    cols = np.concatenate([r.edges[:, 1], r.edges[:, 0]])
-    m = csr_matrix((data, (rows, cols)), shape=(n, n))
-    ncomp, comp = connected_components(m, directed=False)
+    ncomp, comp = connected_components(r.adjacency(), directed=False)
     roots = np.full(ncomp, n, dtype=np.int64)
     np.minimum.at(roots, comp, np.arange(n, dtype=np.int64))
     counts = np.bincount(comp, minlength=ncomp)
@@ -593,38 +608,32 @@ def clusters(r: BoxRealization) -> Clusters:
     return Clusters(labels=labels, largest=largest, sizes=sizes)
 
 
-def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate arange(s, s+c) for each (s, c); vectorized."""
-    nonzero = counts > 0
-    starts, counts = starts[nonzero], counts[nonzero]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(counts)
-    out[0] = starts[0]
-    out[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    return np.cumsum(out)
-
-
 def distances_from(r: BoxRealization, source: int) -> np.ndarray:
-    """BFS hop counts from a flat source to every vertex (-1 unreachable)."""
-    indptr, indices = r.adjacency()
+    """Hop counts from flat vertex `source` to every vertex, as int64 (-1 unreachable).
+
+    One breadth-first traversal in scipy's C code over the cached CSR
+    (`BoxRealization.adjacency`); the matrix is symmetric, so the
+    directed traversal is the undirected one without the transpose
+    scipy would build for it.  The traversal lists the reached vertices
+    level by level, and the queue positions of their predecessors never
+    decrease along that order.  So level l + 1 is the slice of vertices
+    whose predecessors lie in level l, and one searchsorted per level
+    finds where it ends.  Raises VertexOutOfBox for a source outside
+    [0, n).
+    """
     n = r.n_vertices
+    if not 0 <= source < n:
+        raise VertexOutOfBox(f"source {source} outside the box's flat indices [0, {n})")
+    order, pred = breadth_first_order(r.adjacency(), int(source), directed=True,
+                                      return_predecessors=True)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    pred_pos = pos[pred[order[1:]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(1 + int(np.searchsorted(pred_pos, ends[-1])))
     dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        nbrs = indices[_gather_ranges(starts, counts)]
-        nbrs = nbrs[dist[nbrs] < 0]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
-        level += 1
-        dist[frontier] = level
+    dist[order] = np.repeat(np.arange(len(ends), dtype=np.int64), np.diff(ends, prepend=0))
     return dist
 
 

@@ -22,13 +22,22 @@ the same 36 boxes plus one d=2 box with a negative origin and a cutoff
 (ORIGIN_BOX).  They were generated with the per-line writer, before
 save and load were vectorised, so any change to the file bytes shows
 here.
+
+DISTANCE_DIGESTS pins sha256 of the body of three `sfp distances`
+reports (the CSV minus its #wallclock and #threads lines, as the
+benchmark compares them): a coupled SFP/LRP pair, a truncated sfpnn box
+with paths of up to ~80 hops, and a d=2 box.  They were generated with
+the numpy level-by-level BFS, before BFS moved to scipy's traversal.
 """
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
+from sfp.cli import main
 from sfp.graph import BoxSpec, generate_box, load_realization, save_realization
 from sfp.params import ModelKind, ModelParams
 
@@ -292,3 +301,34 @@ def test_digests_match_benchmark_golden():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
     with open(path, "r", encoding="utf-8") as fh:
         assert json.load(fh)["edges"] == EDGE_DIGESTS
+
+
+_DIST = ["distances", "--alpha", "1.5", "--tau", "3.5", "--lambda", "5"]
+
+# name: (sfp distances arguments, sha256 of the report body)
+DISTANCE_DIGESTS = {
+    "coupled-d1": (
+        _DIST + ["--seed", "7", "--side", "2048", "--n-list", "16,32,64,128,256,512,1024",
+                 "--sources", "16", "--compare-lrp"],
+        "db6e2c5416566b3ef793c4945dba360ac004424ce29a423be3b81e7464ac1ae2"),
+    "sfpnn-trunc-d1": (
+        _DIST + ["--seed", "8", "--model", "sfpnn", "--side", "8192", "--trunc", "64",
+                 "--n-list", "16,32,64,128,256,512,1024,2048,4096", "--sources", "16"],
+        "35bc517cbd29c3e6a551ce457535236f0f26d660860d1645fadfa1ebae299efc"),
+    "sfp-d2": (
+        ["distances", "--dim", "2", "--alpha", "3.0", "--tau", "2.5", "--lambda", "2",
+         "--seed", "9", "--side", "48", "--trunc", "6", "--n-list", "4,8,16,32",
+         "--sources", "12"],
+        "b12b1f2530348641fcf0e01abf833fc65e3adef91e0bf8e08b3108d258abae94"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_DIGESTS))
+def test_golden_distance_report(name):
+    argv, digest = DISTANCE_DIGESTS[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) in (0, 2)
+    body = "\n".join(line for line in out.getvalue().splitlines()
+                     if not line.startswith(("#wallclock", "#threads")))
+    assert hashlib.sha256(body.encode()).hexdigest() == digest

@@ -3,13 +3,16 @@ import math
 import os
 import subprocess
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from sfp import graph
-from sfp.graph import (BoxSpec, BoxTooLarge, FormatVersionMismatch,
+from sfp.graph import (BoxRealization, BoxSpec, BoxTooLarge, FormatVersionMismatch,
                        MarginTooLarge, ParseError, RadiusTooSmall,
                        VertexOutOfBox, clusters, coupled_pair, degree_sequence,
                        distances_from, generate_box, load_realization,
@@ -343,6 +346,122 @@ def test_graph_distance_rejects_outside_vertex():
     r = generate_box(P, 0, BoxSpec(d=1, side=10))
     with pytest.raises(VertexOutOfBox):
         distances_from(r, int(r.spec.flat_of([10])))
+
+
+@pytest.mark.parametrize("source", [-1, 10, 11])
+def test_graph_distance_rejects_flat_source_outside_box(source):
+    # A negative index would otherwise wrap around to the last vertices.
+    r = generate_box(validate_params(1, 1.5, 1e6, 2.5), 0, BoxSpec(d=1, side=10))
+    with pytest.raises(VertexOutOfBox):
+        distances_from(r, source)
+
+
+def _deque_bfs(r, source):
+    """Plain queue BFS over the canonical edge list: the oracle for distances_from."""
+    nbrs = [[] for _ in range(r.n_vertices)]
+    for i, j in r.edges.tolist():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    dist = [-1] * r.n_vertices
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in nbrs[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return np.array(dist, dtype=np.int64)
+
+
+def _lexsort_adjacency(r):
+    """CSR arrays by an explicit (row, column) lexsort: the reference for adjacency()."""
+    src = np.concatenate([r.edges[:, 0], r.edges[:, 1]])
+    dst = np.concatenate([r.edges[:, 1], r.edges[:, 0]])
+    indices = dst[np.lexsort((dst, src))]
+    indptr = np.zeros(r.n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=r.n_vertices), out=indptr[1:])
+    return indptr, indices
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _assert_bfs_matches_oracle(r, sources):
+    for s in sources:
+        assert _bits(distances_from(r, int(s))) == _bits(_deque_bfs(r, int(s)))
+
+
+BFS_MAX_SIDE = {1: 300, 2: 16, 3: 6}
+
+
+@st.composite
+def bfs_boxes(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    spec = BoxSpec(d=d, side=draw(st.integers(2, BFS_MAX_SIDE[d])))
+    cutoff = draw(st.none() | st.floats(1.0, spec.diameter + 1.0))
+    params = validate_params(d, draw(st.sampled_from([d + 0.5, d + 2.0])),
+                             draw(st.sampled_from([0.05, 0.5, 2.0])),
+                             draw(st.sampled_from([2.5, 3.5])),
+                             draw(st.sampled_from(list(ModelKind))))
+    r = generate_box(params, draw(st.integers(0, 2 ** 64 - 1)), spec, cutoff=cutoff)
+    sources = draw(st.lists(st.integers(0, spec.vertex_count - 1), min_size=1, max_size=4))
+    return r, sources
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bfs_boxes())
+def test_distances_equal_deque_bfs_oracle(case):
+    r, sources = case
+    _assert_bfs_matches_oracle(r, sources)
+    indptr, indices = _lexsort_adjacency(r)
+    m = r.adjacency()
+    assert np.array_equal(m.indptr, indptr) and np.array_equal(m.indices, indices)
+    assert m.data.dtype == np.float64 and np.all(m.data == 1.0)
+    assert r.adjacency() is m  # built once, then shared
+
+
+def test_distances_from_isolated_source_and_edge_free_box():
+    # Vertex 2 has no edge; the rest form a path.
+    r = forced_realization([((0,), (1,)), ((1,), (3,)), ((3,), (4,))], d=1, origin=(0,), side=5)
+    assert distances_from(r, 2).tolist() == [-1, -1, 0, -1, -1]
+    _assert_bfs_matches_oracle(r, range(5))
+    empty = generate_box(validate_params(2, 3.0, 1e-300, 2.5), 0, BoxSpec(d=2, side=6))
+    assert empty.n_edges == 0
+    _assert_bfs_matches_oracle(empty, (0, 17, 35))
+
+
+def test_distances_from_long_path_has_one_level_per_vertex():
+    n = 2000
+    edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1).astype(np.int64)
+    r = BoxRealization(spec=BoxSpec(d=1, side=n), params=P, seed=0, weights=None, edges=edges)
+    assert distances_from(r, 0).tolist() == list(range(n))
+    assert distances_from(r, n - 1).tolist() == list(range(n - 1, -1, -1))
+    _assert_bfs_matches_oracle(r, [0, 777, n - 1])
+
+
+def test_distances_from_reloaded_realization(tmp_path):
+    spec = BoxSpec(d=2, side=14, origin=(-5, 3))
+    r = generate_box(validate_params(2, 2.5, 1.0, 2.5), 11, spec, cutoff=5.0)
+    path = tmp_path / "box.txt"
+    save_realization(r, path)
+    back = load_realization(path)
+    for s in (0, 97, spec.vertex_count - 1):
+        assert _bits(distances_from(back, s)) == _bits(distances_from(r, s))
+    _assert_bfs_matches_oracle(back, [0, 97])
+
+
+def test_adjacency_equals_lexsort_on_large_boxes():
+    for r in (generate_box(validate_params(1, 1.5, 1.0, 2.5), 3, BoxSpec(d=1, side=4000),
+                           cutoff=200.0),
+              generate_box(validate_params(2, 2.5, 1.0, 2.5, ModelKind.SFP_NN), 4,
+                           BoxSpec(d=2, side=40), cutoff=6.0)):
+        indptr, indices = _lexsort_adjacency(r)
+        m = r.adjacency()
+        assert np.array_equal(m.indptr, indptr) and np.array_equal(m.indices, indices)
+        assert _bits(r.degrees()) == _bits(np.diff(indptr))
 
 
 def test_degree_sequence_empty_and_complete():
