@@ -233,9 +233,11 @@ def _cmd_generate(args) -> int:
     from .graph import DEFAULT_PAIR_BUDGET, BoxSpec, generate_box, save_realization
     if not args.out:
         raise UsageError("generate requires --out FILE")
+    if args.pair_budget is not None and args.pair_budget < 1:
+        raise UsageError(f"--pair-budget must be at least 1, got {args.pair_budget}")
     p = _params_from(args)
     spec = BoxSpec(d=args.dim, side=args.side)
-    budget = args.pair_budget if args.pair_budget else DEFAULT_PAIR_BUDGET
+    budget = DEFAULT_PAIR_BUDGET if args.pair_budget is None else args.pair_budget
     r = generate_box(p, args.seed, spec, args.trunc, pair_budget=budget)
     save_realization(r, args.out)
     print(f"wrote {r.n_edges} edges on {r.n_vertices} vertices to {args.out}",
@@ -340,17 +342,28 @@ def _cmd_hierarchy_check(args) -> int:
     from .graph import load_realization
     from .hierarchy import Hierarchy, validate_hierarchy
     real = load_realization(args.realization)
-    sites = {}
+    sites, site_line = {}, {}
     with open(args.hierarchy, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
+            where = f"{args.hierarchy}:{ln}"
             if parts[0] != "s" or len(parts) != 2 + real.spec.d:
-                raise UsageError(f"{args.hierarchy}:{ln}: expected "
-                                 f"'s <binary> <{real.spec.d} coords>'")
-            sites[parts[1]] = tuple(int(c) for c in parts[2:])
+                raise UsageError(f"{where}: expected 's <binary> <{real.spec.d} coords>'")
+            key = parts[1]
+            if any(c not in "01" for c in key):
+                raise UsageError(f"{where}: site key {key!r} is not a binary string")
+            if key in sites:
+                raise UsageError(f"{where}: site key {key!r} already given on line "
+                                 f"{site_line[key]}")
+            try:
+                sites[key] = tuple(int(c) for c in parts[2:])
+            except ValueError:
+                raise UsageError(f"{where}: coordinates {' '.join(parts[2:])!r} "
+                                 f"are not integers") from None
+            site_line[key] = ln
     if not sites:
         raise UsageError(f"{args.hierarchy}: no site lines")
     depth = max(len(k) for k in sites)

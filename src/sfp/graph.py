@@ -3,11 +3,12 @@
 A realization samples, for one box {0,...,L-1}^d (optionally shifted by
 an origin offset), the keyed vertex weights and the open/closed status
 of every vertex pair: the edge {x, y} is open iff its keyed uniform is
-below p_xy = 1 - exp(-lambda W_x W_y / |x-y|^alpha), with W == 1 for the
-LRP kind and all nearest-neighbour edges forced open for the SFP_NN
-kind.  Because the uniforms are keyed by the unordered pair, SFP and LRP
-realizations built from the same seed are exactly coupled: every open
-LRP edge is open in SFP.
+below p_xy = 1 - exp(-lambda W_x W_y / |x-y|^alpha).  The three model
+kinds share that one rule: LRP is SFP with unit weights, and SFP_NN is
+SFP with an infinite intensity on nearest-neighbour pairs, so they are
+open whatever their uniform.  Because the uniforms are keyed by the
+unordered pair, SFP and LRP realizations built from the same seed are
+exactly coupled: every open LRP edge is open in SFP.
 
 `generate_box` is the one entry point.  Without a cutoff it enumerates
 all pairs (O(L^2d), guarded by a pair budget that is checked before any
@@ -150,9 +151,8 @@ class BoxRealization:
         Row v holds the neighbours of v in increasing order, each with
         value 1.0.  The values are float64, the dtype scipy.sparse.csgraph
         works in, so its traversals take the matrix as it is instead of
-        converting it on every call.  `degrees`, `has_edge`, `clusters`
-        and `distances_from` all read this one matrix; treat it as
-        immutable.
+        converting it on every call.  `has_edge`, `clusters` and
+        `distances_from` all read this one matrix; treat it as immutable.
         """
         if self._adjacency is None:
             # The edges are canonical, so the reversed pairs list each
@@ -167,7 +167,8 @@ class BoxRealization:
         return self._adjacency
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.adjacency().indptr).astype(np.int64)
+        """Degree of every vertex (int64), counted from the edges; builds no matrix."""
+        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
     def has_edge(self, i: int, j: int) -> bool:
         m = self.adjacency()
@@ -180,39 +181,32 @@ class BoxRealization:
 # Offset enumeration
 # ---------------------------------------------------------------------------
 
-def _canonical_offsets(d: int, side: int, cutoff: float | None):
-    """Yield the offsets delta != 0 with |delta| <= cutoff, first nonzero > 0.
+def _offset_runs(d: int, side: int, cutoff: float | None):
+    """Yield the offsets delta != 0 with |delta| <= cutoff, first nonzero > 0, as runs.
 
-    For row-major flat indices, canonical offsets give flat(x) <
-    flat(x + delta), so emitted pairs are already in canonical order.
-    Offsets come lazily in lexicographic order, and each coordinate range
-    is bounded by the radius the prefix leaves, so the walk visits no
-    offset outside the ball.
+    A run (lead, r_lo, r_hi) stands for the offsets (*lead, r) with
+    r_lo <= r < r_hi: one per prefix `lead` of the first d - 1
+    coordinates.  For row-major flat indices, these canonical offsets
+    give flat(x) < flat(x + delta).  Runs come lazily in lexicographic
+    order, and each coordinate range is bounded by the radius the prefix
+    leaves, so the walk visits no offset outside the ball.
     """
     lim = side - 1
     r2max = None  # integer bound on |delta|^2; None when the ball covers the box
     if cutoff is not None and float(cutoff) ** 2 < d * lim * lim:
         r2max = math.floor(float(cutoff) ** 2)
 
-    # First nonzero coordinate must be positive: walk axes, keeping the
-    # prefix all-zero until a positive coordinate is placed.
-    def rec(prefix, sumsq, still_zero):
-        if len(prefix) == d:
-            if not still_zero:
-                yield tuple(prefix)
-            return
+    # The first nonzero coordinate must be positive: while the prefix is
+    # all zero, the next coordinate starts at 0, and the last one at 1.
+    def rec(lead, sumsq, still_zero):
         c = lim if r2max is None else min(lim, math.isqrt(r2max - sumsq))
+        if len(lead) == d - 1:
+            yield tuple(lead), 1 if still_zero else -c, c + 1
+            return
         for dj in range(0 if still_zero else -c, c + 1):
-            yield from rec(prefix + [dj], sumsq + dj * dj, still_zero and dj == 0)
+            yield from rec(lead + [dj], sumsq + dj * dj, still_zero and dj == 0)
 
     return rec([], 0, True)
-
-
-def _offset_pair_count(side: int, delta) -> int:
-    n = 1
-    for dj in delta:
-        n *= side - abs(dj)
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +223,20 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
             raise RadiusTooSmall(f"cutoff must be >= 1, got {cutoff}")
         cutoff = float(cutoff)
     # The pair budget is enforced before the work it guards: in closed form
-    # without a cutoff, otherwise as the offsets are produced.
-    n = spec.vertex_count
+    # without a cutoff, otherwise as the runs of offsets are produced.
+    L, n = spec.side, spec.vertex_count
     too_large = BoxTooLarge(f"more than {pair_budget} pairs to decide; reduce the box, "
                             f"lower the cutoff, or raise the pair budget")
     if cutoff is None and n * (n - 1) // 2 > pair_budget:
         raise too_large
-    offsets, total_pairs = [], 0
-    for delta in _canonical_offsets(spec.d, spec.side, cutoff):
-        total_pairs += _offset_pair_count(spec.side, delta)
+    runs, total_pairs = [], 0
+    for lead, r_lo, r_hi in _offset_runs(spec.d, L, cutoff):
+        rows = range(r_lo, r_hi)
+        total_pairs += (math.prod(L - abs(dj) for dj in lead)
+                        * (len(rows) * L - sum(map(abs, rows))))
         if total_pairs > pair_budget:
             raise too_large
-        offsets.append(delta)
+        runs.append((lead, r_lo, r_hi))
 
     if weights_override is not None:
         weights = np.asarray(weights_override, dtype=np.float64)
@@ -251,15 +247,16 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
     else:
         weights = vertex_weights(seed, spec.all_coords(), params.tau)
         weights.setflags(write=False)
-    edges = _open_pairs(params, seed, spec, offsets, weights)
+    # LRP is decided, and its bias summed, with unit weights; the
+    # realization still records no weights for it.
+    unit = np.ones(n, dtype=np.float64) if weights is None else weights
+    edges = _open_pairs(params, seed, spec, runs, unit)
 
     bias = None
     if cutoff is not None:
         bias = 0.0
         if cutoff < spec.diameter:
-            w_for_bias = weights if weights is not None \
-                else np.ones(spec.vertex_count, dtype=np.float64)
-            bias = _truncation_bias(spec, params, w_for_bias, cutoff)
+            bias = _truncation_bias(spec, params, unit, cutoff)
 
     return BoxRealization(spec=spec, params=params, seed=seed, weights=weights,
                           edges=edges, trunc=cutoff, trunc_bias=bias)
@@ -271,24 +268,17 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
 _BLOCK_PAIRS = 1 << 16
 
 
-def _pair_blocks(side: int, offsets):
-    """Group the offsets into blocks of about _BLOCK_PAIRS pairs.
+def _pair_blocks(side: int, runs):
+    """Cut the runs of offsets (`_offset_runs`) into blocks of about _BLOCK_PAIRS pairs.
 
     A block is (lead, rows, cols): offsets (*lead, r) for r in `rows`, a
-    run of consecutive last coordinates, and lower endpoints whose last
-    coordinate is in `cols` (the union of the rows' ranges, possibly one
-    piece of it).  Rows shorter than the block are stacked, at the cost
-    of hashing the ragged corner where x + delta leaves the box; a stack
-    holds at most a quarter as many rows as a row has pairs, so the
-    corner is at most an eighth of the block.
+    piece of one run, and lower endpoints whose last coordinate is in
+    `cols` (the union of the rows' ranges, possibly one piece of it).
+    Rows shorter than the block are stacked, at the cost of hashing the
+    ragged corner where x + delta leaves the box; a stack holds at most
+    a quarter as many rows as a row has pairs, so the corner is at most
+    an eighth of the block.
     """
-    runs = []
-    for delta in offsets:
-        lead, r = delta[:-1], delta[-1]
-        if runs and runs[-1][0] == lead and runs[-1][2] == r:
-            runs[-1][2] = r + 1
-        else:
-            runs.append([lead, r, r + 1])
     for lead, r_lo, r_hi in runs:
         lead_n = math.prod(side - abs(dj) for dj in lead)
         r0 = r_lo
@@ -302,12 +292,17 @@ def _pair_blocks(side: int, offsets):
             r0 += k
 
 
-def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, offsets,
-                weights: np.ndarray | None) -> np.ndarray:
-    """The open pairs {x, x + delta}, delta in `offsets`, as a canonical (E, 2) array.
+def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
+                weights: np.ndarray) -> np.ndarray:
+    """The open pairs {x, x + delta}, delta in the `runs`, as a canonical (E, 2) array.
 
-    Each pair is decided as `uniform_for_edge` and `weight_for_vertex`
-    decide it, bit for bit, at a fraction of the cost:
+    Every pair of every model kind is decided by one rule: with
+    t = lambda W_x W_y r^-alpha, it is open iff its uniform u satisfies
+    u < min(t, 1) and u < -expm1(-t).  LRP passes unit weights.  For
+    SFP_NN a nearest-neighbour row gets the scale inf, so t = inf and
+    u < 1 holds for every uniform: those pairs are forced open.  The
+    decisions are those of `uniform_for_edge` and `weight_for_vertex`,
+    bit for bit, at a fraction of the cost:
 
     - The edge hash absorbs the lower endpoint's coordinates first, so
       that state is computed once per vertex (`prefix`).  Per block of
@@ -316,12 +311,12 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, offsets,
       endpoints times a run of offsets (`_pair_blocks`), so every
       operand is a strided view or a broadcast coordinate axis; nothing
       is gathered.
-    - A pair can open only if its uniform u is below min(t, 1), where
-      t = lambda W_x W_y r^-alpha (W == 1 for LRP).  The cheap lower
-      bound `unit_lower_bound` <= u discards almost every closed pair;
-      the exact u and the two comparisons run on the survivors only.
+    - A pair can open only if u < t.  The cheap lower bound
+      `unit_lower_bound` <= u discards almost every closed pair; the
+      exact u and the two comparisons run on the survivors only.
     """
-    L, d, kind = spec.side, spec.d, params.kind
+    L, d = spec.side, spec.d
+    forced = params.kind is ModelKind.SFP_NN
     shape = (L,) * d
     prefix = keyed_words(seed, TAG_EDGE, *spec.all_coords().T).reshape(shape)
     # Coordinate k of axis j is origin[j] + k, as a hash word.  Partners
@@ -331,23 +326,12 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, offsets,
     axes = [(np.arange(L, dtype=np.int64) + o).view(np.uint64) for o in spec.origin[:-1]]
     last = (np.arange(-L, 3 * L, dtype=np.int64) + spec.origin[-1]).view(np.uint64)
     y_words = sliding_window_view(last, L)
-    wgrid = y_weights = None
-    if weights is not None:
-        wgrid = weights.reshape(shape)
-        padded = np.pad(wgrid, [(0, 0)] * (d - 1) + [(L, 2 * L)], constant_values=1.0)
-        y_weights = sliding_window_view(padded, L, axis=-1)
+    wgrid = weights.reshape(shape)
+    padded = np.pad(wgrid, [(0, 0)] * (d - 1) + [(L, 2 * L)], constant_values=1.0)
+    y_weights = sliding_window_view(padded, L, axis=-1)
 
     eis, ejs = [], []
-    if kind is ModelKind.SFP_NN:
-        # Nearest-neighbour pairs are open whatever their uniform.
-        flat = np.arange(L ** d, dtype=np.int64).reshape(shape)
-        for delta in [dl for dl in offsets if sum(dj * dj for dj in dl) == 1]:
-            lo = tuple(slice(max(0, -dj), L - max(0, dj)) for dj in delta)
-            eis.append(flat[lo].reshape(-1))
-            ejs.append(eis[-1] + L ** (d - 1 - delta.index(1)))
-        offsets = [dl for dl in offsets if sum(dj * dj for dj in dl) != 1]
-
-    blocks = list(_pair_blocks(L, offsets))
+    blocks = list(_pair_blocks(L, runs))
     most = max((math.prod(L - abs(dj) for dj in lead) * len(rows) * len(cols)
                 for lead, rows, cols in blocks), default=0)
     h, tmp = np.empty(most, np.uint64), np.empty(most, np.uint64)
@@ -372,18 +356,13 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, offsets,
         bound = unit_lower_bound(w, tmp[:m]).reshape(block)
 
         lead_r2 = sum(dj * dj for dj in lead)
-        scales = [params.lambda_ * float(lead_r2 + r * r) ** (-params.alpha / 2.0) for r in rows]
-        if wgrid is None:
-            # Same ufunc as the weighted branch so that forced-unit-weight
-            # realizations coincide with LRP bit for bit.
-            p = np.array([float(-np.expm1(-np.float64(sc))) for sc in scales])
-            bound_ok = np.less(bound, p[:, None], out=cand[:m].reshape(block))
-        else:
-            t = t_buf[:m].reshape(block)
-            np.multiply(wgrid[x_cols][..., None, :], np.array(scales)[:, None], out=t)
-            np.multiply(t, y_weights[lead_hi + y_cols], out=t)
-            bound_ok = np.less(bound, t, out=cand[:m].reshape(block))
-        keep = np.flatnonzero(bound_ok)
+        scales = [math.inf if forced and lead_r2 + r * r == 1
+                  else params.lambda_ * float(lead_r2 + r * r) ** (-params.alpha / 2.0)
+                  for r in rows]
+        t = t_buf[:m].reshape(block)
+        np.multiply(wgrid[x_cols][..., None, :], np.array(scales)[:, None], out=t)
+        np.multiply(t, y_weights[lead_hi + y_cols], out=t)
+        keep = np.flatnonzero(np.less(bound, t, out=cand[:m].reshape(block)))
         if keep.size == 0:
             continue
         idx = np.unravel_index(keep, block)
@@ -392,11 +371,8 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, offsets,
         inside = (c + r >= 0) & (c + r < L)
         keep, idx, r, c = keep[inside], [i[inside] for i in idx], r[inside], c[inside]
         u = unit_from_word(w[keep])
-        if wgrid is None:
-            opened = u < p[idx[-2]]
-        else:
-            tk = t_buf[keep]
-            opened = (u < np.minimum(tk, 1.0)) & (u < -np.expm1(-tk))
+        tk = t_buf[keep]
+        opened = (u < np.minimum(tk, 1.0)) & (u < -np.expm1(-tk))
         lead_idx = [i[opened] for i in idx[:-2]]
         eis.append(np.ravel_multi_index(
             tuple(i + s.start for i, s in zip(lead_idx, lead_lo)) + (c[opened],), shape))
@@ -593,7 +569,7 @@ def clusters(r: BoxRealization) -> Clusters:
     """The open clusters of `r`: scipy's connected components of its cached CSR.
 
     Reads the matrix `BoxRealization.adjacency` builds once per
-    realization, as `degrees` and `distances_from` do; an edge-free box
+    realization, as `has_edge` and `distances_from` do; an edge-free box
     has one singleton cluster per vertex, the largest labelled 0.
     """
     n = r.n_vertices

@@ -72,6 +72,23 @@ def test_generate_without_out_is_usage_error_before_generating():
     assert main(["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "100000"]) == 1
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_generate_rejects_pair_budget_below_one(tmp_path, capsys, budget):
+    out = tmp_path / "box.txt"
+    code = main(["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "16",
+                 "--pair-budget", budget, "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert f"--pair-budget must be at least 1, got {budget}" in capsys.readouterr().err
+
+
+def test_generate_honours_a_small_pair_budget(tmp_path):
+    # 16 * 15 / 2 = 120 pairs: a budget of 119 is over, 120 is not.
+    args = ["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "16",
+            "--out", str(tmp_path / "box.txt"), "--pair-budget"]
+    assert main(args + ["119"]) == 3
+    assert main(args + ["120"]) == 0
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 1.5\ntau = 2.5\nseed = 11  # comment\n")
@@ -191,3 +208,31 @@ def test_verify_quick_deterministic_across_threads(tmp_path):
             capture_output=True, text=True).returncode
         assert code == 0
     assert body(a) == body(b)
+
+
+def _toy_site_lines():
+    from sfp.verify import toy_hierarchy
+    h = toy_hierarchy()
+    return [f"s {key} {h.sites[key][0]} {h.sites[key][1]}"
+            for key in sorted(h.sites, key=lambda s: (len(s), s))]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("s 01 3 x", "coordinates '3 x' are not integers"),
+    ("s 2 3 4", "site key '2' is not a binary string"),
+    ("s 1 5 7", "site key '1' already given on line 2"),
+], ids=["non-integer-coordinate", "bad-key", "repeated-key"])
+def test_hierarchy_check_rejects_bad_site_line_with_its_number(tmp_path, capsys, bad, message):
+    from sfp.graph import save_realization
+    from sfp.verify import forced_realization, toy_hierarchy
+    real_path = tmp_path / "real.txt"
+    hier_path = tmp_path / "hier.txt"
+    save_realization(forced_realization(toy_hierarchy().required_edges()), real_path)
+    lines = _toy_site_lines()
+    assert lines[1].startswith("s 1 ")
+    lines.insert(3, bad)
+    hier_path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("hierarchy", "check", "--realization", str(real_path),
+                        "--hierarchy", str(hier_path))
+    assert code == 1 and out == ""
+    assert f"{hier_path}:4: {message}" in capsys.readouterr().err

@@ -10,12 +10,16 @@ small that t < 2^-52, the two ends of the lower-bound filter in
 `graph._open_pairs`.  The block size is drawn too, so that blocks with
 stacked offsets and split columns occur on boxes this small.
 
+The same boxes check that `BoxRealization.degrees` counts the edge ends
+without building the cached CSR, and agrees with its row lengths.
+
 Bias: `_truncation_bias` must equal, bit for bit, the per-lag and
 per-pair Python loops it replaced (kept below as `_loop_truncation_bias`).
 
 The examples are derandomized, so every run checks the same cases.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sfp import graph
-from sfp.graph import BoxSpec, _canonical_offsets, _lag_weight_sums, generate_box
+from sfp.graph import BoxSpec, _lag_weight_sums, generate_box
 from sfp.params import ModelKind, ModelParams
 from sfp.randomness import uniform_for_edge, vertex_weights, weight_for_vertex
 
@@ -88,6 +92,10 @@ def test_generated_edges_equal_per_pair_oracle(case):
         r = generate_box(params, seed, spec, cutoff=cutoff, _weights_override=weights)
     want = _oracle_edges(params, seed, spec, cutoff, weights)
     assert np.array_equal(r.edges, want)
+    # Degrees come from the edges alone, without building the CSR.
+    deg = r.degrees()
+    assert r._adjacency is None
+    assert deg.dtype == np.int64 and np.array_equal(deg, np.diff(r.adjacency().indptr))
 
 
 def _loop_truncation_bias(spec, params, weights, cutoff):
@@ -101,7 +109,11 @@ def _loop_truncation_bias(spec, params, weights, cutoff):
         raw = lam * np.sum(r[mask] ** -alpha * corr[1:L][mask])
     else:
         raw = 0.0
-        for delta in _canonical_offsets(d, L, None):
+        # Canonical lags (first nonzero coordinate positive) in
+        # lexicographic order.
+        for delta in itertools.product(range(-(L - 1), L), repeat=d):
+            if not any(delta) or next(x for x in delta if x) < 0:
+                continue
             r2 = sum(x * x for x in delta)
             if r2 <= cutoff * cutoff:
                 continue

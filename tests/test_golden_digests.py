@@ -28,6 +28,13 @@ reports (the CSV minus its #wallclock and #threads lines, as the
 benchmark compares them): a coupled SFP/LRP pair, a truncated sfpnn box
 with paths of up to ~80 hops, and a d=2 box.  They were generated with
 the numpy level-by-level BFS, before BFS moved to scipy's traversal.
+
+EXTRA_DIGESTS pins the edges, and for truncated boxes the bias bits, of
+boxes the matrix above leaves out: d=3 LRP and sfpnn boxes, full and
+truncated, and sfpnn boxes at lambda = 1e-300 in d = 1, 2, 3, where only
+the forced nearest-neighbour edges open.  They were generated before
+LRP pairs were decided through unit weights and forced pairs through
+an infinite scale.
 """
 
 import contextlib
@@ -332,3 +339,65 @@ def test_golden_distance_report(name):
     body = "\n".join(line for line in out.getvalue().splitlines()
                      if not line.startswith(("#wallclock", "#threads")))
     assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+_D3 = dict(d=3, alpha=4.0, lam=1.0, side=7, origin=None)
+_TINY = dict(kind="sfpnn", lam=1e-300, origin=-3, seed=5)
+
+# name: (box, sha256 of the edges, float.hex of trunc_bias or None)
+EXTRA_DIGESTS = {
+    "lrp-d3-s0-full": (dict(_D3, kind="lrp", seed=0, cutoff=None),
+                       "e4aad34f300f5c202f6e4cf752c9eb43ac3f1704a1cb4d19dfcedd768e51cd47", None),
+    "lrp-d3-s0-R2.5": (dict(_D3, kind="lrp", seed=0, cutoff=2.5),
+                       "5b36e6505446e6661f4839c47b51944ef77861307c00bb92cb41c43a1f9eb815",
+                       "0x1.44c7ee682f226p+7"),
+    "lrp-d3-s1-full": (dict(_D3, kind="lrp", seed=1, cutoff=None),
+                       "7992ae740c6bd1b79b7b08ecf80bbd7d5d18faa096487b6b1e15a8f6a9554094", None),
+    "lrp-d3-s1-R2.5": (dict(_D3, kind="lrp", seed=1, cutoff=2.5),
+                       "a11c25b2e2ee8042519b92f156fca22cc468ab6f3674e78056b898ecac0bdcc0",
+                       "0x1.44c7ee682f226p+7"),
+    "sfpnn-d3-s0-full": (dict(_D3, kind="sfpnn", seed=0, cutoff=None),
+                         "5299bbb279f9724e276e18909853def8439c8779e150151e1adad266560eb6b4", None),
+    "sfpnn-d3-s0-R2.5": (dict(_D3, kind="sfpnn", seed=0, cutoff=2.5),
+                         "cfe38b3c8a7cea4c096505281390643b5d44679e0a0ed89c2e12c220bd2b0e3e",
+                         "0x1.c6b78ca240ee0p+10"),
+    "sfpnn-d3-s1-full": (dict(_D3, kind="sfpnn", seed=1, cutoff=None),
+                         "d3bd921f0707f6f4750f90c3d20f3e39da9ef5c150201fb81c58ff20d9849be2", None),
+    "sfpnn-d3-s1-R2.5": (dict(_D3, kind="sfpnn", seed=1, cutoff=2.5),
+                         "1256e1180650e60fae9c8c686888a441ab9d45816179c341f5e9e77283c992b6",
+                         "0x1.04f6746236ce2p+10"),
+    "sfpnn-d1-lam1e-300-full": (dict(_TINY, d=1, alpha=1.5, side=128, cutoff=None),
+                                "a039ae208c32b589194ced56e961bf84013b0c7833104f695f63bb62fd7170bf",
+                                None),
+    "sfpnn-d1-lam1e-300-R8": (dict(_TINY, d=1, alpha=1.5, side=128, cutoff=8.0),
+                              "a039ae208c32b589194ced56e961bf84013b0c7833104f695f63bb62fd7170bf",
+                              "0x1.f80c5804187ccp-989"),
+    "sfpnn-d2-lam1e-300-full": (dict(_TINY, d=2, alpha=2.5, side=12, cutoff=None),
+                                "38d79afe027451a4617389aeea79effdc541a696028a25e69814818cb5a4a429",
+                                None),
+    "sfpnn-d2-lam1e-300-R3": (dict(_TINY, d=2, alpha=2.5, side=12, cutoff=3.0),
+                              "38d79afe027451a4617389aeea79effdc541a696028a25e69814818cb5a4a429",
+                              "0x1.68b08e9e50481p-987"),
+    "sfpnn-d3-lam1e-300-full": (dict(_TINY, d=3, alpha=3.5, side=6, cutoff=None),
+                                "488e5ed00ac3c06079f9fbd4cd6a3b4a7733af76384c9efa08007c7c9774a6ac",
+                                None),
+    "sfpnn-d3-lam1e-300-R2.5": (dict(_TINY, d=3, alpha=3.5, side=6, cutoff=2.5),
+                                "488e5ed00ac3c06079f9fbd4cd6a3b4a7733af76384c9efa08007c7c9774a6ac",
+                                "0x1.92a164ccd063bp-987"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_DIGESTS))
+def test_golden_extra_box(name):
+    box, digest, bias = EXTRA_DIGESTS[name]
+    d, side = box["d"], box["side"]
+    params = ModelParams(d=d, alpha=box["alpha"], lambda_=box["lam"], tau=2.5,
+                         kind=ModelKind.parse(box["kind"]))
+    origin = None if box["origin"] is None else (box["origin"],) * d
+    r = generate_box(params, box["seed"], BoxSpec(d=d, side=side, origin=origin),
+                     cutoff=box["cutoff"])
+    assert hashlib.sha256(np.ascontiguousarray(r.edges, dtype="<i8").tobytes()).hexdigest() == digest
+    assert (None if r.trunc_bias is None else r.trunc_bias.hex()) == bias
+    if box["lam"] == 1e-300:
+        # Only the forced lattice edges: d L^(d-1) (L-1) of them.
+        assert r.n_edges == d * side ** (d - 1) * (side - 1)

@@ -136,12 +136,16 @@ def _brute_offsets(d, side, cutoff):
     return out
 
 
+def _expand(runs):
+    return [(*lead, r) for lead, r_lo, r_hi in runs for r in range(r_lo, r_hi)]
+
+
 @pytest.mark.parametrize("d, side", [(1, 2), (1, 5), (1, 9), (2, 2), (2, 4), (2, 7),
                                      (3, 2), (3, 3), (3, 5)])
 def test_canonical_offsets_match_brute_force(d, side):
     diameter = math.sqrt(d) * (side - 1)
     for cutoff in (1, 1.5, 2.9, 3, 4.2, diameter, diameter + 0.5, math.inf, None):
-        got = list(graph._canonical_offsets(d, side, cutoff))
+        got = _expand(graph._offset_runs(d, side, cutoff))
         assert got == _brute_offsets(d, side, cutoff), (d, side, cutoff)
 
 
@@ -149,31 +153,32 @@ def test_canonical_offsets_walk_only_the_ball():
     # A huge side must cost nothing when the cutoff is small: every
     # coordinate range is bounded by the radius the prefix leaves.
     for d in (1, 2, 3):
-        assert list(graph._canonical_offsets(d, 10 ** 12, 2.9)) == _brute_offsets(d, 4, 2.9)
+        assert _expand(graph._offset_runs(d, 10 ** 12, 2.9)) == _brute_offsets(d, 4, 2.9)
 
 
 def test_pair_budget_checked_before_enumerating_offsets(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("offsets enumerated for a box over budget")
-    monkeypatch.setattr(graph, "_canonical_offsets", fail)
+    monkeypatch.setattr(graph, "_offset_runs", fail)
     with pytest.raises(BoxTooLarge):
         generate_box(validate_params(2, 3.0, 1.0, 2.5), 0, BoxSpec(d=2, side=1000))
 
 
 def test_pair_budget_stops_enumeration_with_cutoff(monkeypatch):
     produced = []
-    orig = graph._canonical_offsets
+    orig = graph._offset_runs
 
     def counting(*args):
-        for delta in orig(*args):
-            produced.append(delta)
-            yield delta
-    monkeypatch.setattr(graph, "_canonical_offsets", counting)
+        for run in orig(*args):
+            produced.append(run)
+            yield run
+    monkeypatch.setattr(graph, "_offset_runs", counting)
     with pytest.raises(BoxTooLarge):
         generate_box(validate_params(2, 3.0, 1.0, 2.5), 0, BoxSpec(d=2, side=1000),
                      cutoff=500.0, pair_budget=10 ** 6)
-    # (0, 1) and (0, 2) hold 999,000 and 998,000 pairs: the second passes the budget.
-    assert produced == [(0, 1), (0, 2)]
+    # The first run, (0, 1) .. (0, 500), holds 1000 * (999 + ... + 500) pairs:
+    # over the budget, so no second run is produced.
+    assert produced == [((0,), 1, 501)]
 
 
 def _phi_pareto_15(c):
