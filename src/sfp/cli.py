@@ -36,6 +36,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _at_least(low, kind=int):
+    """argparse type: a `kind` number no smaller than `low`, else a usage error."""
+    def parse(text):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its "invalid" message
+    return parse
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="sfp", description=__doc__)
     top.add_argument("--version", action="version", version=f"sfp {__version__}")
@@ -43,7 +54,7 @@ def _build_parser() -> _Parser:
 
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_at_least(0), default=1,
                         help="worker cap for parallel sections (0 = auto)")
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--config", type=str, default=None,
@@ -58,8 +69,8 @@ def _build_parser() -> _Parser:
                        choices=["sfp", "lrp", "sfpnn"])
 
     box = _Parser(add_help=False, parents=[model])
-    box.add_argument("--side", type=int, required=True)
-    box.add_argument("--trunc", type=float, default=None,
+    box.add_argument("--side", type=_at_least(2), required=True)
+    box.add_argument("--trunc", type=_at_least(1.0, float), default=None,
                      help="decide only pairs within this Euclidean distance")
 
     p = sub.add_parser("exponents", parents=[model],
@@ -69,7 +80,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pair-budget", type=int, default=None)
 
     p = sub.add_parser("degrees", parents=[box], help="degree-tail experiment")
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--replicates", type=_at_least(1), default=1)
     p.add_argument("--margin", type=int, default=0)
     p.add_argument("--hill-k", type=int, default=None)
     p.add_argument("--tol", type=float, default=0.3)
@@ -82,24 +93,24 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("adjacent", parents=[model],
                        help="adjacent-edge probability: sandwich and decay")
-    p.add_argument("--replicates", type=int, default=1_000_000)
+    p.add_argument("--replicates", type=_at_least(1), default=1_000_000)
     p.add_argument("--rxy", type=float, required=True)
     p.add_argument("--ryz", type=float, required=True)
     p.add_argument("--sweep-ryz", type=str, default="8,16,32,64")
     p.add_argument("--sweep-rxy", type=float, default=256.0)
 
     p = sub.add_parser("fkg", parents=[model], help="path-cut correlation check")
-    p.add_argument("--replicates", type=int, default=1_000_000)
+    p.add_argument("--replicates", type=_at_least(1), default=1_000_000)
     p.add_argument("--path", type=str, required=True,
                    help="semicolon-separated vertices, comma-separated coords")
 
     p = sub.add_parser("bridge", parents=[model], help="midpoint-cube bridging slope")
-    p.add_argument("--replicates", type=int, default=1_000_000)
+    p.add_argument("--replicates", type=_at_least(1), default=1_000_000)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--n-list", type=str, default="64,128,256,512,1024")
 
     p = sub.add_parser("coupling", parents=[box], help="SFP/LRP inclusion check")
-    p.add_argument("--replicates", type=int, default=100)
+    p.add_argument("--replicates", type=_at_least(1), default=100)
     p.add_argument("--lambda-lrp", type=float, default=None)
 
     mom = sub.add_parser("moments", help="closed-form / quadrature calculators")
@@ -289,6 +300,8 @@ def _cmd_fkg(args) -> int:
 
 def _cmd_bridge(args) -> int:
     from .experiments import run_bridge_experiment
+    if args.model != "sfp":
+        raise UsageError(f"bridge supports only --model sfp, got {args.model}")
     cfg = _experiment_config(args, need_spec=False)
     rep = run_bridge_experiment(cfg, beta=args.beta, n_list=_int_list(args.n_list))
     return _report_exit(rep, args)

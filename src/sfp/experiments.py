@@ -30,9 +30,16 @@ from .graph import (BoxSpec, clusters, coupled_pair, degree_sequence,
 from .moments import (BetaOutOfRange, TauOutOfRange, adjacent_expectation_exact,
                       bridging_exponent)
 from .params import ModelKind, ModelParams, derived_exponents
-from .randomness import derive_seed, experiment_uniforms, pareto_from_uniform
+from .randomness import (TAG_EXPERIMENT, absorb, derive_seed, keyed_words,
+                         unit_from_word_inplace)
 
 _CHUNK = 1 << 16
+# Elements per tile buffer.  A chunk is computed in row tiles whose buffers
+# are allocated once per chunk and written in place, so the working set
+# stays near the L2 cache.  An adjacent or fkg chunk (2^16 rows of one
+# weight per buffer) is a single tile; a bridge chunk is split.  Much
+# smaller tiles lose to per-call numpy overhead and GIL handoffs.
+_TILE = 1 << 16
 
 
 class KTooLarge(ValueError):
@@ -52,6 +59,10 @@ class PathTooLong(ValueError):
 
 
 class NoPairsInLargestCluster(RuntimeError):
+    pass
+
+
+class ModelKindUnsupported(ValueError):
     pass
 
 
@@ -227,13 +238,29 @@ def loglog_slope(points) -> EstimateWithCI:
     return EstimateWithCI(mean=slope, stderr=math.sqrt(s2 / sxx), n=n)
 
 
-def _pareto_draws(seed: int, tau: float, point: int, lo: int, hi: int,
-                  slot0: int, nslots: int):
-    """Keyed Pareto weights of shape (hi - lo, nslots): replicates by slots."""
-    reps = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    slots = np.arange(slot0, slot0 + nslots, dtype=np.uint64)[None, :]
-    u = experiment_uniforms(seed, np.uint64(point), reps, slots)
-    return pareto_from_uniform(u, tau)
+def _replicate_states(seed: int, point: int, lo: int, hi: int) -> np.ndarray:
+    """Hash states of the keys (point, replicate) for replicates lo..hi-1."""
+    return keyed_words(seed, TAG_EXPERIMENT, np.uint64(point),
+                       np.arange(lo, hi, dtype=np.uint64))
+
+
+def _pareto_into(states, slots, tau: float, out, tmp) -> np.ndarray:
+    """Keyed Pareto weights of `slots` for the replicates of `states`.
+
+    Absorbs the slot indices into the uint64 buffer `out` (of the
+    broadcast shape of states and slots; `tmp` is scratch of that shape)
+    and returns its float64 view, holding bit for bit
+    pareto_from_uniform(experiment_uniforms(seed, point, reps, slots), tau).
+    """
+    u = unit_from_word_inplace(absorb(states, slots, out, tmp), tmp)
+    return np.power(u, -1.0 / (tau - 1.0), out=u)
+
+
+def _edge_term(c, wa, wb, out) -> np.ndarray:
+    """expm1(-c wa wb), evaluated as ((-c) wa) wb, into out: minus P(edge open)."""
+    np.multiply(wa, -c, out=out)
+    np.multiply(out, wb, out=out)
+    return np.expm1(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +281,14 @@ def _adjacent_estimate(cfg: ExperimentConfig, point: int, r_xy: float, r_yz: flo
             p2 = -np.expm1(-cyz)
             prod = np.full(hi - lo, p1 * p2)
         else:
-            # One slot per call keeps each hashed array small enough to stay in cache.
-            wx, wy, wz = (_pareto_draws(cfg.seed, tau, point, lo, hi, slot, 1)[:, 0]
+            # A chunk is one tile: four buffers of 2^16 words at most.
+            states = _replicate_states(cfg.seed, point, lo, hi)
+            words = np.empty((4, hi - lo), np.uint64)
+            wx, wy, wz = (_pareto_into(states, np.uint64(slot), tau, words[slot], words[3])
                           for slot in range(3))
             # expm1(-t) = -(1 - e^-t), so the product of the two is p1 * p2.
-            prod = np.expm1(-cxy * wx * wy) * np.expm1(-cyz * wy * wz)
+            prod = np.multiply(_edge_term(cxy, wx, wy, wx), _edge_term(cyz, wy, wz, wy),
+                               out=words[3].view(np.float64))
         return float(prod.sum()), float((prod * prod).sum())
 
     sums = _run_chunks(chunk, _chunk_ranges(replicates), cfg.worker_count)
@@ -342,26 +372,35 @@ def run_fkg_check(cfg: ExperimentConfig, path, equality_tol_rel: float = 1e-12) 
 
     def chunk(rg):
         lo, hi = rg
+        # A chunk is one tile; each edge probability overwrites the weight
+        # of its first endpoint, which no later edge reads.
+        words = np.empty((len(pts) + 1, hi - lo), np.uint64)
         if lrp:
-            w = [np.ones(hi - lo)] * len(pts)
+            w = words[:-1].view(np.float64)
+            w.fill(1.0)
         else:
-            # One slot per call: a (replicates, 1) draw hashes faster than a
-            # (replicates, path length) one, with the same keys and values.
-            w = [_pareto_draws(cfg.seed, tau, 0, lo, hi, slot, 1)[:, 0]
+            states = _replicate_states(cfg.seed, 0, lo, hi)
+            w = [_pareto_into(states, np.uint64(slot), tau, words[slot], words[-1])
                  for slot in range(len(pts))]
-        probs = [-np.expm1(-scales[i] * w[i] * w[i + 1]) for i in range(n_edges)]
+        probs = []
+        for i in range(n_edges):
+            p = _edge_term(scales[i], w[i], w[i + 1], w[i])
+            probs.append(np.negative(p, out=p))
+        head, tail, full, sq = np.empty((4, hi - lo))
+
+        def sums(x):
+            return float(x.sum()), float(np.multiply(x, x, out=sq).sum())
+
         out = []
         for cut in range(1, len(pts) - 1):
-            head = probs[0].copy()
+            np.copyto(head, probs[0])
             for i in range(1, cut):
                 head *= probs[i]
-            tail = probs[cut].copy()
+            np.copyto(tail, probs[cut])
             for i in range(cut + 1, n_edges):
                 tail *= probs[i]
-            full = head * tail
-            out.append((float(full.sum()), float((full * full).sum()),
-                        float(head.sum()), float((head * head).sum()),
-                        float(tail.sum()), float((tail * tail).sum())))
+            np.multiply(head, tail, out=full)
+            out.append((*sums(full), *sums(head), *sums(tail)))
         return out
 
     sums = _run_chunks(chunk, _chunk_ranges(nrep), cfg.worker_count)
@@ -418,8 +457,13 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
     success probability 1 - prod_z (1 - p_xz p_zy) is exact given the
     weights.  Verdicts: fitted slope of log P against log N within
     `slope_tol` of -(2 alpha1 - d beta), and positive mass at every N.
+    Both the weights and the target are SFP's, so other model kinds
+    raise ModelKindUnsupported.
     """
     t0 = time.monotonic()
+    if cfg.params.kind is not ModelKind.SFP:
+        raise ModelKindUnsupported(
+            f"bridge experiment needs the sfp model, got {cfg.params.kind.value}")
     if not 0.0 < beta < 1.0:
         raise BetaOutOfRange(f"beta must lie in (0,1), got {beta}")
     if not (2.0 < cfg.params.tau < 3.0):
@@ -443,16 +487,30 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
 
         def chunk(rg, cxz=cxz, czy=czy, nz=nz, ni=ni):
             lo, hi = rg
-            wx = _pareto_draws(cfg.seed, tau, ni, lo, hi, 0, 1)
-            wy = _pareto_draws(cfg.seed, tau, ni, lo, hi, 1, 1)
-            wz = _pareto_draws(cfg.seed, tau, ni, lo, hi, 2, nz)
-            q = np.expm1(-cxz[None, :] * wx * wz) * np.expm1(-czy[None, :] * wz * wy)
-            # q = p_xz * p_zy; success = 1 - prod_z (1 - q).  A saturated
-            # q == 1 gives log1p(-q) = -inf and a success probability of
-            # exactly 1, which is the intended value.
-            with np.errstate(divide="ignore"):
-                np.log1p(-q, out=q)
-            s = -np.expm1(q.sum(axis=1))
+            states = _replicate_states(cfg.seed, ni, lo, hi)[:, None]
+            # Slots 0 and 1 are x and y, the cube takes 2, 3, ...  The two
+            # go to separate buffers: numpy's transcendental ufuncs run about
+            # a third slower on strided views of one.
+            xy_slots = np.arange(2, dtype=np.uint64)[None, :]
+            z_slots = np.arange(2, 2 + nz, dtype=np.uint64)[None, :]
+            rows = min(hi - lo, max(1, _TILE // nz))
+            xy_words, xy_scratch = np.empty((2, rows, 2), np.uint64)
+            z_words, scratch = np.empty((2, rows, nz), np.uint64)
+            log_miss = np.empty(hi - lo)
+            for a in range(0, hi - lo, rows):
+                t = min(rows, hi - lo - a)
+                wxy = _pareto_into(states[a:a + t], xy_slots, tau, xy_words[:t], xy_scratch[:t])
+                wz = _pareto_into(states[a:a + t], z_slots, tau, z_words[:t], scratch[:t])
+                # q = p_xz * p_zy; success = 1 - prod_z (1 - q).  A saturated
+                # q == 1 gives log1p(-q) = -inf and a success probability of
+                # exactly 1, which is the intended value.
+                q = _edge_term(cxz, wxy[:, :1], wz, scratch[:t].view(np.float64))
+                q *= _edge_term(czy, wz, wxy[:, 1:], wz)
+                np.negative(q, out=q)
+                with np.errstate(divide="ignore"):
+                    np.log1p(q, out=q)
+                np.sum(q, axis=1, out=log_miss[a:a + t])
+            s = -np.expm1(log_miss)
             return float(s.sum()), float((s * s).sum())
 
         sums = _run_chunks(chunk, _chunk_ranges(cfg.replicates, 1 << 14), cfg.worker_count)

@@ -31,6 +31,8 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _S32, _LO32 = np.uint64(32), np.uint64(0xFFFF_FFFF)
 _S12, _ONE_BITS = np.uint64(12), np.uint64(0x3FF0_0000_0000_0000)
+# Bit patterns of the floats 2^20 and 2^-12.
+_TWO_20_BITS, _TWO_M12_BITS = np.uint64(0x4130_0000_0000_0000), np.uint64(0x3F30_0000_0000_0000)
 _ONE_MINUS_ULP = 1.0 - 2.0 ** -53
 
 
@@ -88,21 +90,37 @@ def keyed_words(seed: int, tag: int, *columns) -> np.ndarray:
 
 
 def unit_from_word(word) -> np.ndarray:
-    """Map hash words to (0, 1) via (w + 1) / 2^64.
+    """Map hash words to (0, 1) via (w + 1) / 2^64; see unit_from_word_inplace."""
+    w = np.array(word, dtype=np.uint64)
+    u = unit_from_word_inplace(w, np.empty_like(w))
+    return u if u.ndim else u[()]
 
-    w is converted as float(w >> 32) * 2^32 + float(w & (2^32 - 1)): both
-    halves convert exactly and the sum rounds once, so this is the
-    correctly rounded float(w), without numpy's slow path for words of
-    2^63 and above.  The addition of 1 is done in float so the top word
+
+def unit_from_word_inplace(word: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """unit_from_word written over the uint64 array `word`; returns its float64 view.
+
+    `tmp` is a uint64 scratch array of the same shape.  w is converted
+    as float(w >> 32) * 2^32 + float(w & (2^32 - 1)), scaled by 2^-64:
+    each 32-bit half is placed under the exponent bits of a power of two
+    whose ulp is that half's weight (2^-32 for the high half, 2^-64 for
+    the low one), and the power is subtracted again.  Both halves come
+    out exact and their sum rounds once, so the result is the correctly
+    rounded float(w) * 2^-64, without numpy's integer-to-float cast loop.
+    The 1 is added afterwards in float (as 2^-64), so the top word
     cannot wrap to zero; results that would round to 1.0 are clamped one
     ulp below it, keeping the output strictly inside the open interval.
     """
-    w = np.asarray(word, dtype=np.uint64)
-    u = np.multiply(w >> _S32, 2.0 ** 32)
-    u += w & _LO32
-    u += 1.0
-    u *= 2.0 ** -64
-    return np.minimum(u, _ONE_MINUS_ULP)
+    np.bitwise_and(word, _LO32, out=tmp)
+    np.bitwise_or(tmp, _TWO_M12_BITS, out=tmp)
+    lo = tmp.view(np.float64)
+    np.subtract(lo, 2.0 ** -12, out=lo)
+    np.right_shift(word, _S32, out=word)
+    np.bitwise_or(word, _TWO_20_BITS, out=word)
+    u = word.view(np.float64)
+    np.subtract(u, 2.0 ** 20, out=u)
+    np.add(u, lo, out=u)
+    np.add(u, 2.0 ** -64, out=u)
+    return np.minimum(u, _ONE_MINUS_ULP, out=u)
 
 
 def unit_lower_bound(word: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -181,7 +199,11 @@ def uniform_for_edge(seed: int, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 def experiment_uniforms(seed: int, *index_columns) -> np.ndarray:
-    """Keyed uniforms for Monte-Carlo work, keyed by replicate/slot indices."""
+    """Keyed uniforms for Monte-Carlo work, keyed by replicate/slot indices.
+
+    The Monte-Carlo kernels draw the same keys tile by tile into reused
+    buffers; this allocating form is kept as their test oracle.
+    """
     return keyed_uniforms(seed, TAG_EXPERIMENT, *index_columns)
 
 

@@ -81,6 +81,33 @@ def test_generate_rejects_pair_budget_below_one(tmp_path, capsys, budget):
     assert f"--pair-budget must be at least 1, got {budget}" in capsys.readouterr().err
 
 
+_MODEL = ["--alpha", "1.5", "--tau", "2.5"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", *_MODEL, "--side", "1", "--out", "box.txt"], "--side"),
+    (["distances", *_MODEL, "--side", "1"], "--side"),
+    (["degrees", *_MODEL, "--side", "100", "--trunc", "0.5"], "--trunc"),
+    (["degrees", *_MODEL, "--side", "100", "--trunc", "nan"], "--trunc"),
+    (["degrees", *_MODEL, "--side", "100", "--replicates", "0"], "--replicates"),
+    (["bridge", *_MODEL, "--beta", "0.5", "--replicates", "-3"], "--replicates"),
+    (["adjacent", *_MODEL, "--rxy", "4", "--ryz", "2", "--threads", "-1"], "--threads"),
+], ids=["generate-side", "distances-side", "trunc", "trunc-nan", "degrees-replicates",
+        "bridge-replicates", "threads"])
+def test_out_of_range_flag_is_usage_error(argv, flag, tmp_path, capsys):
+    argv = [str(tmp_path / a) if a == "box.txt" else a for a in argv]
+    assert main(argv) == 1
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "box.txt").exists()
+
+
+@pytest.mark.parametrize("model", ["lrp", "sfpnn"])
+def test_bridge_with_another_model_is_usage_error(model, capsys):
+    assert main(["bridge", *_MODEL, "--beta", "0.5", "--replicates", "10",
+                 "--model", model]) == 1
+    assert "bridge supports only --model sfp" in capsys.readouterr().err
+
+
 def test_generate_honours_a_small_pair_budget(tmp_path):
     # 16 * 15 / 2 = 120 pairs: a budget of 119 is over, 120 is not.
     args = ["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "16",

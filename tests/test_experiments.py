@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sfp.experiments import (EstimateWithCI, ExperimentConfig, KTooLarge,
-                             NonPositivePoint, PathTooLong, TooFewPoints,
+                             ModelKindUnsupported, NonPositivePoint, PathTooLong,
+                             TooFewPoints, _pareto_into, _replicate_states,
                              hill_estimator, loglog_slope, run_adjacent_mc,
                              run_bridge_experiment, run_coupling_check,
                              run_degree_experiment, run_distance_experiment,
@@ -132,7 +133,36 @@ class TestFkg:
             run_fkg_check(cfg, [(0,), (5,)])  # single edge has no cut
 
 
+def test_tile_weights_equal_the_pareto_oracle_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for tau in (1.5, 2.0, 2.5, 3.0, 3.5):
+        for _ in range(8):
+            seed, point = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 10))
+            lo = int(rng.integers(0, 100_000))
+            hi = lo + int(rng.integers(1, 300))
+            slot0, width = int(rng.integers(0, 5)), int(rng.integers(1, 70))
+            reps = np.arange(lo, hi, dtype=np.uint64)[:, None]
+            slots = np.arange(slot0, slot0 + width, dtype=np.uint64)[None, :]
+            want = pareto_from_uniform(
+                experiment_uniforms(seed, np.uint64(point), reps, slots), tau)
+            states = _replicate_states(seed, point, lo, hi)[:, None]
+            out, tmp = np.empty((2, hi - lo, width), np.uint64)
+            got = _pareto_into(states, slots, tau, out, tmp)
+            assert np.shares_memory(got, out)
+            assert np.array_equal(got, want)
+            # A single slot drawn as a scalar key on a 1-D state column.
+            col = _pareto_into(states[:, 0], np.uint64(slot0), tau,
+                               np.empty(hi - lo, np.uint64), np.empty(hi - lo, np.uint64))
+            assert np.array_equal(col, want[:, 0])
+
+
 class TestBridge:
+    @pytest.mark.parametrize("kind", [ModelKind.LRP, ModelKind.SFP_NN])
+    def test_other_model_kinds_rejected(self, kind):
+        cfg = ExperimentConfig(params=replace(P, kind=kind), replicates=10)
+        with pytest.raises(ModelKindUnsupported):
+            run_bridge_experiment(cfg, beta=0.5)
+
     def test_geometry_degenerate_flagged(self):
         cfg = ExperimentConfig(params=P, seed=0, replicates=100)
         rep = run_bridge_experiment(cfg, beta=0.5, n_list=(4,))

@@ -35,6 +35,14 @@ truncated, and sfpnn boxes at lambda = 1e-300 in d = 1, 2, 3, where only
 the forced nearest-neighbour edges open.  They were generated before
 LRP pairs were decided through unit weights and forced pairs through
 an infinite scale.
+
+MC_DIGESTS pins sha256 of the report bodies of the three Monte-Carlo
+kernels: adjacent and fkg for SFP and LRP at replicate counts on both
+sides of the 2^16 chunk edge and across several chunks, and bridge in
+d=1 and in d=2 (4225 cube vertices per replicate, so only a few rows
+per tile) on both sides of its 2^14 chunk edge.  Each body is checked at
+one and two threads.  They were generated with whole-chunk kernels,
+before the kernels were computed in tiles over reused buffers.
 """
 
 import contextlib
@@ -330,15 +338,19 @@ DISTANCE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DISTANCE_DIGESTS))
-def test_golden_distance_report(name):
-    argv, digest = DISTANCE_DIGESTS[name]
+def _report_body_digest(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(list(argv)) in (0, 2)
     body = "\n".join(line for line in out.getvalue().splitlines()
                      if not line.startswith(("#wallclock", "#threads")))
-    assert hashlib.sha256(body.encode()).hexdigest() == digest
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_DIGESTS))
+def test_golden_distance_report(name):
+    argv, digest = DISTANCE_DIGESTS[name]
+    assert _report_body_digest(argv) == digest
 
 
 _D3 = dict(d=3, alpha=4.0, lam=1.0, side=7, origin=None)
@@ -401,3 +413,50 @@ def test_golden_extra_box(name):
     if box["lam"] == 1e-300:
         # Only the forced lattice edges: d L^(d-1) (L-1) of them.
         assert r.n_edges == d * side ** (d - 1) * (side - 1)
+
+
+_MC = ["--alpha", "1.5", "--tau", "2.5"]
+MC_ARGV = {}
+for _m in ("sfp", "lrp"):
+    for _n in (65535, 65537, 200003):
+        MC_ARGV[f"adjacent-{_m}-{_n}"] = ["adjacent", *_MC, "--model", _m, "--rxy", "21.5",
+                                          "--ryz", "4.6", "--seed", "11", "--replicates", str(_n)]
+        MC_ARGV[f"fkg-{_m}-{_n}"] = ["fkg", *_MC, "--model", _m, "--path", "0;17;-5;30;12",
+                                     "--seed", "12", "--replicates", str(_n)]
+for _n in (16383, 16385, 50001):
+    MC_ARGV[f"bridge-d1-{_n}"] = ["bridge", *_MC, "--beta", "0.5", "--seed", "13",
+                                  "--replicates", str(_n)]
+    MC_ARGV[f"bridge-d2-{_n}"] = ["bridge", "--dim", "2", "--alpha", "3", "--tau", "2.5",
+                                  "--beta", "0.5", "--n-list", "1024", "--seed", "14",
+                                  "--replicates", str(_n)]
+
+MC_DIGESTS = {
+    "adjacent-sfp-65535": "042913dd3208b8151c331a8e349c298e72e47d8e7d2439208dc4babf9371257a",
+    "fkg-sfp-65535": "c42f5c56c08f1d56121ce7a09d8364d38a164affd7f0f7d665ec8c666e0fdaf0",
+    "adjacent-sfp-65537": "0cb8962ecf56a70730ffd8d18f44122327670e189a9b05317dc2984d2f9f0383",
+    "fkg-sfp-65537": "3df0422964a90878a616627c8d72e95271aff9c015704b2453e9f313c71ecd30",
+    "adjacent-sfp-200003": "0a242d4f038dbb09ea7e3584a164d31b7d4518e249e3cd217c5f95105192e46c",
+    "fkg-sfp-200003": "d688013d58fc0be2a4ded6ca55d30c3cbb4249549be66b29f60cd183bdb35196",
+    "adjacent-lrp-65535": "a2cae4bfeceb0e172f2e426aa7bdbb7c2ae9aab4cdcb4fceaddf2e2810b3d349",
+    "fkg-lrp-65535": "773edab36df1716feefaf930298fc34622b98a61a3baef05a35e226c4b5d159d",
+    "adjacent-lrp-65537": "b8af135c2e7b909b3a698036daadafadd9265e0e61a72d665fd017f19167efdc",
+    "fkg-lrp-65537": "97a2c6e52fbb4f08e50a29095dcf1adc8e44169ca7169437d20083d2f9bf66ce",
+    "adjacent-lrp-200003": "5e33a79bcb085f55741515d8e2758bc3ed597ab3e03bc6299bd107576aa177ea",
+    "fkg-lrp-200003": "d1ae5b30558cb7163b0272948248b337ecbea913122f70672729e5b0a2cba177",
+    "bridge-d1-16383": "be3b051fb7bb77a9ed67ed70fa33c2acbc868e2b819efefce296f61da1f41472",
+    "bridge-d2-16383": "f433e033a473af9bc99d56bc72a5a32dfb6dbc8ac03f4789f57a311f5eee0e36",
+    "bridge-d1-16385": "a686add184b8691d9c1db3c0f955fdc7f603fe84ca8fa364ecc13510cb549573",
+    "bridge-d2-16385": "3e2f5d9e56ba0645d3b0b943e1236e51e0789e14491ffd1e2c366963bf123924",
+    "bridge-d1-50001": "b60569f8ce4bac9d1736f1e222f523d8357a292eb596da3b9543c8b3be574c3e",
+    "bridge-d2-50001": "6481d4a12c8b4401a891a3449098abf218abd9b793b85ddf0fe0289d68973a01",
+}
+
+
+def test_mc_cases_cover_every_digest():
+    assert sorted(MC_ARGV) == sorted(MC_DIGESTS)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(MC_DIGESTS))
+def test_golden_mc_report(name, threads):
+    assert _report_body_digest(MC_ARGV[name] + ["--threads", str(threads)]) == MC_DIGESTS[name]

@@ -6,7 +6,7 @@ from sfp.params import TauTooSmall
 from sfp.randomness import (TAG_EDGE, SelfLoop, derive_seed,
                             experiment_uniforms, keyed_uniforms, keyed_words,
                             pareto_from_uniform, uniform_for_edge,
-                            unit_from_word, unit_lower_bound,
+                            unit_from_word, unit_from_word_inplace, unit_lower_bound,
                             vertex_weights, weight_for_vertex)
 
 MASK64 = 2 ** 64 - 1
@@ -143,6 +143,24 @@ def test_unit_from_word_is_correctly_rounded_on_edge_and_random_words():
     for w in EDGE_WORDS:
         assert float(unit_from_word(np.uint64(w))) == _reference_uniform(w)
     assert float(unit_from_word(np.uint64(2 ** 64 - 1))) < 1.0
+
+
+def test_unit_from_word_inplace_equals_the_allocating_form():
+    rng = np.random.default_rng(13)
+    words = np.concatenate([np.array(EDGE_WORDS, dtype=np.uint64),
+                            rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64, endpoint=False)])
+    for w in (words, words[:-1].reshape(8, -1), np.array(EDGE_WORDS[-1], dtype=np.uint64)):
+        want = unit_from_word(w)
+        buf = w.copy()
+        got = unit_from_word_inplace(buf, np.empty_like(buf))
+        assert got.shape == w.shape and got.dtype == np.float64
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got, want)
+        exact = np.minimum((w.astype(np.float64) + 1.0) * 2.0 ** -64, 1.0 - 2.0 ** -53)
+        assert np.array_equal(got, exact)
+    for w in EDGE_WORDS:
+        buf = np.array(w, dtype=np.uint64)
+        assert unit_from_word_inplace(buf, np.empty_like(buf))[()] == unit_from_word(np.uint64(w))
 
 
 def test_unit_lower_bound_is_exact_top_bits_and_never_above_the_uniform():
