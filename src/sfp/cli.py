@@ -2,9 +2,10 @@
 
 Subcommands: exponents, generate, degrees, distances, adjacent, fkg,
 bridge, coupling, moments {adjacent,second,convolution}, hierarchy check,
-verify.  Exit codes: 0 success / all verdicts pass, 1 usage error,
-2 verdict failure, 3 runtime error.  Diagnostics go to stderr; CSV
-(with '#'-prefixed metadata lines) goes to stdout or --out.
+verify.  Exit codes: 0 success / all verdicts pass, 1 usage error (a bad
+flag or model parameter), 2 verdict failure, 3 runtime error.
+Diagnostics go to stderr; CSV (with '#'-prefixed metadata lines) goes to
+stdout or --out.
 
 A flat config file (`key = value` per line, '#' comments) can seed any
 flag via --config; explicit flags override the file.
@@ -61,7 +62,7 @@ def _build_parser() -> _Parser:
                         help="flat key = value file; flags override it")
 
     model = _Parser(add_help=False, parents=[common])
-    model.add_argument("--dim", type=int, default=1)
+    model.add_argument("--dim", type=_at_least(1), default=1)
     model.add_argument("--alpha", type=float, required=True)
     model.add_argument("--tau", type=float, required=True)
     model.add_argument("--lambda", dest="lambda_", type=float, default=1.0)
@@ -123,7 +124,7 @@ def _build_parser() -> _Parser:
     p = msub.add_parser("second", parents=[model])
     p.add_argument("--r", type=float, required=True)
     p = msub.add_parser("convolution", parents=[common])
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=_at_least(1), default=1)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--dist", type=float, required=True)
     p.add_argument("--radius", type=float, default=None,
@@ -300,8 +301,6 @@ def _cmd_fkg(args) -> int:
 
 def _cmd_bridge(args) -> int:
     from .experiments import run_bridge_experiment
-    if args.model != "sfp":
-        raise UsageError(f"bridge supports only --model sfp, got {args.model}")
     cfg = _experiment_config(args, need_spec=False)
     rep = run_bridge_experiment(cfg, beta=args.beta, n_list=_int_list(args.n_list))
     return _report_exit(rep, args)
@@ -431,10 +430,10 @@ def main(argv=None) -> int:
         if args.command == "hierarchy":
             return _cmd_hierarchy_check(args)
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParameterError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

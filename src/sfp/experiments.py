@@ -29,17 +29,23 @@ from .graph import (BoxSpec, clusters, coupled_pair, degree_sequence,
                     distances_from, generate_box)
 from .moments import (BetaOutOfRange, TauOutOfRange, adjacent_expectation_exact,
                       bridging_exponent)
-from .params import ModelKind, ModelParams, derived_exponents
+from .params import ModelKind, ModelKindUnsupported, ModelParams, derived_exponents
 from .randomness import (TAG_EXPERIMENT, absorb, derive_seed, keyed_words,
                          unit_from_word_inplace)
 
 _CHUNK = 1 << 16
 # Elements per tile buffer.  A chunk is computed in row tiles whose buffers
 # are allocated once per chunk and written in place, so the working set
-# stays near the L2 cache.  An adjacent or fkg chunk (2^16 rows of one
-# weight per buffer) is a single tile; a bridge chunk is split.  Much
+# stays near the L2 cache.  A path chunk (2^16 rows of one weight per
+# buffer) is a single tile; a bridge chunk is split.  Much
 # smaller tiles lose to per-call numpy overhead and GIL handoffs.
 _TILE = 1 << 16
+# Verdict constants: a fitted slope's distance from its target, the fkg
+# verdicts' relative slack for float rounding, and the largest-cluster
+# share below which distances are not measured.
+_SLOPE_TOL = 0.3
+_EQUALITY_TOL_REL = 1e-12
+_TINY_CLUSTER_FRACTION = 0.05
 
 
 class KTooLarge(ValueError):
@@ -59,10 +65,6 @@ class PathTooLong(ValueError):
 
 
 class NoPairsInLargestCluster(RuntimeError):
-    pass
-
-
-class ModelKindUnsupported(ValueError):
     pass
 
 
@@ -263,53 +265,84 @@ def _edge_term(c, wa, wb, out) -> np.ndarray:
     return np.expm1(out, out=out)
 
 
+def _path_estimates(cfg: ExperimentConfig, point: int, lengths) -> list:
+    """(path, head, tail) estimates of P(all edges open) at every cut of a path.
+
+    Edge i, of length lengths[i] between the vertices keyed as slots i and
+    i + 1 of `point`, opens with probability 1 - exp(-t) by the rule of
+    `graph._open_pairs`: t = lambda W_i W_{i+1} r^-alpha, with unit weights
+    for LRP and t = inf (open surely) for a unit edge of SFP_NN.  The cut
+    at vertex k leaves the head of edges 0..k-1 and the tail of edges k..;
+    products are left folds.
+    """
+    n_edges = len(lengths)
+    lrp = cfg.params.kind is ModelKind.LRP
+    forced = cfg.params.kind is ModelKind.SFP_NN
+    scales = [math.inf if forced and r == 1.0 else cfg.params.lambda_ * r ** -cfg.params.alpha
+              for r in lengths]
+
+    def chunk(rg):
+        lo, hi = rg
+        # A chunk is one tile of n_edges + 2 rows, each overwritten after its
+        # last read: edge i's probability replaces its first endpoint's weight,
+        # the head grows in place of edge 0's, the last two rows take the tail
+        # and the squares.
+        words = np.empty((n_edges + 2, hi - lo), np.uint64)
+        if lrp:
+            w = words[:-1].view(np.float64)
+            w.fill(1.0)
+        else:
+            states = _replicate_states(cfg.seed, point, lo, hi)
+            w = [_pareto_into(states, np.uint64(slot), cfg.params.tau, words[slot], words[-1])
+                 for slot in range(n_edges + 1)]
+        probs = []
+        for i in range(n_edges):
+            p = _edge_term(scales[i], w[i], w[i + 1], w[i])
+            probs.append(np.negative(p, out=p))
+        head = probs[0]
+        tail_row, sq = words[n_edges:].view(np.float64)
+
+        def sums(x):
+            return float(x.sum()), float(np.multiply(x, x, out=sq).sum())
+
+        out = []
+        for cut in range(1, n_edges):
+            if cut > 1:
+                head *= probs[cut - 1]
+            tail = probs[cut]
+            for p in probs[cut + 1:]:
+                tail = np.multiply(tail, p, out=tail_row)
+            head_sums, tail_sums = sums(head), sums(tail)
+            # The tail is spent: its row is refilled at the next cut, and a
+            # one-edge tail is the last edge at its last cut.
+            out.append((sums(np.multiply(head, tail, out=tail)), head_sums, tail_sums))
+        return out
+
+    sums = _run_chunks(chunk, _chunk_ranges(cfg.replicates), cfg.worker_count)
+    return [tuple(_combine_mean_se([s[ci][j] for s in sums], cfg.replicates) for j in range(3))
+            for ci in range(n_edges - 1)]
+
+
 # ---------------------------------------------------------------------------
 # Adjacent edges: sandwich and decay slope
 # ---------------------------------------------------------------------------
 
-def _adjacent_estimate(cfg: ExperimentConfig, point: int, r_xy: float, r_yz: float,
-                       replicates: int) -> EstimateWithCI:
-    lam, alpha, tau = cfg.params.lambda_, cfg.params.alpha, cfg.params.tau
-    cxy = lam * r_xy ** -alpha
-    cyz = lam * r_yz ** -alpha
-    lrp = cfg.params.kind is ModelKind.LRP
-
-    def chunk(rg):
-        lo, hi = rg
-        if lrp:
-            p1 = -np.expm1(-cxy)
-            p2 = -np.expm1(-cyz)
-            prod = np.full(hi - lo, p1 * p2)
-        else:
-            # A chunk is one tile: four buffers of 2^16 words at most.
-            states = _replicate_states(cfg.seed, point, lo, hi)
-            words = np.empty((4, hi - lo), np.uint64)
-            wx, wy, wz = (_pareto_into(states, np.uint64(slot), tau, words[slot], words[3])
-                          for slot in range(3))
-            # expm1(-t) = -(1 - e^-t), so the product of the two is p1 * p2.
-            prod = np.multiply(_edge_term(cxy, wx, wy, wx), _edge_term(cyz, wy, wz, wy),
-                               out=words[3].view(np.float64))
-        return float(prod.sum()), float((prod * prod).sum())
-
-    sums = _run_chunks(chunk, _chunk_ranges(replicates), cfg.worker_count)
-    return _combine_mean_se(sums, replicates)
-
-
 def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
-                    sweep_ryz=(8.0, 16.0, 32.0, 64.0), sweep_rxy: float = 256.0,
-                    slope_tol: float = 0.3) -> ExperimentReport:
+                    sweep_ryz=(8.0, 16.0, 32.0, 64.0),
+                    sweep_rxy: float = 256.0) -> ExperimentReport:
     """Estimate P(x ~ y ~ z) for a collinear triple and its decay in r_yz.
 
-    Verdicts: the point estimate lies in the closed-form sandwich
-    [middle/4, mu^2 middle] widened by 3 standard errors, and the fitted
-    slope of log P against log r_yz at fixed r_xy is within `slope_tol`
-    of -alpha (tau - 2).
+    P(x ~ y ~ z) is the two-edge case of `_path_estimates`.  Verdicts:
+    the point estimate lies in the closed-form sandwich [middle/4,
+    mu^2 middle] widened by 3 standard errors, and the fitted slope of
+    log P against log r_yz at fixed r_xy is within _SLOPE_TOL of
+    -alpha (tau - 2).
     """
     t0 = time.monotonic()
     if not (2.0 < cfg.params.tau < 3.0):
         raise TauOutOfRange(f"adjacent-edge experiment needs tau in (2,3), got {cfg.params.tau}")
     exact = adjacent_expectation_exact(cfg.params, r_xy, r_yz)
-    est = _adjacent_estimate(cfg, 0, r_xy, r_yz, cfg.replicates)
+    est = _path_estimates(cfg, 0, [r_xy, r_yz])[0][0]
     lo_bound = exact.lower - 3.0 * est.stderr
     hi_bound = exact.upper + 3.0 * est.stderr
     verdicts = [Verdict(
@@ -320,21 +353,21 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
     rows = [("point", r_xy, r_yz, est.mean, est.stderr, est.n)]
     pts = []
     for i, r in enumerate(sweep_ryz):
-        e = _adjacent_estimate(cfg, 1 + i, sweep_rxy, float(r), cfg.replicates)
+        e = _path_estimates(cfg, 1 + i, [sweep_rxy, float(r)])[0][0]
         rows.append(("sweep", sweep_rxy, float(r), e.mean, e.stderr, e.n))
         pts.append((float(r), e.mean))
     if len(pts) >= 3:
         target = -cfg.params.alpha * (cfg.params.tau - 2.0)
         slope = loglog_slope(pts)
         verdicts.append(Verdict(
-            "decay-slope", abs(slope.mean - target) <= slope_tol,
-            f"slope {slope.mean!r} (se {slope.stderr!r}) vs target {target!r} +- {slope_tol}"))
+            "decay-slope", abs(slope.mean - target) <= _SLOPE_TOL,
+            f"slope {slope.mean!r} (se {slope.stderr!r}) vs target {target!r} +- {_SLOPE_TOL}"))
 
     return ExperimentReport(
         name="adjacent",
         config=_config_echo(cfg, r_xy=r_xy, r_yz=r_yz, sweep_rxy=sweep_rxy,
                             sweep_ryz=",".join(repr(float(r)) for r in sweep_ryz),
-                            slope_tol=slope_tol),
+                            slope_tol=_SLOPE_TOL),
         columns=["kind", "r_xy", "r_yz", "estimate", "stderr", "n"],
         rows=rows, verdicts=verdicts, wallclock=time.monotonic() - t0)
 
@@ -343,7 +376,7 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
 # FKG: cutting a path cannot raise its probability
 # ---------------------------------------------------------------------------
 
-def run_fkg_check(cfg: ExperimentConfig, path, equality_tol_rel: float = 1e-12) -> ExperimentReport:
+def run_fkg_check(cfg: ExperimentConfig, path) -> ExperimentReport:
     """Compare P(path open) with P(head open) P(tail open) at every cut vertex.
 
     The cut vertex belongs to both subpaths, so head and tail edges
@@ -359,61 +392,17 @@ def run_fkg_check(cfg: ExperimentConfig, path, equality_tol_rel: float = 1e-12) 
     n_edges = len(pts) - 1
     if not 2 <= n_edges <= 6:
         raise PathTooLong(f"path must have 2..6 edges, got {n_edges}")
-    lam, alpha, tau = cfg.params.lambda_, cfg.params.alpha, cfg.params.tau
+    lengths = [math.sqrt(float(np.sum((a - b) ** 2))) for a, b in zip(pts[:-1], pts[1:])]
+    if 0.0 in lengths:
+        raise ValueError("path repeats a vertex")
+
     lrp = cfg.params.kind is ModelKind.LRP
-    scales = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        r = math.sqrt(float(np.sum((a - b) ** 2)))
-        if r == 0:
-            raise ValueError("path repeats a vertex")
-        scales.append(lam * r ** -alpha)
-
-    nrep = cfg.replicates
-
-    def chunk(rg):
-        lo, hi = rg
-        # A chunk is one tile; each edge probability overwrites the weight
-        # of its first endpoint, which no later edge reads.
-        words = np.empty((len(pts) + 1, hi - lo), np.uint64)
-        if lrp:
-            w = words[:-1].view(np.float64)
-            w.fill(1.0)
-        else:
-            states = _replicate_states(cfg.seed, 0, lo, hi)
-            w = [_pareto_into(states, np.uint64(slot), tau, words[slot], words[-1])
-                 for slot in range(len(pts))]
-        probs = []
-        for i in range(n_edges):
-            p = _edge_term(scales[i], w[i], w[i + 1], w[i])
-            probs.append(np.negative(p, out=p))
-        head, tail, full, sq = np.empty((4, hi - lo))
-
-        def sums(x):
-            return float(x.sum()), float(np.multiply(x, x, out=sq).sum())
-
-        out = []
-        for cut in range(1, len(pts) - 1):
-            np.copyto(head, probs[0])
-            for i in range(1, cut):
-                head *= probs[i]
-            np.copyto(tail, probs[cut])
-            for i in range(cut + 1, n_edges):
-                tail *= probs[i]
-            np.multiply(head, tail, out=full)
-            out.append((*sums(full), *sums(head), *sums(tail)))
-        return out
-
-    sums = _run_chunks(chunk, _chunk_ranges(nrep), cfg.worker_count)
     rows, verdicts = [], []
-    for ci, cut in enumerate(range(1, len(pts) - 1)):
-        per = [s[ci] for s in sums]
-        full = _combine_mean_se([(p[0], p[1]) for p in per], nrep)
-        head = _combine_mean_se([(p[2], p[3]) for p in per], nrep)
-        tail = _combine_mean_se([(p[4], p[5]) for p in per], nrep)
+    for cut, (full, head, tail) in enumerate(_path_estimates(cfg, 0, lengths), start=1):
         prod = head.mean * tail.mean
         se = math.sqrt(full.stderr ** 2 + (tail.mean * head.stderr) ** 2
                        + (head.mean * tail.stderr) ** 2)
-        guard = equality_tol_rel * (abs(full.mean) + abs(prod))
+        guard = _EQUALITY_TOL_REL * (abs(full.mean) + abs(prod))
         rows.append((cut, full.mean, full.stderr, head.mean, tail.mean, prod, se))
         if lrp:
             ok = abs(full.mean - prod) <= 3.0 * se + guard
@@ -449,21 +438,20 @@ def _bridge_cube(d: int, n: int, beta: float) -> np.ndarray:
 
 
 def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
-                          n_list=(64, 128, 256, 512, 1024),
-                          slope_tol: float = 0.3) -> ExperimentReport:
+                          n_list=(64, 128, 256, 512, 1024)) -> ExperimentReport:
     """Estimate P(x ~ A ~ y) for A the midpoint cube of half-width N^beta.
 
     Per replicate, fresh weights for x, y and every cube vertex; the
     success probability 1 - prod_z (1 - p_xz p_zy) is exact given the
     weights.  Verdicts: fitted slope of log P against log N within
-    `slope_tol` of -(2 alpha1 - d beta), and positive mass at every N.
+    _SLOPE_TOL of -(2 alpha1 - d beta), and positive mass at every N.
     Both the weights and the target are SFP's, so other model kinds
     raise ModelKindUnsupported.
     """
     t0 = time.monotonic()
     if cfg.params.kind is not ModelKind.SFP:
         raise ModelKindUnsupported(
-            f"bridge experiment needs the sfp model, got {cfg.params.kind.value}")
+            f"bridge supports only --model sfp, got {cfg.params.kind.value}")
     if not 0.0 < beta < 1.0:
         raise BetaOutOfRange(f"beta must lie in (0,1), got {beta}")
     if not (2.0 < cfg.params.tau < 3.0):
@@ -523,8 +511,8 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
     if len(pts) >= 3:
         slope = loglog_slope(pts)
         verdicts.append(Verdict(
-            "bridge-slope", abs(slope.mean - target) <= slope_tol,
-            f"slope {slope.mean!r} (se {slope.stderr!r}) vs target {target!r} +- {slope_tol}"))
+            "bridge-slope", abs(slope.mean - target) <= _SLOPE_TOL,
+            f"slope {slope.mean!r} (se {slope.stderr!r}) vs target {target!r} +- {_SLOPE_TOL}"))
     verdicts.append(Verdict(
         "positive-mass", all(row[2] > 0 for row in rows),
         "every estimate strictly positive"))
@@ -533,7 +521,7 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
         name="bridge",
         config=_config_echo(cfg, beta=beta,
                             n_list=",".join(str(int(n)) for n in n_list),
-                            slope_tol=slope_tol),
+                            slope_tol=_SLOPE_TOL),
         columns=["N", "cube_size", "estimate", "stderr", "n"],
         rows=rows, verdicts=verdicts, flags=flags, wallclock=time.monotonic() - t0)
 
@@ -664,8 +652,8 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
 # ---------------------------------------------------------------------------
 
 def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int = 32,
-                            cutoff: float | None = None, compare_lrp: bool = False,
-                            tiny_cluster_fraction: float = 0.05) -> ExperimentReport:
+                            cutoff: float | None = None,
+                            compare_lrp: bool = False) -> ExperimentReport:
     """Graph distance against Euclidean distance at dyadic separations.
 
     From each of `n_sources` sources in the largest cluster, one BFS
@@ -705,7 +693,7 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     config = _config_echo(cfg, n_list=",".join(str(n) for n in n_list),
                           n_sources=n_sources, cutoff=cutoff, compare_lrp=compare_lrp)
     ex = derived_exponents(cfg.params)
-    if frac < tiny_cluster_fraction:
+    if frac < _TINY_CLUSTER_FRACTION:
         return ExperimentReport(
             name="distances", config=config,
             columns=["model", "N", "median_hops", "samples", "excluded"],

@@ -53,6 +53,10 @@ class TauTooSmall(ParameterError):
         super().__init__(f"tau must exceed 1, got {value}")
 
 
+class ModelKindUnsupported(ParameterError):
+    """An experiment asked of a model kind it is not defined for."""
+
+
 class RadiusTooSmall(ValueError):
     """A truncation cutoff or ball radius below what the computation needs."""
 

@@ -108,6 +108,18 @@ def test_bridge_with_another_model_is_usage_error(model, capsys):
     assert "bridge supports only --model sfp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--alpha", "-1", "--tau", "2.5"],
+    ["exponents", "--alpha", "1.5", "--tau", "0.5"],
+    ["exponents", *_MODEL, "--lambda", "0"],
+    ["moments", "convolution", "--dim", "0", "--alpha", "1.5", "--dist", "8"],
+    ["degrees", *_MODEL, "--dim", "0", "--side", "10"],
+], ids=["alpha", "tau", "lambda", "convolution-dim", "degrees-dim"])
+def test_bad_model_parameter_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
 def test_generate_honours_a_small_pair_budget(tmp_path):
     # 16 * 15 / 2 = 120 pairs: a budget of 119 is over, 120 is not.
     args = ["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "16",

@@ -6,8 +6,8 @@ import pytest
 
 from sfp.experiments import (EstimateWithCI, ExperimentConfig, KTooLarge,
                              ModelKindUnsupported, NonPositivePoint, PathTooLong,
-                             TooFewPoints, _pareto_into, _replicate_states,
-                             hill_estimator, loglog_slope, run_adjacent_mc,
+                             TooFewPoints, _pareto_into, _path_estimates,
+                             _replicate_states, hill_estimator, loglog_slope, run_adjacent_mc,
                              run_bridge_experiment, run_coupling_check,
                              run_degree_experiment, run_distance_experiment,
                              run_fkg_check)
@@ -119,11 +119,15 @@ class TestFkg:
         assert len(rep.rows) == 2  # cuts at the two interior vertices
 
     def test_length_two_path_matches_adjacent_sandwich(self):
-        cfg = ExperimentConfig(params=P, seed=2, replicates=400_000)
-        rep = run_fkg_check(cfg, [(0,), (22,), (27,)])
-        cut, p_path, se_path, *_ = rep.rows[0]
-        exact = adjacent_expectation_exact(P, 22.0, 5.0)
-        assert exact.lower - 3 * se_path <= p_path <= exact.upper + 3 * se_path
+        for kind in (ModelKind.SFP, ModelKind.LRP):
+            cfg = ExperimentConfig(params=replace(P, kind=kind), seed=2, replicates=400_000)
+            cut, p_path, se_path, *_ = run_fkg_check(cfg, [(0,), (22,), (27,)]).rows[0]
+            # Adjacent is the two-edge case of the same path kernel, bit for bit.
+            adjacent = run_adjacent_mc(cfg, 22.0, 5.0, sweep_ryz=())
+            assert adjacent.rows[0][3:5] == (p_path, se_path)
+            if kind is ModelKind.SFP:
+                exact = adjacent_expectation_exact(P, 22.0, 5.0)
+                assert exact.lower - 3 * se_path <= p_path <= exact.upper + 3 * se_path
 
     def test_path_too_long(self):
         cfg = ExperimentConfig(params=P, replicates=10)
@@ -131,6 +135,43 @@ class TestFkg:
             run_fkg_check(cfg, [(i,) for i in range(0, 80, 10)])  # 7 edges
         with pytest.raises(PathTooLong):
             run_fkg_check(cfg, [(0,), (5,)])  # single edge has no cut
+
+
+def _body_but_model(rep):
+    return [line for line in rep.to_csv().splitlines()
+            if not line.startswith(("#config model=", "#wallclock="))]
+
+
+class TestSfpnn:
+    NN = replace(P, kind=ModelKind.SFP_NN)
+
+    def test_unit_edge_opens_surely(self):
+        cfg = ExperimentConfig(params=self.NN, replicates=20_000)
+        cut, p_path, se_path, p_head, p_tail, prod, se = run_fkg_check(
+            cfg, [(0,), (1,), (5,)]).rows[0]
+        assert p_head == 1.0 and p_path == p_tail == prod
+        path, head, tail = _path_estimates(cfg, 0, [1.0, 4.0])[0]
+        assert (head.mean, head.stderr) == (1.0, 0.0)
+        assert path == tail
+
+    def test_path_without_unit_edge_is_sfp(self):
+        path = [(0,), (17,), (-5,), (30,)]
+        nn = run_fkg_check(ExperimentConfig(params=self.NN, replicates=20_000), path)
+        sfp = run_fkg_check(ExperimentConfig(params=P, replicates=20_000), path)
+        assert _body_but_model(nn) == _body_but_model(sfp)
+
+    def test_adjacent_differs_from_sfp_only_at_a_unit_edge(self):
+        # lambda < 1 lets the closed-form sandwich take r_yz < 1 <= r_xy.
+        params = replace(P, lambda_=0.5)
+
+        def bodies(r_xy):
+            return [_body_but_model(run_adjacent_mc(ExperimentConfig(params=p, replicates=20_000),
+                                                    r_xy, 0.8, sweep_ryz=()))
+                    for p in (replace(params, kind=ModelKind.SFP_NN), params)]
+        nn, sfp = bodies(1.0)
+        assert nn != sfp
+        nn, sfp = bodies(4.0)
+        assert nn == sfp
 
 
 def test_tile_weights_equal_the_pareto_oracle_bit_for_bit():
