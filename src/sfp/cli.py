@@ -2,8 +2,10 @@
 
 Subcommands: exponents, generate, degrees, distances, adjacent, fkg,
 bridge, coupling, moments {adjacent,second,convolution}, hierarchy check,
-verify.  Exit codes: 0 success / all verdicts pass, 1 usage error (a bad
-flag or model parameter), 2 verdict failure, 3 runtime error.
+verify.  Exit codes: 0 success / all verdicts pass, 1 usage error, 2
+verdict failure, 3 runtime error.  A usage error is a rejected flag or
+parameter: every input check a run can reach, argparse's included,
+raises `params.ParameterError`, the only exception mapped to exit 1.
 Diagnostics go to stderr; CSV (with '#'-prefixed metadata lines) goes to
 stdout or --out.
 
@@ -22,13 +24,9 @@ from . import __version__
 from .params import ModelKind, ParameterError, classify_regime, derived_exponents, validate_params
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ParameterError(message)
 
 
 def _fmt(x) -> str:
@@ -46,6 +44,18 @@ def _at_least(low, kind=int):
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its "invalid" message
     return parse
+
+
+def _int_list(text: str) -> list:
+    return [int(s) for s in text.split(",") if s.strip()]
+
+
+def _float_list(text: str) -> list:
+    return [float(s) for s in text.split(",") if s.strip()]
+
+
+def _int_path(text: str) -> list:
+    return [_int_list(part) for part in text.split(";")]
 
 
 def _build_parser() -> _Parser:
@@ -82,14 +92,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("degrees", parents=[box], help="degree-tail experiment")
     p.add_argument("--replicates", type=_at_least(1), default=1)
-    p.add_argument("--margin", type=int, default=0)
-    p.add_argument("--hill-k", type=int, default=None)
+    p.add_argument("--margin", type=_at_least(0), default=0)
+    p.add_argument("--hill-k", type=_at_least(1), default=None)
     p.add_argument("--tol", type=float, default=0.3)
 
     p = sub.add_parser("distances", parents=[box], help="distance-scaling experiment")
-    p.add_argument("--n-list", type=str, default=None,
+    p.add_argument("--n-list", type=_int_list, default=None,
                    help="comma-separated separations, e.g. 16,32,64")
-    p.add_argument("--sources", type=int, default=32)
+    p.add_argument("--sources", type=_at_least(1), default=32)
     p.add_argument("--compare-lrp", action="store_true")
 
     p = sub.add_parser("adjacent", parents=[model],
@@ -97,18 +107,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--replicates", type=_at_least(1), default=1_000_000)
     p.add_argument("--rxy", type=float, required=True)
     p.add_argument("--ryz", type=float, required=True)
-    p.add_argument("--sweep-ryz", type=str, default="8,16,32,64")
+    p.add_argument("--sweep-ryz", type=_float_list, default="8,16,32,64")
     p.add_argument("--sweep-rxy", type=float, default=256.0)
 
     p = sub.add_parser("fkg", parents=[model], help="path-cut correlation check")
     p.add_argument("--replicates", type=_at_least(1), default=1_000_000)
-    p.add_argument("--path", type=str, required=True,
+    p.add_argument("--path", type=_int_path, required=True,
                    help="semicolon-separated vertices, comma-separated coords")
 
     p = sub.add_parser("bridge", parents=[model], help="midpoint-cube bridging slope")
     p.add_argument("--replicates", type=_at_least(1), default=1_000_000)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--n-list", type=str, default="64,128,256,512,1024")
+    p.add_argument("--n-list", type=_int_list, default="64,128,256,512,1024")
 
     p = sub.add_parser("coupling", parents=[box], help="SFP/LRP inclusion check")
     p.add_argument("--replicates", type=_at_least(1), default=100)
@@ -138,7 +148,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run the verification suite")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--hook-break-sandwich", action="store_true", help=argparse.SUPPRESS)
 
     return top
 
@@ -153,7 +162,7 @@ def _apply_config_file(argv):
         return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
+        raise ParameterError("--config needs a file path")
     path = argv[i + 1]
     extra = []
     try:
@@ -163,14 +172,14 @@ def _apply_config_file(argv):
                 if not line:
                     continue
                 if "=" not in line:
-                    raise UsageError(f"{path}:{ln}: expected key = value")
+                    raise ParameterError(f"{path}:{ln}: expected key = value")
                 key, value = (s.strip() for s in line.split("=", 1))
                 flag = "--" + key.replace("_", "-")
                 if flag == "--config":
-                    raise UsageError(f"{path}:{ln}: config files cannot nest")
+                    raise ParameterError(f"{path}:{ln}: config files cannot nest")
                 extra.extend([flag, value])
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     # Insert right after the subcommand path, before explicit flags.
     head = []
     rest = list(argv)
@@ -204,24 +213,6 @@ def _header(args, **extra) -> list:
     return lines
 
 
-def _int_list(text: str) -> list:
-    return [int(s) for s in text.split(",") if s.strip()]
-
-
-def _float_list(text: str) -> list:
-    return [float(s) for s in text.split(",") if s.strip()]
-
-
-def _parse_path(text: str, d: int) -> list:
-    verts = []
-    for part in text.split(";"):
-        coords = [int(c) for c in part.split(",") if c.strip()]
-        if len(coords) != d:
-            raise UsageError(f"path vertex {part!r} is not {d}-dimensional")
-        verts.append(tuple(coords))
-    return verts
-
-
 def _report_exit(report, args) -> int:
     _emit(report.to_csv(), args.out)
     return 0 if report.all_pass else 2
@@ -244,9 +235,9 @@ def _cmd_exponents(args) -> int:
 def _cmd_generate(args) -> int:
     from .graph import DEFAULT_PAIR_BUDGET, BoxSpec, generate_box, save_realization
     if not args.out:
-        raise UsageError("generate requires --out FILE")
+        raise ParameterError("generate requires --out FILE")
     if args.pair_budget is not None and args.pair_budget < 1:
-        raise UsageError(f"--pair-budget must be at least 1, got {args.pair_budget}")
+        raise ParameterError(f"--pair-budget must be at least 1, got {args.pair_budget}")
     p = _params_from(args)
     spec = BoxSpec(d=args.dim, side=args.side)
     budget = DEFAULT_PAIR_BUDGET if args.pair_budget is None else args.pair_budget
@@ -277,8 +268,7 @@ def _cmd_degrees(args) -> int:
 def _cmd_distances(args) -> int:
     from .experiments import run_distance_experiment
     cfg = _experiment_config(args, need_spec=True)
-    n_list = _int_list(args.n_list) if args.n_list else None
-    rep = run_distance_experiment(cfg, n_list=n_list, n_sources=args.sources,
+    rep = run_distance_experiment(cfg, n_list=args.n_list or None, n_sources=args.sources,
                                   cutoff=args.trunc, compare_lrp=args.compare_lrp)
     return _report_exit(rep, args)
 
@@ -287,7 +277,7 @@ def _cmd_adjacent(args) -> int:
     from .experiments import run_adjacent_mc
     cfg = _experiment_config(args, need_spec=False)
     rep = run_adjacent_mc(cfg, args.rxy, args.ryz,
-                          sweep_ryz=tuple(_float_list(args.sweep_ryz)),
+                          sweep_ryz=tuple(args.sweep_ryz),
                           sweep_rxy=args.sweep_rxy)
     return _report_exit(rep, args)
 
@@ -295,14 +285,14 @@ def _cmd_adjacent(args) -> int:
 def _cmd_fkg(args) -> int:
     from .experiments import run_fkg_check
     cfg = _experiment_config(args, need_spec=False)
-    rep = run_fkg_check(cfg, _parse_path(args.path, args.dim))
+    rep = run_fkg_check(cfg, args.path)
     return _report_exit(rep, args)
 
 
 def _cmd_bridge(args) -> int:
     from .experiments import run_bridge_experiment
     cfg = _experiment_config(args, need_spec=False)
-    rep = run_bridge_experiment(cfg, beta=args.beta, n_list=_int_list(args.n_list))
+    rep = run_bridge_experiment(cfg, beta=args.beta, n_list=args.n_list)
     return _report_exit(rep, args)
 
 
@@ -363,21 +353,21 @@ def _cmd_hierarchy_check(args) -> int:
             parts = line.split()
             where = f"{args.hierarchy}:{ln}"
             if parts[0] != "s" or len(parts) != 2 + real.spec.d:
-                raise UsageError(f"{where}: expected 's <binary> <{real.spec.d} coords>'")
+                raise ParameterError(f"{where}: expected 's <binary> <{real.spec.d} coords>'")
             key = parts[1]
             if any(c not in "01" for c in key):
-                raise UsageError(f"{where}: site key {key!r} is not a binary string")
+                raise ParameterError(f"{where}: site key {key!r} is not a binary string")
             if key in sites:
-                raise UsageError(f"{where}: site key {key!r} already given on line "
-                                 f"{site_line[key]}")
+                raise ParameterError(f"{where}: site key {key!r} already given on line "
+                                     f"{site_line[key]}")
             try:
                 sites[key] = tuple(int(c) for c in parts[2:])
             except ValueError:
-                raise UsageError(f"{where}: coordinates {' '.join(parts[2:])!r} "
-                                 f"are not integers") from None
+                raise ParameterError(f"{where}: coordinates {' '.join(parts[2:])!r} "
+                                     f"are not integers") from None
             site_line[key] = ln
     if not sites:
-        raise UsageError(f"{args.hierarchy}: no site lines")
+        raise ParameterError(f"{args.hierarchy}: no site lines")
     depth = max(len(k) for k in sites)
     h = Hierarchy(depth=depth, sites=sites)
     violation = validate_hierarchy(h, real)
@@ -390,8 +380,7 @@ def _cmd_hierarchy_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .verify import run_suite
-    results = run_suite(quick=args.quick, seed=args.seed, threads=args.threads,
-                        break_sandwich_hook=args.hook_break_sandwich)
+    results = run_suite(quick=args.quick, seed=args.seed, threads=args.threads)
     lines = [f"#experiment=verify", f"#version=sfp-{__version__}",
              f"#config quick={args.quick}", f"#config seed={args.seed}",
              f"#threads={args.threads}"]
@@ -430,7 +419,7 @@ def main(argv=None) -> int:
         if args.command == "hierarchy":
             return _cmd_hierarchy_check(args)
         return _DISPATCH[args.command](args)
-    except (UsageError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, OSError) as exc:

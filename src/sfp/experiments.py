@@ -27,9 +27,10 @@ import numpy as np
 from . import __version__
 from .graph import (BoxSpec, clusters, coupled_pair, degree_sequence,
                     distances_from, generate_box)
-from .moments import (BetaOutOfRange, TauOutOfRange, adjacent_expectation_exact,
+from .moments import (NonPositiveDistance, TauOutOfRange, adjacent_expectation_exact,
                       bridging_exponent)
-from .params import ModelKind, ModelKindUnsupported, ModelParams, derived_exponents
+from .params import (ModelKind, ModelKindUnsupported, ModelParams, ParameterError,
+                     derived_exponents)
 from .randomness import (TAG_EXPERIMENT, absorb, derive_seed, keyed_words,
                          unit_from_word_inplace)
 
@@ -60,7 +61,7 @@ class NonPositivePoint(ValueError):
     pass
 
 
-class PathTooLong(ValueError):
+class PathTooLong(ParameterError):
     pass
 
 
@@ -89,9 +90,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+            raise ParameterError(f"replicates must be >= 1, got {self.replicates}")
         if self.threads < 0:
-            raise ValueError(f"threads must be >= 0, got {self.threads}")
+            raise ParameterError(f"threads must be >= 0, got {self.threads}")
 
     @property
     def worker_count(self) -> int:
@@ -339,9 +340,10 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
     -alpha (tau - 2).
     """
     t0 = time.monotonic()
-    if not (2.0 < cfg.params.tau < 3.0):
-        raise TauOutOfRange(f"adjacent-edge experiment needs tau in (2,3), got {cfg.params.tau}")
     exact = adjacent_expectation_exact(cfg.params, r_xy, r_yz)
+    if not min((sweep_rxy, *sweep_ryz)) > 0:
+        raise NonPositiveDistance(
+            f"sweep distances must be positive, got {sweep_rxy}, {sweep_ryz}")
     est = _path_estimates(cfg, 0, [r_xy, r_yz])[0][0]
     lo_bound = exact.lower - 3.0 * est.stderr
     hi_bound = exact.upper + 3.0 * est.stderr
@@ -392,9 +394,11 @@ def run_fkg_check(cfg: ExperimentConfig, path) -> ExperimentReport:
     n_edges = len(pts) - 1
     if not 2 <= n_edges <= 6:
         raise PathTooLong(f"path must have 2..6 edges, got {n_edges}")
+    if any(p.shape != (cfg.params.d,) for p in pts):
+        raise ParameterError(f"path vertices must be {cfg.params.d}-dimensional")
+    if len({tuple(p) for p in pts}) < len(pts):
+        raise ParameterError("path repeats a vertex")
     lengths = [math.sqrt(float(np.sum((a - b) ** 2))) for a, b in zip(pts[:-1], pts[1:])]
-    if 0.0 in lengths:
-        raise ValueError("path repeats a vertex")
 
     lrp = cfg.params.kind is ModelKind.LRP
     rows, verdicts = [], []
@@ -452,8 +456,7 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
     if cfg.params.kind is not ModelKind.SFP:
         raise ModelKindUnsupported(
             f"bridge supports only --model sfp, got {cfg.params.kind.value}")
-    if not 0.0 < beta < 1.0:
-        raise BetaOutOfRange(f"beta must lie in (0,1), got {beta}")
+    target = -bridging_exponent(cfg.params, beta)  # rejects beta before any chunk runs
     if not (2.0 < cfg.params.tau < 3.0):
         raise TauOutOfRange(f"bridge experiment needs tau in (2,3), got {cfg.params.tau}")
     d, lam, alpha, tau = cfg.params.d, cfg.params.lambda_, cfg.params.alpha, cfg.params.tau
@@ -507,7 +510,6 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
         pts.append((float(n), est.mean))
 
     verdicts = []
-    target = -bridging_exponent(cfg.params, beta)
     if len(pts) >= 3:
         slope = loglog_slope(pts)
         verdicts.append(Verdict(
@@ -540,7 +542,7 @@ def run_coupling_check(cfg: ExperimentConfig, lambda_lrp: float | None = None,
     """
     t0 = time.monotonic()
     if cfg.spec is None:
-        raise ValueError("coupling check needs a box spec")
+        raise ParameterError("coupling check needs a box spec")
     sfp_params = replace(cfg.params, kind=ModelKind.SFP)
     lrp_params = replace(cfg.params, kind=ModelKind.LRP,
                          lambda_=cfg.params.lambda_ if lambda_lrp is None else lambda_lrp)
@@ -593,9 +595,9 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
     """
     t0 = time.monotonic()
     if cfg.spec is None:
-        raise ValueError("degree experiment needs a box spec")
+        raise ParameterError("degree experiment needs a box spec")
     if not cfg.params.alpha > cfg.params.d:
-        raise ValueError("degree tail needs alpha > d (locally finite degrees)")
+        raise ParameterError("degree tail needs alpha > d (locally finite degrees)")
 
     def one(i: int):
         r = generate_box(cfg.params, derive_seed(cfg.seed, i), cfg.spec, cutoff)
@@ -668,14 +670,14 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     """
     t0 = time.monotonic()
     if cfg.spec is None:
-        raise ValueError("distance experiment needs a box spec")
+        raise ParameterError("distance experiment needs a box spec")
     spec = cfg.spec
     if n_list is None:
         n_list = [2 ** k for k in range(4, 11)]
     n_list = sorted(int(n) for n in n_list)
     n_max = n_list[-1]
-    if n_max >= spec.side:
-        raise ValueError(f"largest separation {n_max} does not fit in the box")
+    if not 1 <= n_list[0] <= n_max < spec.side:
+        raise ParameterError(f"separations must lie in [1, {spec.side}), got {n_list}")
 
     if compare_lrp:
         base = replace(cfg.params, kind=ModelKind.SFP)

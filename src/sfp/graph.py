@@ -34,7 +34,7 @@ from scipy import fft as sfft
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .params import ModelKind, ModelParams, RadiusTooSmall
+from .params import ModelKind, ModelParams, ParameterError, RadiusTooSmall
 from .randomness import (TAG_EDGE, absorb, keyed_words, unit_from_word,
                          unit_lower_bound, vertex_weights)
 
@@ -52,7 +52,7 @@ class VertexOutOfBox(ValueError):
     pass
 
 
-class MarginTooLarge(ValueError):
+class MarginTooLarge(ParameterError):
     pass
 
 

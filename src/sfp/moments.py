@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .params import ModelParams, RadiusTooSmall, derived_exponents
+from .params import ModelParams, ParameterError, RadiusTooSmall, derived_exponents
 
 _QUAD_REL_TOL = 1e-10
 
 
-class NonPositiveDistance(ValueError):
+class NonPositiveDistance(ParameterError):
     pass
 
 
@@ -46,15 +46,15 @@ class DegeneratePath(ValueError):
     pass
 
 
-class TauOutOfRange(ValueError):
+class TauOutOfRange(ParameterError):
     pass
 
 
-class ThresholdBelowFloor(ValueError):
+class ThresholdBelowFloor(ParameterError):
     pass
 
 
-class BetaOutOfRange(ValueError):
+class BetaOutOfRange(ParameterError):
     pass
 
 
@@ -225,7 +225,7 @@ def adjacent_expectation_exact(params: ModelParams, a_xy: float, a_yz: float) ->
     if not (2.0 < tau < 3.0):
         raise TauOutOfRange(f"closed form requires tau in (2, 3), got {tau}")
     if not a_xy >= a_yz:
-        raise ValueError(f"require a_xy >= a_yz, got {a_xy} < {a_yz}")
+        raise ParameterError(f"require a_xy >= a_yz, got {a_xy} < {a_yz}")
     if not a_yz > 0:
         raise NonPositiveDistance(f"a_yz must be positive, got {a_yz}")
     A = a_xy ** alpha
@@ -312,13 +312,13 @@ def convolution_ratio(params: ModelParams, u, v, ball_radius: float) -> Convolut
     """
     d, alpha = params.d, params.alpha
     if not alpha > d:
-        raise ValueError(f"convolution sum needs alpha > d, got alpha={alpha}, d={d}")
+        raise ParameterError(f"convolution sum needs alpha > d, got alpha={alpha}, d={d}")
     ua = np.atleast_1d(np.asarray(u, dtype=np.int64))
     va = np.atleast_1d(np.asarray(v, dtype=np.int64))
     if ua.shape != (d,) or va.shape != (d,):
         raise ValueError(f"u, v must be {d}-dimensional lattice points")
     if np.array_equal(ua, va):
-        raise ValueError("u and v must be distinct")
+        raise ParameterError("u and v must be distinct")
     duv = math.sqrt(float(np.sum((ua - va) ** 2)))
     if ball_radius < 4.0 * duv:
         raise RadiusTooSmall(

@@ -35,11 +35,14 @@ class ModelKind(Enum):
         for kind in cls:
             if kind.value == text.lower():
                 return kind
-        raise ValueError(f"unknown model kind {text!r} (expected sfp, lrp or sfpnn)")
+        raise ParameterError(f"unknown model kind {text!r} (expected sfp, lrp or sfpnn)")
 
 
 class ParameterError(ValueError):
-    """Base class for model-parameter validation failures."""
+    """Rejected user input (a flag, model parameter or experiment input).
+
+    The one usage-error type: the CLI maps it, and only it, to exit 1, so
+    every input check a CLI run can reach raises it or a subclass."""
 
 
 class NonPositive(ParameterError):
@@ -57,7 +60,7 @@ class ModelKindUnsupported(ParameterError):
     """An experiment asked of a model kind it is not defined for."""
 
 
-class RadiusTooSmall(ValueError):
+class RadiusTooSmall(ParameterError):
     """A truncation cutoff or ball radius below what the computation needs."""
 
 

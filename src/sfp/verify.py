@@ -113,7 +113,7 @@ def criterion_closed_form_vs_oracle() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_adjacent_sandwich(seed: int = 0, replicates: int = 1_000_000,
-                                threads: int = 1, break_hook: bool = False) -> CriterionResult:
+                                threads: int = 1) -> CriterionResult:
     t0 = time.monotonic()
     p = validate_params(1, 1.5, 1.0, 2.5)
     cfg = ExperimentConfig(params=p, seed=seed, replicates=replicates, threads=threads)
@@ -121,12 +121,7 @@ def criterion_adjacent_sandwich(seed: int = 0, replicates: int = 1_000_000,
     r_yz = 10.0 ** (2.0 / 3.0)
     rep = run_adjacent_mc(cfg, r_xy, r_yz, sweep_ryz=())
     v = rep.verdict("sandwich-3se")
-    passed, detail = v.passed, v.detail
-    if break_hook:
-        # Test hook: report the sandwich as violated to exercise exit code 2.
-        passed = False
-        detail = "induced violation (hook): " + detail
-    return _result("3", "adjacent-sandwich", passed, detail, t0)
+    return _result("3", "adjacent-sandwich", v.passed, v.detail, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -436,20 +431,17 @@ def criterion_distance_suite(seed: int = 0, threads: int = 1,
 # Suite driver
 # ---------------------------------------------------------------------------
 
-def run_suite(quick: bool = False, seed: int = 0, threads: int = 1,
-              break_sandwich_hook: bool = False):
+def run_suite(quick: bool = False, seed: int = 0, threads: int = 1):
     """Run the verification criteria; quick mode = fast subset, reduced sizes."""
     results = []
     results.append(criterion_exponent_identities(seed))
     results.append(criterion_closed_form_vs_oracle())
     if quick:
-        results.append(criterion_adjacent_sandwich(
-            seed, replicates=100_000, threads=threads, break_hook=break_sandwich_hook))
+        results.append(criterion_adjacent_sandwich(seed, replicates=100_000, threads=threads))
         results.append(criterion_coupling(seed, n_seeds=20, side=128, threads=threads))
         results.append(criterion_hierarchy_machinery())
         return results
-    results.append(criterion_adjacent_sandwich(
-        seed, threads=threads, break_hook=break_sandwich_hook))
+    results.append(criterion_adjacent_sandwich(seed, threads=threads))
     results.append(criterion_adjacent_decay(seed, threads=threads))
     results.append(criterion_coupling(seed, threads=threads))
     results.append(criterion_degree_tail(seed, threads=threads))

@@ -43,7 +43,7 @@ def test_criterion_03_adjacent_sandwich():
 
 
 def test_criterion_04_adjacent_decay_slope():
-    _check(verify.criterion_adjacent_decay(seed=0, replicates=10_000_000), 300.0)
+    _check(verify.criterion_adjacent_decay(seed=0, replicates=10_000_000, threads=0), 300.0)
 
 
 def test_criterion_05_coupling_domination():
@@ -55,11 +55,11 @@ def test_criterion_06_degree_tail():
 
 
 def test_criterion_07_bridge_slope():
-    _check(verify.criterion_bridge_slope(seed=0, replicates=10_000_000), 600.0)
+    _check(verify.criterion_bridge_slope(seed=0, replicates=10_000_000, threads=0), 600.0)
 
 
 def test_criterion_08_fkg():
-    _check(verify.criterion_fkg(seed=0, n_paths=20, replicates=1_000_000), 300.0)
+    _check(verify.criterion_fkg(seed=0, n_paths=20, replicates=1_000_000, threads=0), 300.0)
 
 
 def test_criterion_09_hierarchy_machinery():

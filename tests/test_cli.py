@@ -92,8 +92,12 @@ _MODEL = ["--alpha", "1.5", "--tau", "2.5"]
     (["degrees", *_MODEL, "--side", "100", "--replicates", "0"], "--replicates"),
     (["bridge", *_MODEL, "--beta", "0.5", "--replicates", "-3"], "--replicates"),
     (["adjacent", *_MODEL, "--rxy", "4", "--ryz", "2", "--threads", "-1"], "--threads"),
+    (["distances", *_MODEL, "--side", "256", "--n-list", "16,32", "--sources", "0"],
+     "--sources"),
+    (["degrees", *_MODEL, "--side", "100", "--hill-k", "0"], "--hill-k"),
+    (["degrees", *_MODEL, "--side", "100", "--margin", "-1"], "--margin"),
 ], ids=["generate-side", "distances-side", "trunc", "trunc-nan", "degrees-replicates",
-        "bridge-replicates", "threads"])
+        "bridge-replicates", "threads", "sources", "hill-k", "margin"])
 def test_out_of_range_flag_is_usage_error(argv, flag, tmp_path, capsys):
     argv = [str(tmp_path / a) if a == "box.txt" else a for a in argv]
     assert main(argv) == 1
@@ -116,6 +120,39 @@ def test_bridge_with_another_model_is_usage_error(model, capsys):
     ["degrees", *_MODEL, "--dim", "0", "--side", "10"],
 ], ids=["alpha", "tau", "lambda", "convolution-dim", "degrees-dim"])
 def test_bad_model_parameter_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["adjacent", "--alpha", "1.5", "--tau", "3.5", "--rxy", "4", "--ryz", "2"],
+    ["adjacent", *_MODEL, "--lambda", "5", "--rxy", "4", "--ryz", "2"],
+    ["adjacent", *_MODEL, "--rxy", "2", "--ryz", "4"],
+    ["bridge", *_MODEL, "--beta", "1.5"],
+    ["bridge", "--alpha", "1.5", "--tau", "3.5", "--beta", "0.5"],
+    ["fkg", *_MODEL, "--path", "0;1"],
+    ["fkg", *_MODEL, "--path", "0;1;0"],
+    ["fkg", *_MODEL, "--path", "0;5;10;5"],
+    ["distances", *_MODEL, "--side", "64", "--n-list", "16,128"],
+    ["distances", *_MODEL, "--side", "256", "--n-list", "0,16,32"],
+    ["adjacent", *_MODEL, "--rxy", "4", "--ryz", "2", "--sweep-ryz", "0,8,16"],
+    ["degrees", "--alpha", "0.5", "--tau", "3.5", "--side", "2000"],
+    ["moments", "second", *_MODEL, "--r", "0.5"],
+    ["moments", "convolution", "--alpha", "1.5", "--dist", "8", "--radius", "1"],
+    ["moments", "adjacent", "--alpha", "1.5", "--tau", "3.5", "--rxy", "4", "--ryz", "2"],
+    ["moments", "convolution", "--alpha", "0.5", "--dist", "8"],
+    ["moments", "convolution", "--alpha", "1.5", "--dist", "0"],
+    ["fkg", *_MODEL, "--path", "0;a;5"],
+    ["fkg", *_MODEL, "--path", "0,0;1,1;2,2"],
+    ["bridge", *_MODEL, "--beta", "0.5", "--n-list", "64,abc"],
+], ids=["adjacent-tau", "adjacent-threshold", "adjacent-order", "bridge-beta", "bridge-tau",
+        "fkg-one-edge", "fkg-back-and-forth", "fkg-revisit", "distances-separation",
+        "distances-zero-separation", "adjacent-zero-sweep",
+        "degrees-alpha", "moments-second-r", "moments-convolution-radius", "moments-adjacent-tau",
+        "moments-convolution-alpha", "moments-convolution-dist", "fkg-not-integer",
+        "fkg-wrong-dimension", "n-list-not-integer"])
+def test_bad_experiment_input_is_usage_error(argv, capsys):
+    # Each is rejected before any Monte Carlo or generation runs.
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
 
@@ -221,15 +258,19 @@ def test_coupling_subcommand_exit_zero():
     assert "#verdict coupling-domination pass" in out
 
 
-def test_verify_quick_passes_and_hook_fails(tmp_path):
+def test_verify_quick_passes_and_hook_fails(tmp_path, monkeypatch):
     out = tmp_path / "verify.csv"
     code, _ = run_cli("verify", "--quick", "--out", str(out))
     assert code == 0
     text = out.read_text()
     assert "#verdict verify pass" in text
 
-    code, _ = run_cli("verify", "--quick", "--hook-break-sandwich",
-                      "--out", str(out))
+    import sfp.verify
+    failing = sfp.verify.CriterionResult(cid="3", name="adjacent-sandwich", passed=False,
+                                         detail="induced violation", elapsed=0.0)
+    monkeypatch.setattr(sfp.verify, "criterion_adjacent_sandwich",
+                        lambda *args, **kwargs: failing)
+    code, _ = run_cli("verify", "--quick", "--out", str(out))
     assert code == 2
     assert "FAIL" in out.read_text()
 

@@ -13,7 +13,7 @@ from sfp.experiments import (EstimateWithCI, ExperimentConfig, KTooLarge,
                              run_fkg_check)
 from sfp.graph import BoxSpec
 from sfp.moments import BetaOutOfRange, adjacent_expectation_exact
-from sfp.params import ModelKind, validate_params
+from sfp.params import ModelKind, ParameterError, validate_params
 from sfp.randomness import experiment_uniforms, pareto_from_uniform
 
 P = validate_params(1, 1.5, 1.0, 2.5)
@@ -135,6 +135,16 @@ class TestFkg:
             run_fkg_check(cfg, [(i,) for i in range(0, 80, 10)])  # 7 edges
         with pytest.raises(PathTooLong):
             run_fkg_check(cfg, [(0,), (5,)])  # single edge has no cut
+
+    @pytest.mark.parametrize("path", [[(0,), (1,), (0,)], [(0,), (5,), (10,), (5,)],
+                                      [(0, 0), (0, 0), (3, 4)]],
+                             ids=["back-and-forth", "revisit", "consecutive"])
+    def test_repeated_vertex_is_rejected(self, path):
+        # The kernel keys weights by slot, so a revisited vertex would get
+        # two independent weights and the estimate would be wrong.
+        p = validate_params(len(path[0]), 1.5, 1.0, 2.5)
+        with pytest.raises(ParameterError, match="path repeats a vertex"):
+            run_fkg_check(ExperimentConfig(params=p, replicates=10), path)
 
 
 def _body_but_model(rep):
