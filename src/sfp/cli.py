@@ -5,9 +5,9 @@ bridge, coupling, moments {adjacent,second,convolution}, hierarchy check,
 verify.  Exit codes: 0 success / all verdicts pass, 1 usage error, 2
 verdict failure, 3 runtime error.  A usage error is a rejected flag or
 parameter: every input check a run can reach, argparse's included,
-raises `params.ParameterError`, the only exception mapped to exit 1.
-Diagnostics go to stderr; CSV (with '#'-prefixed metadata lines) goes to
-stdout or --out.
+raises `params.ParameterError`, the only exception mapped to exit 1;
+any other exception is a runtime error.  Diagnostics go to stderr; CSV
+(with '#'-prefixed metadata lines) goes to stdout or --out.
 
 A flat config file (`key = value` per line, '#' comments) can seed any
 flag via --config; explicit flags override the file.
@@ -16,6 +16,7 @@ flag via --config; explicit flags override the file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -44,6 +45,17 @@ def _at_least(low, kind=int):
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its "invalid" message
     return parse
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float, else a usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names the type in its "invalid" message
 
 
 def _int_list(text: str) -> list:
@@ -136,7 +148,7 @@ def _build_parser() -> _Parser:
     p = msub.add_parser("convolution", parents=[common])
     p.add_argument("--dim", type=_at_least(1), default=1)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--dist", type=float, required=True)
+    p.add_argument("--dist", type=_finite, required=True)
     p.add_argument("--radius", type=float, default=None,
                    help="truncation ball radius (default 1e4 for d=1, 200 for d=2, 50 above)")
 
@@ -341,7 +353,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_hierarchy_check(args) -> int:
-    from .graph import load_realization
+    from .graph import VertexOutOfBox, load_realization
     from .hierarchy import Hierarchy, validate_hierarchy
     real = load_realization(args.realization)
     sites, site_line = {}, {}
@@ -365,6 +377,10 @@ def _cmd_hierarchy_check(args) -> int:
             except ValueError:
                 raise ParameterError(f"{where}: coordinates {' '.join(parts[2:])!r} "
                                      f"are not integers") from None
+            try:
+                real.spec.flat_of(np.asarray(sites[key], dtype=np.int64))
+            except VertexOutOfBox as exc:
+                raise ParameterError(f"{where}: site key {key!r}: {exc}") from None
             site_line[key] = ln
     if not sites:
         raise ParameterError(f"{args.hierarchy}: no site lines")
@@ -422,7 +438,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, OSError) as exc:
+    except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -173,6 +173,12 @@ def _config_echo(cfg: ExperimentConfig, **knobs) -> dict:
     return out
 
 
+def _require_sfp(cfg: ExperimentConfig, command: str):
+    if cfg.params.kind is not ModelKind.SFP:
+        raise ModelKindUnsupported(
+            f"{command} supports only --model sfp, got {cfg.params.kind.value}")
+
+
 def _chunk_ranges(n: int, size: int = _CHUNK):
     return [(a, min(a + size, n)) for a in range(0, n, size)]
 
@@ -453,9 +459,7 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
     raise ModelKindUnsupported.
     """
     t0 = time.monotonic()
-    if cfg.params.kind is not ModelKind.SFP:
-        raise ModelKindUnsupported(
-            f"bridge supports only --model sfp, got {cfg.params.kind.value}")
+    _require_sfp(cfg, "bridge")
     target = -bridging_exponent(cfg.params, beta)  # rejects beta before any chunk runs
     if not (2.0 < cfg.params.tau < 3.0):
         raise TauOutOfRange(f"bridge experiment needs tau in (2,3), got {cfg.params.tau}")
@@ -538,18 +542,20 @@ def run_coupling_check(cfg: ExperimentConfig, lambda_lrp: float | None = None,
 
     With equal intensities the verdict demands exactly zero violations.
     With a mismatched LRP intensity (lambda_lrp) the inclusion argument
-    does not apply: violations are only counted, no verdict.
+    does not apply: violations are only counted, no verdict.  The SFP
+    side is the model itself, so other model kinds raise
+    ModelKindUnsupported.
     """
     t0 = time.monotonic()
     if cfg.spec is None:
         raise ParameterError("coupling check needs a box spec")
-    sfp_params = replace(cfg.params, kind=ModelKind.SFP)
+    _require_sfp(cfg, "coupling")
     lrp_params = replace(cfg.params, kind=ModelKind.LRP,
                          lambda_=cfg.params.lambda_ if lambda_lrp is None else lambda_lrp)
 
     def one(i: int):
         seed_i = derive_seed(cfg.seed, i)
-        sfp = generate_box(sfp_params, seed_i, cfg.spec, cutoff)
+        sfp = generate_box(cfg.params, seed_i, cfg.spec, cutoff)
         lrp = generate_box(lrp_params, seed_i, cfg.spec, cutoff)
         nv = cfg.spec.vertex_count
         sfp_keys = sfp.edges[:, 0] * nv + sfp.edges[:, 1]
@@ -666,7 +672,8 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     of log D against log log N with the loose band [Delta1 - 1,
     Delta2 + 1].  With compare_lrp=True, a coupled LRP realization is
     measured on the same pairs and the median domination at every N is
-    an exact verdict.
+    an exact verdict; the coupling is SFP's, so other model kinds raise
+    ModelKindUnsupported.
     """
     t0 = time.monotonic()
     if cfg.spec is None:
@@ -680,8 +687,8 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
         raise ParameterError(f"separations must lie in [1, {spec.side}), got {n_list}")
 
     if compare_lrp:
-        base = replace(cfg.params, kind=ModelKind.SFP)
-        sfp, lrp = coupled_pair(base, cfg.seed, spec, cutoff=cutoff)
+        _require_sfp(cfg, "distances --compare-lrp")
+        sfp, lrp = coupled_pair(cfg.params, cfg.seed, spec, cutoff=cutoff)
         reals = [("sfp", sfp), ("lrp", lrp)]
     else:
         reals = [(cfg.params.kind.value, generate_box(cfg.params, cfg.seed, spec, cutoff))]

@@ -13,24 +13,18 @@ to every binary string sigma of length 1..n such that
 
 Condition 5 forces every vertex of the required-edge subgraph to have
 degree at most 2, so the required edges decompose into vertex-disjoint
-simple paths.  The event predicates below quantify how the gaps
-|z_{s0} - z_{s1}| shrink level by level: the bond condition compares
-each required edge to its gap scaled by (log N)^-Delta1, the gap-product
-condition demands prod |gap| >= N^((2 eta)^k) per level, and the
-gap-path condition demands that bottom gaps cannot all be bridged by
-fewer than 2^n edges in total.
+simple paths.  The gap-path condition demands that the bottom gaps
+|z_{s0} - z_{s1}| cannot all be bridged by fewer than 2^n edges in total.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .graph import BoxRealization, VertexOutOfBox
-from .params import ModelParams, derived_exponents
 
 
 class SiteOutOfBox(ValueError):
@@ -43,10 +37,6 @@ class InvalidHierarchy(ValueError):
 
 class PathEndpointMismatch(ValueError):
     pass
-
-
-class NoAdmissibleSplit(RuntimeError):
-    """No edge of a gap subpath satisfies the bond inequality."""
 
 
 @dataclass(frozen=True)
@@ -62,10 +52,6 @@ class Violation:
 
 def _as_site(v) -> tuple:
     return tuple(int(c) for c in np.atleast_1d(np.asarray(v, dtype=np.int64)))
-
-
-def _dist(a: tuple, b: tuple) -> float:
-    return math.dist(a, b)
 
 
 @dataclass(frozen=True)
@@ -84,17 +70,6 @@ class Hierarchy:
                 raise InvalidHierarchy(f"bad site key {key!r}")
             clean[key] = _as_site(value)
         object.__setattr__(self, "sites", clean)
-
-    def site(self, sigma: str) -> tuple:
-        return self.sites[sigma]
-
-    @property
-    def x(self) -> tuple:
-        return self.sites["0"]
-
-    @property
-    def y(self) -> tuple:
-        return self.sites["1"]
 
     def level_keys(self, level: int):
         return ["".join(bits) for bits in product("01", repeat=level)]
@@ -235,68 +210,6 @@ def decompose_paths(h: Hierarchy):
     return paths
 
 
-@dataclass(frozen=True)
-class HierarchyEventParams:
-    """Knobs of the hierarchy events: eta, delta, endpoint separation, Delta1."""
-
-    eta: float
-    delta: float
-    separation: float
-    delta1_exponent: float
-
-    def __post_init__(self):
-        if not self.separation > 1:
-            raise ValueError(f"separation must exceed 1, got {self.separation}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-
-    @classmethod
-    def for_params(cls, params: ModelParams, separation: float,
-                   eta: float | None = None, delta: float | None = None):
-        """Derive Delta1 from the model and validate eta < alpha1 / (2d)."""
-        ex = derived_exponents(params)
-        cap = ex.alpha1 / (2.0 * params.d)
-        if eta is None:
-            eta = 0.5 * cap
-        if not 0 < eta < cap:
-            raise ValueError(f"eta must lie in (0, {cap}), got {eta}")
-        if delta is None:
-            from .moments import default_delta
-            delta = default_delta(params)
-        if not ex.alpha1 - delta > params.d:
-            raise ValueError(
-                f"delta = {delta} too large: alpha1 - delta must exceed d")
-        return cls(eta=eta, delta=delta, separation=separation,
-                   delta1_exponent=ex.delta1)
-
-
-def check_bond_condition(h: Hierarchy, ep: HierarchyEventParams) -> bool:
-    """|z_{s01} - z_{s10}| >= |z_{s0} - z_{s1}| (log N)^-Delta1 for every split."""
-    thr = math.log(ep.separation) ** -ep.delta1_exponent
-    for s, a, b in h.required_edge_keys():
-        gap = _dist(h.sites[s + "0"], h.sites[s + "1"])
-        if _dist(h.sites[a], h.sites[b]) < gap * thr:
-            return False
-    return True
-
-
-def check_gap_condition(h: Hierarchy, ep: HierarchyEventParams) -> bool:
-    """prod_sigma (|z_{s0} - z_{s1}| v 1) >= N^((2 eta)^k) for k = 1..n-1.
-
-    Evaluated in log space: products over 2^k gaps overflow doubles long
-    before the inequality becomes interesting.
-    """
-    log_n = math.log(ep.separation)
-    for k in range(1, h.depth):
-        total = 0.0
-        for bits in product("01", repeat=k):
-            s = "".join(bits)
-            total += math.log(max(_dist(h.sites[s + "0"], h.sites[s + "1"]), 1.0))
-        if total < (2.0 * ep.eta) ** k * log_n:
-            return False
-    return True
-
-
 def check_gap_paths_condition(h: Hierarchy, gap_paths: dict) -> bool:
     """True iff bottom-gap paths are disjoint, avoid the hierarchy, and are long.
 
@@ -330,51 +243,3 @@ def check_gap_paths_condition(h: Hierarchy, gap_paths: dict) -> bool:
             used[v] = s
     return total_len >= 2 ** n
 
-
-def hierarchy_from_path(path, n: int, ep: HierarchyEventParams) -> Hierarchy:
-    """Build a depth-n hierarchy whose required edges are edges of `path`.
-
-    Recursively splits each gap subpath at its longest edge satisfying
-    the bond inequality (earliest such edge on ties).  The result
-    satisfies conditions 1, 2, 4, 5 and the bond condition by
-    construction; the bottom gaps are the untouched subpaths.  Raises
-    NoAdmissibleSplit when some gap has no admissible edge, which is the
-    honest outcome for paths too short or too evenly spread for depth n.
-    """
-    pts = [_as_site(v) for v in path]
-    if len(pts) < 2:
-        raise ValueError("path needs at least two vertices")
-    if len(set(pts)) != len(pts):
-        raise ValueError("path must be self-avoiding")
-    if n < 2:
-        raise ValueError(f"depth must be >= 2, got {n}")
-    thr = math.log(ep.separation) ** -ep.delta1_exponent
-
-    sites = {"0": pts[0], "1": pts[-1]}
-    gaps = {"": (0, len(pts) - 1)}
-    for k in range(0, n - 1):
-        new_gaps = {}
-        for bits in product("01", repeat=k):
-            s = "".join(bits)
-            i, j = gaps[s]
-            if i == j:
-                raise NoAdmissibleSplit(
-                    f"gap for sigma = {s!r} is a single vertex; depth {n} "
-                    f"needs more path edges")
-            need = _dist(pts[i], pts[j]) * thr
-            best_m, best_len = -1, -1.0
-            for m in range(i, j):
-                ln = _dist(pts[m], pts[m + 1])
-                if ln >= need and ln > best_len:
-                    best_m, best_len = m, ln
-            if best_m < 0:
-                raise NoAdmissibleSplit(
-                    f"no edge of the gap for sigma = {s!r} satisfies the bond bound")
-            sites[s + "01"] = pts[best_m]
-            sites[s + "10"] = pts[best_m + 1]
-            sites[s + "00"] = sites[s + "0"]
-            sites[s + "11"] = sites[s + "1"]
-            new_gaps[s + "0"] = (i, best_m)
-            new_gaps[s + "1"] = (best_m + 1, j)
-        gaps = new_gaps
-    return Hierarchy(depth=n, sites=sites)

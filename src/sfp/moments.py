@@ -3,21 +3,14 @@
 All expectations here are over the Pareto weight law
 P(W >= w) = w^-(tau-1), w >= 1.  The quantities computed are
 
-  * the edge probability p = 1 - exp(-lambda w_x w_y r^-alpha),
   * the single-edge second moment E[(lambda W W' r^-alpha ^ 1)^2],
     evaluated through the product density (tau-1)^2 z^-tau log z,
-  * the multiplicative upper bound on the probability that a given
-    path is open, Prod_i C_delta |z_i - z_{i-1}|^-(alpha1 - delta),
   * the two-adjacent-edges expectation
     E[(lambda W/A ^ 1)(lambda W/B ^ 1)], both in closed form (valid for
     tau in (2,3)) and by adaptive quadrature (the independent oracle),
   * the lattice convolution sum behind the iterated path bound, and
   * the decay exponent 2 alpha1 - d beta of the bridged two-hop
     connection through a cube of side ~ N^beta.
-
-The constants C_delta and delta appearing in the path bounds are caller
-inputs: only their existence is guaranteed, so a fitted value can be
-reported but never treated as ground truth.
 """
 
 from __future__ import annotations
@@ -42,10 +35,6 @@ class QuadratureFailure(RuntimeError):
     pass
 
 
-class DegeneratePath(ValueError):
-    pass
-
-
 class TauOutOfRange(ParameterError):
     pass
 
@@ -56,17 +45,6 @@ class ThresholdBelowFloor(ParameterError):
 
 class BetaOutOfRange(ParameterError):
     pass
-
-
-@dataclass(frozen=True)
-class MomentBound:
-    """A computed moment/probability bound with the (delta, C_delta) in force."""
-
-    value: float
-    delta: float
-    c_delta: float
-    exponent: float
-    vacuous: bool = False
 
 
 @dataclass(frozen=True)
@@ -83,22 +61,6 @@ class AdjacentEdgeResult:
     upper: float
     a_xy: float
     a_yz: float
-
-
-def edge_probability(params: ModelParams, w_x: float, w_y: float, r: float) -> float:
-    """p_xy = 1 - exp(-lambda w_x w_y r^-alpha), in [0, 1).
-
-    Weights are ignored for the LRP kind.
-    """
-    if not r > 0:
-        raise NonPositiveDistance(f"r must be positive, got {r}")
-    from .params import ModelKind
-    if params.kind is ModelKind.LRP:
-        w_x = w_y = 1.0
-    if w_x < 1 or w_y < 1:
-        raise ValueError(f"weights must be >= 1, got {w_x}, {w_y}")
-    t = params.lambda_ * w_x * w_y * r ** -params.alpha
-    return float(-np.expm1(-t))
 
 
 def _quad(f, a, b, points=None) -> tuple:
@@ -146,64 +108,6 @@ def single_edge_second_moment(params: ModelParams, r: float) -> float:
         raise QuadratureFailure(
             f"second moment at r={r}: error {scale * (e1 + e2):.3g} vs value {total:.3g}")
     return float(min(total, 1.0))
-
-
-def default_delta(params: ModelParams) -> float:
-    """Default slack: min(alpha1 - d, alpha - d) / 4, requiring alpha1 > d."""
-    ex = derived_exponents(params)
-    room = min(ex.alpha1 - params.d, params.alpha - params.d)
-    if room <= 0:
-        raise ValueError(
-            f"no admissible delta: alpha1 = {ex.alpha1} does not exceed d = {params.d}")
-    return room / 4.0
-
-
-def fit_c_delta(params: ModelParams, delta: float, r_values=None) -> float:
-    """Empirical C_delta: the largest observed sqrt(moment) * r^(alpha1-delta).
-
-    Only existence of the constant is guaranteed, so this fit is a
-    reported artifact of the probed grid, not a universal value.
-    """
-    ex = derived_exponents(params)
-    if r_values is None:
-        r_values = [2.0 ** k for k in range(0, 17)]
-    best = 0.0
-    for r in r_values:
-        m = single_edge_second_moment(params, float(r))
-        best = max(best, math.sqrt(m) * float(r) ** (ex.alpha1 - delta))
-    return best
-
-
-def path_probability_bound(params: ModelParams, path, delta: float | None = None,
-                           c_delta: float = 2.0) -> MomentBound:
-    """Product bound Prod_i C_delta |z_i - z_{i-1}|^-(alpha1 - delta).
-
-    `path` is a sequence of lattice vertices (coordinate tuples, or ints
-    for d = 1).  The bound is multiplicative over concatenation and may
-    exceed 1, in which case it is returned unclamped with vacuous=True.
-    Repeated consecutive vertices raise DegeneratePath; a delta with
-    alpha1 - delta <= d only triggers a warning (the bound degrades to
-    a non-summable exponent but remains valid).
-    """
-    pts = [np.atleast_1d(np.asarray(p, dtype=np.int64)) for p in path]
-    if len(pts) < 2:
-        raise DegeneratePath("a path needs at least two vertices")
-    if delta is None:
-        delta = default_delta(params)
-    ex = derived_exponents(params)
-    exponent = ex.alpha1 - delta
-    if exponent <= params.d:
-        warnings.warn(
-            f"alpha1 - delta = {exponent} does not exceed d = {params.d}; "
-            "the product bound will not be summable over paths", stacklevel=2)
-    value = 1.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        r = math.sqrt(float(np.sum((a - b) ** 2)))
-        if r == 0.0:
-            raise DegeneratePath(f"repeated consecutive vertex {a.tolist()}")
-        value *= c_delta * max(r, 1.0) ** -exponent
-    return MomentBound(value=value, delta=delta, c_delta=c_delta,
-                       exponent=exponent, vacuous=value >= 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -119,11 +119,6 @@ class DerivedExponents:
     delta1: float
     delta2: float
 
-    @property
-    def deltas_finite(self) -> bool:
-        return math.isfinite(self.delta) and math.isfinite(self.delta1) \
-            and math.isfinite(self.delta2)
-
 
 def _delta_of(alpha_star: float, d: int) -> float:
     # log 2 / log(2d/alpha*); +inf sentinel once alpha* >= 2d.

@@ -33,6 +33,14 @@ from .moments import (adjacent_expectation_exact, adjacent_expectation_quadratur
                       single_edge_second_moment)
 from .params import ModelKind, ModelParams, derived_exponents, validate_params
 
+# Full-suite sizes of the criteria that run at one size only.
+_IDENTITY_POINTS = 10_000
+_DECAY_REPLICATES = 10_000_000
+_DEGREE_SIDE = 100_000
+_BRIDGE_REPLICATES = 10_000_000
+_FKG_PATHS = 20
+_FKG_REPLICATES = 1_000_000
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -52,12 +60,12 @@ def _result(cid, name, passed, detail, t0) -> CriterionResult:
 # 1. Exponent identities on a random parameter grid
 # ---------------------------------------------------------------------------
 
-def criterion_exponent_identities(seed: int = 0, n_points: int = 10_000) -> CriterionResult:
+def criterion_exponent_identities(seed: int = 0) -> CriterionResult:
     t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     bad = 0
     witness = ""
-    for _ in range(n_points):
+    for _ in range(_IDENTITY_POINTS):
         d = int(rng.integers(1, 4))
         alpha = d * rng.uniform(1.0 + 1e-6, 2.0 - 1e-6)
         tau_min = 1.0 + 2.0 * d / alpha
@@ -74,7 +82,7 @@ def criterion_exponent_identities(seed: int = 0, n_points: int = 10_000) -> Crit
             if not witness:
                 witness = f" first failure at d={d} alpha={alpha!r} tau={tau!r}"
     return _result("1", "exponent-identities", bad == 0,
-                   f"{n_points - bad}/{n_points} grid points satisfy the exact"
+                   f"{_IDENTITY_POINTS - bad}/{_IDENTITY_POINTS} grid points satisfy the exact"
                    f" orderings and equalities{witness}", t0)
 
 
@@ -128,11 +136,11 @@ def criterion_adjacent_sandwich(seed: int = 0, replicates: int = 1_000_000,
 # 4. Adjacent-edge decay exponent
 # ---------------------------------------------------------------------------
 
-def criterion_adjacent_decay(seed: int = 0, replicates: int = 10_000_000,
-                             threads: int = 1) -> CriterionResult:
+def criterion_adjacent_decay(seed: int = 0, threads: int = 1) -> CriterionResult:
     t0 = time.monotonic()
     p = validate_params(1, 1.5, 1.0, 2.5)
-    cfg = ExperimentConfig(params=p, seed=seed, replicates=replicates, threads=threads)
+    cfg = ExperimentConfig(params=p, seed=seed, replicates=_DECAY_REPLICATES,
+                           threads=threads)
     rep = run_adjacent_mc(cfg, 100.0 ** (2.0 / 3.0), 10.0 ** (2.0 / 3.0),
                           sweep_ryz=(8.0, 16.0, 32.0, 64.0), sweep_rxy=256.0)
     v = rep.verdict("decay-slope")
@@ -158,8 +166,7 @@ def criterion_coupling(seed: int = 0, n_seeds: int = 100, side: int = 256,
 # 6. Degree tail against gamma
 # ---------------------------------------------------------------------------
 
-def criterion_degree_tail(seed: int = 0, side: int = 100_000,
-                          threads: int = 1) -> CriterionResult:
+def criterion_degree_tail(seed: int = 0, threads: int = 1) -> CriterionResult:
     t0 = time.monotonic()
     cases = [
         # (tau, cutoff, hill_k): cutoffs keep the pair count ~L*R with a
@@ -172,8 +179,8 @@ def criterion_degree_tail(seed: int = 0, side: int = 100_000,
     ok = True
     for tau, cutoff, k in cases:
         p = validate_params(1, 1.5, 1.0, tau)
-        cfg = ExperimentConfig(params=p, spec=BoxSpec(d=1, side=side), seed=seed,
-                               threads=threads)
+        cfg = ExperimentConfig(params=p, spec=BoxSpec(d=1, side=_DEGREE_SIDE),
+                               seed=seed, threads=threads)
         rep = run_degree_experiment(cfg, margin=1_000, hill_k=k, cutoff=cutoff, tol=0.3)
         v = rep.verdict("hill-vs-gamma")
         ok = ok and v.passed
@@ -185,11 +192,11 @@ def criterion_degree_tail(seed: int = 0, side: int = 100_000,
 # 7. Bridging slope
 # ---------------------------------------------------------------------------
 
-def criterion_bridge_slope(seed: int = 0, replicates: int = 10_000_000,
-                           threads: int = 1) -> CriterionResult:
+def criterion_bridge_slope(seed: int = 0, threads: int = 1) -> CriterionResult:
     t0 = time.monotonic()
     p = validate_params(1, 1.5, 1.0, 2.5)
-    cfg = ExperimentConfig(params=p, seed=seed, replicates=replicates, threads=threads)
+    cfg = ExperimentConfig(params=p, seed=seed, replicates=_BRIDGE_REPLICATES,
+                           threads=threads)
     rep = run_bridge_experiment(cfg, beta=0.5, n_list=(64, 128, 256, 512, 1024))
     v = rep.verdict("bridge-slope")
     return _result("7", "bridge-slope", v.passed, v.detail, t0)
@@ -199,7 +206,7 @@ def criterion_bridge_slope(seed: int = 0, replicates: int = 10_000_000,
 # 8. FKG inequality on random short paths
 # ---------------------------------------------------------------------------
 
-def _random_short_paths(seed: int, n_paths: int, d: int = 1):
+def _random_short_paths(seed: int, n_paths: int):
     rng = np.random.default_rng(seed)
     paths = []
     for _ in range(n_paths):
@@ -214,14 +221,13 @@ def _random_short_paths(seed: int, n_paths: int, d: int = 1):
     return paths
 
 
-def criterion_fkg(seed: int = 0, n_paths: int = 20, replicates: int = 1_000_000,
-                  threads: int = 1) -> CriterionResult:
+def criterion_fkg(seed: int = 0, threads: int = 1) -> CriterionResult:
     t0 = time.monotonic()
     base = validate_params(1, 1.5, 1.0, 2.5)
-    paths = _random_short_paths(seed, n_paths)
+    paths = _random_short_paths(seed, _FKG_PATHS)
     failures = []
     for i, path in enumerate(paths):
-        cfg = ExperimentConfig(params=base, seed=seed + i, replicates=replicates,
+        cfg = ExperimentConfig(params=base, seed=seed + i, replicates=_FKG_REPLICATES,
                                threads=threads)
         rep = run_fkg_check(cfg, path)
         if not rep.all_pass:
@@ -232,7 +238,7 @@ def criterion_fkg(seed: int = 0, n_paths: int = 20, replicates: int = 1_000_000,
         if not lrep.all_pass:
             failures.append(f"lrp path {path}")
     return _result("8", "fkg-inequality", not failures,
-                   f"{n_paths} paths, every cut: product bound holds for sfp, "
+                   f"{_FKG_PATHS} paths, every cut: product bound holds for sfp, "
                    f"factorization exact for lrp"
                    + (f"; failures: {failures}" if failures else ""), t0)
 

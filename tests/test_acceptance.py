@@ -31,7 +31,7 @@ def _check(result, time_limit):
 
 
 def test_criterion_01_exponent_identities():
-    _check(verify.criterion_exponent_identities(seed=0, n_points=10_000), 1.0)
+    _check(verify.criterion_exponent_identities(seed=0), 1.0)
 
 
 def test_criterion_02_closed_form_vs_oracle():
@@ -43,7 +43,7 @@ def test_criterion_03_adjacent_sandwich():
 
 
 def test_criterion_04_adjacent_decay_slope():
-    _check(verify.criterion_adjacent_decay(seed=0, replicates=10_000_000, threads=0), 300.0)
+    _check(verify.criterion_adjacent_decay(seed=0, threads=0), 300.0)
 
 
 def test_criterion_05_coupling_domination():
@@ -51,15 +51,15 @@ def test_criterion_05_coupling_domination():
 
 
 def test_criterion_06_degree_tail():
-    _check(verify.criterion_degree_tail(seed=0, side=100_000), 300.0)
+    _check(verify.criterion_degree_tail(seed=0), 300.0)
 
 
 def test_criterion_07_bridge_slope():
-    _check(verify.criterion_bridge_slope(seed=0, replicates=10_000_000, threads=0), 600.0)
+    _check(verify.criterion_bridge_slope(seed=0, threads=0), 600.0)
 
 
 def test_criterion_08_fkg():
-    _check(verify.criterion_fkg(seed=0, n_paths=20, replicates=1_000_000, threads=0), 300.0)
+    _check(verify.criterion_fkg(seed=0, threads=0), 300.0)
 
 
 def test_criterion_09_hierarchy_machinery():

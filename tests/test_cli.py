@@ -107,9 +107,15 @@ def test_out_of_range_flag_is_usage_error(argv, flag, tmp_path, capsys):
 
 @pytest.mark.parametrize("model", ["lrp", "sfpnn"])
 def test_bridge_with_another_model_is_usage_error(model, capsys):
-    assert main(["bridge", *_MODEL, "--beta", "0.5", "--replicates", "10",
-                 "--model", model]) == 1
-    assert "bridge supports only --model sfp" in capsys.readouterr().err
+    # Bridge, coupling and --compare-lrp are defined for SFP only; each is
+    # rejected before anything is generated or simulated.
+    for argv, command in [
+            (["bridge", *_MODEL, "--beta", "0.5", "--replicates", "10"], "bridge"),
+            (["coupling", *_MODEL, "--side", "64", "--replicates", "2"], "coupling"),
+            (["distances", *_MODEL, "--side", "256", "--n-list", "16,32",
+              "--sources", "4", "--compare-lrp"], "distances --compare-lrp")]:
+        assert main(argv + ["--model", model]) == 1
+        assert f"{command} supports only --model sfp, got {model}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -142,6 +148,7 @@ def test_bad_model_parameter_is_usage_error(argv, capsys):
     ["moments", "adjacent", "--alpha", "1.5", "--tau", "3.5", "--rxy", "4", "--ryz", "2"],
     ["moments", "convolution", "--alpha", "0.5", "--dist", "8"],
     ["moments", "convolution", "--alpha", "1.5", "--dist", "0"],
+    ["moments", "convolution", "--alpha", "1.5", "--dist", "1e400"],
     ["fkg", *_MODEL, "--path", "0;a;5"],
     ["fkg", *_MODEL, "--path", "0,0;1,1;2,2"],
     ["bridge", *_MODEL, "--beta", "0.5", "--n-list", "64,abc"],
@@ -149,12 +156,24 @@ def test_bad_model_parameter_is_usage_error(argv, capsys):
         "fkg-one-edge", "fkg-back-and-forth", "fkg-revisit", "distances-separation",
         "distances-zero-separation", "adjacent-zero-sweep",
         "degrees-alpha", "moments-second-r", "moments-convolution-radius", "moments-adjacent-tau",
-        "moments-convolution-alpha", "moments-convolution-dist", "fkg-not-integer",
+        "moments-convolution-alpha", "moments-convolution-dist",
+        "moments-convolution-dist-overflow", "fkg-not-integer",
         "fkg-wrong-dimension", "n-list-not-integer"])
 def test_bad_experiment_input_is_usage_error(argv, capsys):
     # Each is rejected before any Monte Carlo or generation runs.
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_any_other_exception_is_runtime_error(monkeypatch, capsys):
+    import sfp.cli
+
+    def crash(args):
+        return 1 / 0
+
+    monkeypatch.setitem(sfp.cli._DISPATCH, "exponents", crash)
+    assert main(["exponents", *_MODEL]) == 3
+    assert capsys.readouterr().err == "error: ZeroDivisionError: division by zero\n"
 
 
 def test_generate_honours_a_small_pair_budget(tmp_path):
@@ -301,7 +320,8 @@ def _toy_site_lines():
     ("s 01 3 x", "coordinates '3 x' are not integers"),
     ("s 2 3 4", "site key '2' is not a binary string"),
     ("s 1 5 7", "site key '1' already given on line 2"),
-], ids=["non-integer-coordinate", "bad-key", "repeated-key"])
+    ("s 01 99 0", "site key '01': coordinates [99, 0] outside box"),
+], ids=["non-integer-coordinate", "bad-key", "repeated-key", "outside-box"])
 def test_hierarchy_check_rejects_bad_site_line_with_its_number(tmp_path, capsys, bad, message):
     from sfp.graph import save_realization
     from sfp.verify import forced_realization, toy_hierarchy

@@ -1,22 +1,9 @@
-import math
-from itertools import product
-
-import numpy as np
 import pytest
 
-from sfp.hierarchy import (Hierarchy, HierarchyEventParams, InvalidHierarchy,
-                           NoAdmissibleSplit, PathEndpointMismatch, SiteOutOfBox,
-                           check_bond_condition, check_gap_condition,
-                           check_gap_paths_condition, decompose_paths,
-                           hierarchy_from_path, validate_hierarchy)
-from sfp.params import validate_params
+from sfp.hierarchy import (Hierarchy, InvalidHierarchy, PathEndpointMismatch,
+                           SiteOutOfBox, check_gap_paths_condition, decompose_paths,
+                           validate_hierarchy)
 from sfp.verify import forced_realization, toy_hierarchy
-
-P = validate_params(1, 1.5, 1.0, 2.5)
-
-
-def line_realization(lo=-200, hi=200, edges=()):
-    return forced_realization(list(edges), d=1, origin=(lo,), side=hi - lo + 1)
 
 
 class TestValidate:
@@ -135,79 +122,6 @@ class TestDecompose:
             decompose_paths(Hierarchy(depth=4, sites=sites))
 
 
-def _ep(sep=100.0, eta=0.3, delta=0.1, d1=None):
-    if d1 is None:
-        from sfp.params import derived_exponents
-        d1 = derived_exponents(P).delta1
-    return HierarchyEventParams(eta=eta, delta=delta, separation=sep,
-                                delta1_exponent=d1)
-
-
-class TestBondCondition:
-    def test_maximal_gap_passes(self):
-        h = Hierarchy(depth=2, sites={
-            "0": (0,), "1": (100,),
-            "00": (0,), "01": (0,), "10": (100,), "11": (100,)})
-        assert check_bond_condition(h, _ep(sep=100.0))
-
-    def test_zero_edge_with_positive_gap_fails(self):
-        h = Hierarchy(depth=2, sites={
-            "0": (0,), "1": (100,),
-            "00": (0,), "01": (50,), "10": (50,), "11": (100,)})
-        # |z_01 - z_10| = 0 while the gap is 100.
-        assert not check_bond_condition(h, _ep(sep=100.0))
-
-    def test_agrees_with_direct_reimplementation(self):
-        rng = np.random.default_rng(31)
-        ep = _ep(sep=200.0)
-        for _ in range(300):
-            h = _random_hierarchy(rng, depth=3)
-            got = check_bond_condition(h, ep)
-            thr = math.log(ep.separation) ** -ep.delta1_exponent
-            want = True
-            for k in range(0, h.depth - 1):
-                for bits in product("01", repeat=k):
-                    s = "".join(bits)
-                    gap = math.dist(h.sites[s + "0"], h.sites[s + "1"])
-                    edge = math.dist(h.sites[s + "01"], h.sites[s + "10"])
-                    if edge < gap * thr:
-                        want = False
-            assert got == want
-
-
-class TestGapCondition:
-    def test_full_gaps_pass(self):
-        h = Hierarchy(depth=3, sites={
-            "0": (0,), "1": (100,),
-            "00": (0,), "01": (40,), "10": (60,), "11": (100,),
-            "000": (0,), "001": (18,), "010": (22,), "011": (40,),
-            "100": (60,), "101": (75,), "110": (85,), "111": (100,)})
-        assert check_gap_condition(h, _ep(sep=100.0, eta=0.4))
-
-    def test_unit_gaps_fail(self):
-        h = Hierarchy(depth=2, sites={
-            "0": (0,), "1": (100,),
-            "00": (0,), "01": (1,), "10": (99,), "11": (100,)})
-        # Level-1 gap product is 1 * 1 < 100^(2 eta).
-        assert not check_gap_condition(h, _ep(sep=100.0, eta=0.4))
-
-    def test_agrees_with_direct_product_reimplementation(self):
-        rng = np.random.default_rng(37)
-        ep = _ep(sep=150.0, eta=0.35)
-        for _ in range(300):
-            h = _random_hierarchy(rng, depth=3)
-            got = check_gap_condition(h, ep)
-            want = True
-            for k in range(1, h.depth):
-                prod = 1.0
-                for bits in product("01", repeat=k):
-                    s = "".join(bits)
-                    prod *= max(math.dist(h.sites[s + "0"], h.sites[s + "1"]), 1.0)
-                if prod < ep.separation ** (2.0 * ep.eta) ** k:
-                    want = False
-            assert got == want
-
-
 class TestGapPaths:
     def test_total_length_7_below_8_fails(self):
         h = Hierarchy(depth=3, sites={
@@ -265,84 +179,3 @@ class TestGapPaths:
         with pytest.raises(PathEndpointMismatch):
             check_gap_paths_condition(h, {"0": [(0, 0), (3, 3)],
                                           "1": [(6, -2), (10, 0)]})
-
-
-class TestFromPath:
-    def test_single_edge_depth_two_degenerates_to_endpoints(self):
-        ep = _ep(sep=100.0)
-        h = hierarchy_from_path([(0,), (100,)], 2, ep)
-        assert h.sites["01"] == (0,) and h.sites["10"] == (100,)
-        assert h.sites["00"] == (0,) and h.sites["11"] == (100,)
-        real = line_realization(edges=[((0,), (100,))])
-        assert validate_hierarchy(h, real) is None
-
-    def test_splits_at_longest_admissible_edge(self):
-        ep = _ep(sep=100.0)
-        path = [(0,), (40,), (41,), (100,)]
-        h = hierarchy_from_path(path, 2, ep)
-        assert h.sites["01"] == (41,) and h.sites["10"] == (100,)
-        edges = [tuple(sorted((a, b))) for a, b in zip(path[:-1], path[1:])]
-        real = line_realization(edges=edges)
-        assert validate_hierarchy(h, real) is None
-
-    def test_earliest_edge_wins_ties(self):
-        ep = _ep(sep=60.0)
-        h = hierarchy_from_path([(0,), (30,), (60,)], 2, ep)
-        # Both edges have length 30; the earliest is chosen.
-        assert h.sites["01"] == (0,) and h.sites["10"] == (30,)
-
-    def test_too_deep_for_short_path_raises(self):
-        ep = _ep(sep=100.0)
-        with pytest.raises(NoAdmissibleSplit):
-            hierarchy_from_path([(0,), (100,)], 3, ep)
-
-    def test_no_admissible_edge_raises(self):
-        # Tiny steps: every edge has length 1 < gap * (log N)^-Delta1.
-        ep = _ep(sep=50.0)
-        path = [(i,) for i in range(0, 51)]
-        thr = math.log(50.0) ** -ep.delta1_exponent
-        assert 1.0 < 50.0 * thr  # sanity: the bond bound really bites
-        with pytest.raises(NoAdmissibleSplit):
-            hierarchy_from_path(path, 2, ep)
-
-    def test_random_paths_validate_and_satisfy_bond(self):
-        rng = np.random.default_rng(41)
-        built = 0
-        for _ in range(300):
-            n_edges = int(rng.integers(2, 9))
-            steps = rng.integers(1, 60, size=n_edges)
-            verts = np.concatenate([[0], np.cumsum(steps)])
-            path = [(int(v),) for v in verts]
-            sep = float(verts[-1])
-            ep = _ep(sep=sep)
-            depth = int(rng.integers(2, 4))
-            try:
-                h = hierarchy_from_path(path, depth, ep)
-            except NoAdmissibleSplit:
-                continue
-            built += 1
-            edges = [((int(a),), (int(b),)) for a, b in zip(verts[:-1], verts[1:])]
-            real = forced_realization(edges, d=1, origin=(0,),
-                                      side=int(verts[-1]) + 1)
-            assert validate_hierarchy(h, real) is None
-            assert check_bond_condition(h, ep)
-        assert built > 150  # the construction succeeds on most spread-out paths
-
-
-def _random_hierarchy(rng, depth=3):
-    """A structurally complete hierarchy with random sites (conditions 1-2
-
-    hold by construction; 4-5 may or may not, which is what the predicate
-    oracles need to see).
-    """
-    sites = {}
-    sites["0"] = (int(rng.integers(-5, 5)), 0)
-    sites["1"] = (int(rng.integers(100, 220)), 0)
-    for k in range(0, depth - 1):
-        for bits in product("01", repeat=k):
-            s = "".join(bits)
-            sites[s + "00"] = sites[s + "0"]
-            sites[s + "11"] = sites[s + "1"]
-            sites[s + "01"] = (int(rng.integers(-20, 240)), int(rng.integers(-3, 4)))
-            sites[s + "10"] = (int(rng.integers(-20, 240)), int(rng.integers(-3, 4)))
-    return Hierarchy(depth=depth, sites=sites)

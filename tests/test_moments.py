@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sfp.moments import (AdjacentEdgeResult, BetaOutOfRange, DegeneratePath,
-                         NonPositiveDistance, RadiusTooSmall, TauOutOfRange,
-                         ThresholdBelowFloor, adjacent_expectation_exact,
-                         adjacent_expectation_quadrature, bridging_exponent,
-                         convolution_ratio, default_delta, edge_probability,
-                         fit_c_delta, path_probability_bound,
+from sfp.moments import (AdjacentEdgeResult, BetaOutOfRange, NonPositiveDistance,
+                         RadiusTooSmall, TauOutOfRange, ThresholdBelowFloor,
+                         adjacent_expectation_exact, adjacent_expectation_quadrature,
+                         bridging_exponent, convolution_ratio,
                          single_edge_second_moment)
-from sfp.params import ModelKind, derived_exponents, validate_params
+from sfp.params import derived_exponents, validate_params
 from sfp.randomness import experiment_uniforms, pareto_from_uniform
 
 P = validate_params(1, 1.5, 1.0, 2.5)
@@ -23,31 +21,6 @@ def _second_moment_closed(r, lam=1.0, alpha=1.5):
     """
     zs = r ** alpha / lam
     return zs ** -1.5 * (6.0 * math.log(zs) - 8.0) + 9.0 * zs ** -2
-
-
-class TestEdgeProbability:
-    def test_unit_case(self):
-        assert math.isclose(edge_probability(P, 1.0, 1.0, 1.0),
-                            1.0 - math.exp(-1.0), rel_tol=1e-15)
-
-    def test_hand_value(self):
-        p = validate_params(1, 1.5, 0.5, 2.5)
-        want = -math.expm1(-0.5 * 6.0 / 2.0 ** 1.5)
-        assert math.isclose(edge_probability(p, 2.0, 3.0, 2.0), want, rel_tol=1e-15)
-
-    def test_decreasing_to_zero_in_distance(self):
-        vals = [edge_probability(P, 2.0, 3.0, r) for r in (1, 10, 100, 1e4, 1e8)]
-        assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
-        assert vals[-1] < 1e-10
-
-    def test_lrp_ignores_weights(self):
-        from dataclasses import replace
-        p = replace(P, kind=ModelKind.LRP)
-        assert edge_probability(p, 50.0, 70.0, 3.0) == edge_probability(p, 1.0, 1.0, 3.0)
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(NonPositiveDistance):
-            edge_probability(P, 1.0, 1.0, 0.0)
 
 
 class TestSecondMoment:
@@ -98,36 +71,6 @@ class TestSecondMoment:
     def test_rejects_r_below_one(self):
         with pytest.raises(NonPositiveDistance):
             single_edge_second_moment(P, 0.5)
-
-
-class TestPathBound:
-    def test_single_edge_vacuous(self):
-        b = path_probability_bound(P, [(0,), (1,)], delta=0.05, c_delta=2.0)
-        assert b.value == 2.0 and b.vacuous
-
-    def test_hand_value(self):
-        with pytest.warns(UserWarning):
-            b = path_probability_bound(P, [(0,), (8,), (24,)], delta=0.125, c_delta=2.0)
-        assert b.value == 0.03125
-        assert not b.vacuous
-
-    def test_multiplicative_over_concatenation(self):
-        delta = default_delta(P)
-        full = path_probability_bound(P, [(0,), (5,), (9,), (20,)], delta=delta)
-        head = path_probability_bound(P, [(0,), (5,)], delta=delta)
-        tail = path_probability_bound(P, [(5,), (9,), (20,)], delta=delta)
-        assert math.isclose(full.value, head.value * tail.value, rel_tol=1e-12)
-
-    def test_rejects_repeated_vertex(self):
-        with pytest.raises(DegeneratePath):
-            path_probability_bound(P, [(0,), (0,), (5,)], delta=0.05)
-
-    def test_default_delta_and_fitted_constant(self):
-        delta = default_delta(P)
-        ex = derived_exponents(P)
-        assert ex.alpha1 - delta > P.d and P.alpha - delta > P.d
-        c = fit_c_delta(P, delta)
-        assert c > 1.0
 
 
 class TestAdjacentExpectation:

@@ -97,7 +97,6 @@ def test_infinite_delta_sentinels():
     # keeps Delta1 finite.
     ex = derived_exponents(validate_params(1, 2.5, 1.0, 2.5))
     assert ex.delta == math.inf
-    assert not ex.deltas_finite
     assert math.isfinite(ex.delta1)
 
 

@@ -1,0 +1,44 @@
+"""Every function, class and method defined in src/sfp has a caller in src/sfp.
+
+Code that only tests call is dead weight unless it is kept on purpose as
+an oracle, so a name defined in the package must be referenced (as a bare
+name or an attribute) somewhere in the package itself.
+"""
+
+import ast
+from pathlib import Path
+
+import sfp
+
+# Names kept although nothing in src/sfp refers to them.
+ALLOWED = {
+    "error",  # argparse.ArgumentParser hook, called by argparse itself
+    # Test oracles for the blocked kernels, also read by perfbench.
+    "uniform_for_edge",
+    "weight_for_vertex",
+    "experiment_uniforms",
+    # Called by perfbench/checks.py until exact sparse sampling removes truncation.
+    "generate_box_truncated",
+}
+
+
+def _trees():
+    return [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(Path(sfp.__file__).parent.glob("*.py"))]
+
+
+def test_every_src_definition_has_a_src_caller():
+    trees = _trees()
+    defined, referenced = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    dunders = {name for name in defined if name.startswith("__") and name.endswith("__")}
+    assert defined - dunders - referenced - ALLOWED == set()
+    # An entry that is gone, or has gained a caller, leaves the list.
+    assert ALLOWED <= defined - referenced
