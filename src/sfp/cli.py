@@ -55,7 +55,16 @@ def _finite(text: str) -> float:
     return value
 
 
-_finite.__name__ = "float"  # argparse names the type in its "invalid" message
+def _int64_float(text: str) -> float:
+    """argparse type: a finite float whose nearest integer fits in int64."""
+    value = _finite(text)
+    if not -2.0 ** 63 <= value < 2.0 ** 63:
+        raise argparse.ArgumentTypeError(f"must round into int64, got {text}")
+    return value
+
+
+# argparse names the type in its "invalid" message
+_finite.__name__ = _int64_float.__name__ = "float"
 
 
 def _int_list(text: str) -> list:
@@ -148,8 +157,8 @@ def _build_parser() -> _Parser:
     p = msub.add_parser("convolution", parents=[common])
     p.add_argument("--dim", type=_at_least(1), default=1)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--dist", type=_finite, required=True)
-    p.add_argument("--radius", type=float, default=None,
+    p.add_argument("--dist", type=_int64_float, required=True)
+    p.add_argument("--radius", type=_finite, default=None,
                    help="truncation ball radius (default 1e4 for d=1, 200 for d=2, 50 above)")
 
     hier = sub.add_parser("hierarchy", help="hierarchy tools")
@@ -341,6 +350,8 @@ def _cmd_moments(args) -> int:
         radius = args.radius
         if radius is None:
             radius = {1: 1e4, 2: 200.0}.get(args.dim, 50.0)
+        elif not radius > 0:
+            raise ParameterError(f"--radius must be positive, got {radius}")
         u = np.zeros(args.dim, dtype=np.int64)
         v = np.zeros(args.dim, dtype=np.int64)
         v[0] = int(round(args.dist))

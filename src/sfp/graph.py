@@ -27,16 +27,19 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sfft
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .params import ModelKind, ModelParams, ParameterError, RadiusTooSmall
 from .randomness import (TAG_EDGE, absorb, keyed_words, unit_from_word,
                          unit_lower_bound, vertex_weights)
+
+# Each scipy subpackage is imported by the function that uses it, so a
+# command that never builds a CSR or a truncation bias never loads them.
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 DEFAULT_PAIR_BUDGET = 2 ** 32
 
@@ -155,6 +158,7 @@ class BoxRealization:
         `distances_from` all read this one matrix; treat it as immutable.
         """
         if self._adjacency is None:
+            from scipy.sparse import csr_matrix
             # The edges are canonical, so the reversed pairs list each
             # row's lower neighbours in increasing order and the forward
             # pairs its higher ones; the COO -> CSR conversion is a stable
@@ -429,6 +433,7 @@ def coupled_pair(params: ModelParams, seed: int, spec: BoxSpec,
 
 def _lag_weight_sums(weights_grid: np.ndarray):
     """Autocorrelation C[delta] = sum_x W_x W_{x+delta} for all lattice lags."""
+    from scipy import fft as sfft
     shape = weights_grid.shape
     padded = [sfft.next_fast_len(2 * s - 1) for s in shape]
     F = sfft.rfftn(weights_grid, s=padded)
@@ -572,6 +577,7 @@ def clusters(r: BoxRealization) -> Clusters:
     realization, as `has_edge` and `distances_from` do; an edge-free box
     has one singleton cluster per vertex, the largest labelled 0.
     """
+    from scipy.sparse.csgraph import connected_components
     n = r.n_vertices
     ncomp, comp = connected_components(r.adjacency(), directed=False)
     roots = np.full(ncomp, n, dtype=np.int64)
@@ -597,6 +603,7 @@ def distances_from(r: BoxRealization, source: int) -> np.ndarray:
     finds where it ends.  Raises VertexOutOfBox for a source outside
     [0, n).
     """
+    from scipy.sparse.csgraph import breadth_first_order
     n = r.n_vertices
     if not 0 <= source < n:
         raise VertexOutOfBox(f"source {source} outside the box's flat indices [0, {n})")

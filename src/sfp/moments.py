@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .params import ModelParams, ParameterError, RadiusTooSmall, derived_exponents
 
@@ -64,6 +63,7 @@ class AdjacentEdgeResult:
 
 
 def _quad(f, a, b, points=None) -> tuple:
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
         if points is not None and math.isfinite(b):
@@ -223,7 +223,8 @@ def convolution_ratio(params: ModelParams, u, v, ball_radius: float) -> Convolut
         raise ValueError(f"u, v must be {d}-dimensional lattice points")
     if np.array_equal(ua, va):
         raise ParameterError("u and v must be distinct")
-    duv = math.sqrt(float(np.sum((ua - va) ** 2)))
+    # Squared in Python ints: an int64 square wraps above |u-v| ~ 3e9.
+    duv = math.sqrt(sum((int(a) - int(b)) ** 2 for a, b in zip(ua, va)))
     if ball_radius < 4.0 * duv:
         raise RadiusTooSmall(
             f"ball radius {ball_radius} below 4 |u-v| = {4.0 * duv}")

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .experiments import (ExperimentConfig, hill_estimator, loglog_slope,
-                          run_adjacent_mc, run_bridge_experiment,
+from .experiments import (ExperimentConfig, run_adjacent_mc, run_bridge_experiment,
                           run_coupling_check, run_degree_experiment,
                           run_distance_experiment, run_fkg_check)
 from .graph import BoxRealization, BoxSpec

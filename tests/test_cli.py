@@ -149,6 +149,11 @@ def test_bad_model_parameter_is_usage_error(argv, capsys):
     ["moments", "convolution", "--alpha", "0.5", "--dist", "8"],
     ["moments", "convolution", "--alpha", "1.5", "--dist", "0"],
     ["moments", "convolution", "--alpha", "1.5", "--dist", "1e400"],
+    ["moments", "convolution", "--alpha", "1.5", "--dist", "1e300"],
+    ["moments", "convolution", "--alpha", "1.5", "--dist", "9.2e18"],
+    ["moments", "convolution", "--alpha", "1.5", "--dist", "5", "--radius", "nan"],
+    ["moments", "convolution", "--alpha", "1.5", "--dist", "5", "--radius", "inf"],
+    ["moments", "convolution", "--alpha", "1.5", "--dist", "5", "--radius", "-4"],
     ["fkg", *_MODEL, "--path", "0;a;5"],
     ["fkg", *_MODEL, "--path", "0,0;1,1;2,2"],
     ["bridge", *_MODEL, "--beta", "0.5", "--n-list", "64,abc"],
@@ -157,7 +162,10 @@ def test_bad_model_parameter_is_usage_error(argv, capsys):
         "distances-zero-separation", "adjacent-zero-sweep",
         "degrees-alpha", "moments-second-r", "moments-convolution-radius", "moments-adjacent-tau",
         "moments-convolution-alpha", "moments-convolution-dist",
-        "moments-convolution-dist-overflow", "fkg-not-integer",
+        "moments-convolution-dist-overflow", "moments-convolution-dist-int64",
+        "moments-convolution-dist-square-overflow",
+        "moments-convolution-radius-nan", "moments-convolution-radius-inf",
+        "moments-convolution-radius-negative", "fkg-not-integer",
         "fkg-wrong-dimension", "n-list-not-integer"])
 def test_bad_experiment_input_is_usage_error(argv, capsys):
     # Each is rejected before any Monte Carlo or generation runs.

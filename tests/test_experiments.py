@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sfp.experiments import (EstimateWithCI, ExperimentConfig, KTooLarge,
+from sfp.experiments import (ExperimentConfig, KTooLarge,
                              ModelKindUnsupported, NonPositivePoint, PathTooLong,
                              TooFewPoints, _pareto_into, _path_estimates,
                              _replicate_states, hill_estimator, loglog_slope, run_adjacent_mc,

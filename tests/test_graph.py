@@ -652,3 +652,35 @@ def test_graph_import_does_not_load_moments():
     code = "import sys, sfp.graph; sys.exit('sfp.moments' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+_IMPORT_BUDGET = """
+import sys
+from sfp import cli
+
+def scipy_packages():
+    return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules if m.split('.')[0] == 'scipy'})
+
+model = ['--alpha', '1.5', '--tau', '2.5', '--threads', '2']
+for argv in (['adjacent', *model, '--rxy', '20', '--ryz', '4', '--replicates', '2000'],
+             ['fkg', *model, '--path', '0;17;-5;30', '--replicates', '2000'],
+             ['bridge', *model, '--beta', '0.5', '--n-list', '64,128', '--replicates', '400']):
+    assert cli.main(argv) in (0, 2), argv
+    assert not scipy_packages(), (argv[0], scipy_packages())
+
+# Two worker threads each build a truncated box, so both reach the
+# truncation bias's first import of scipy.fft at about the same time.
+assert cli.main(['degrees', '--alpha', '1.5', '--tau', '2.5', '--side', '2000',
+                 '--trunc', '100', '--margin', '100', '--threads', '2',
+                 '--replicates', '2']) in (0, 2)
+loaded = scipy_packages()
+assert 'scipy.fft' in loaded and not {'scipy.sparse', 'scipy.integrate'} & set(loaded), loaded
+"""
+
+
+def test_cli_commands_import_only_the_scipy_they_run():
+    src = os.path.dirname(os.path.dirname(graph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

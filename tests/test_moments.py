@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sfp.moments import (AdjacentEdgeResult, BetaOutOfRange, NonPositiveDistance,
+from sfp.moments import (BetaOutOfRange, NonPositiveDistance,
                          RadiusTooSmall, TauOutOfRange, ThresholdBelowFloor,
                          adjacent_expectation_exact, adjacent_expectation_quadrature,
                          bridging_exponent, convolution_ratio,
