@@ -183,7 +183,7 @@ def _chunk_ranges(n: int, size: int = _CHUNK):
     return [(a, min(a + size, n)) for a in range(0, n, size)]
 
 def _run_chunks(fn, ranges, workers: int):
-    """Map fn over replicate ranges; list order (hence any reduction) is fixed."""
+    """Map fn over replicate ranges or indices; list order (hence any reduction) is fixed."""
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, ranges))
@@ -563,14 +563,7 @@ def run_coupling_check(cfg: ExperimentConfig, lambda_lrp: float | None = None,
         missing = int(np.count_nonzero(~np.isin(lrp_keys, sfp_keys)))
         return missing, len(lrp_keys), len(sfp_keys)
 
-    def chunk(rg):
-        lo, hi = rg
-        return [one(i) for i in range(lo, hi)]
-
-    per_seed = []
-    for part in _run_chunks(chunk, _chunk_ranges(cfg.replicates, 8), cfg.worker_count):
-        per_seed.extend(part)
-
+    per_seed = _run_chunks(one, range(cfg.replicates), cfg.worker_count)
     total_viol = sum(p[0] for p in per_seed)
     rows = [(i, p[0], p[1], p[2]) for i, p in enumerate(per_seed)]
     verdicts = []
@@ -609,39 +602,32 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
         r = generate_box(cfg.params, derive_seed(cfg.seed, i), cfg.spec, cutoff)
         return degree_sequence(r, margin), r.trunc_bias
 
-    parts = _run_chunks(lambda rg: [one(i) for i in range(*rg)],
-                        _chunk_ranges(cfg.replicates, 1), cfg.worker_count)
-    degs, biases = [], []
-    for part in parts:
-        for dg, bias in part:
-            degs.append(dg)
-            biases.append(bias)
-    degrees = np.concatenate(degs)
+    boxes = _run_chunks(one, range(cfg.replicates), cfg.worker_count)
+    degrees = np.concatenate([dg for dg, _ in boxes])
     n = len(degrees)
     gamma = derived_exponents(cfg.params).gamma
     config = _config_echo(cfg, margin=margin, cutoff=cutoff, gamma=gamma, tol=tol)
-    if biases and biases[0] is not None:
-        config["trunc_bias_mean"] = float(np.mean([b for b in biases if b is not None]))
+    if cutoff is not None:
+        config["trunc_bias_mean"] = float(np.mean([bias for _, bias in boxes]))
+    columns = ["estimator", "estimate", "stderr", "k", "threshold"]
 
     # Isolated vertices carry no tail information; the estimators see only
-    # the positive degrees.
-    positive = degrees[degrees > 0].astype(np.float64)
+    # the positive degrees, sorted.
+    positive = np.sort(degrees[degrees > 0]).astype(np.float64)
     n_pos = len(positive)
     k = hill_k if hill_k is not None else max(10, n // 50)
     if n < 1000 or n_pos < 2 * k:
         return ExperimentReport(
-            name="degrees", config=config,
-            columns=["estimator", "estimate", "stderr", "k", "threshold"],
-            rows=[], verdicts=[], flags=[f"InsufficientTail n={n} positive={n_pos}"],
+            name="degrees", config=config, columns=columns, rows=[], verdicts=[],
+            flags=[f"InsufficientTail n={n} positive={n_pos}"],
             wallclock=time.monotonic() - t0)
 
     hill = hill_estimator(positive, k)
-    threshold = float(np.sort(positive)[n_pos - k - 1])
+    threshold = float(positive[n_pos - k - 1])
 
     # Survival regression over the same tail range.
     tail_vals = np.unique(positive[positive >= max(threshold, 1.0)])
-    surv = [(float(s), float(np.count_nonzero(positive >= s)) / n_pos)
-            for s in tail_vals]
+    surv = np.column_stack((tail_vals, (n_pos - np.searchsorted(positive, tail_vals)) / n_pos))
     reg = loglog_slope(surv) if len(surv) >= 3 else None
 
     rows = [("hill", hill.mean, hill.stderr, k, threshold)]
@@ -649,10 +635,8 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
         rows.append(("survival-regression", -reg.mean, reg.stderr, len(surv), threshold))
     verdicts = [Verdict("hill-vs-gamma", abs(hill.mean - gamma) <= tol,
                         f"hill {hill.mean!r} vs gamma {gamma!r} +- {tol}")]
-    return ExperimentReport(
-        name="degrees", config=config,
-        columns=["estimator", "estimate", "stderr", "k", "threshold"],
-        rows=rows, verdicts=verdicts, wallclock=time.monotonic() - t0)
+    return ExperimentReport(name="degrees", config=config, columns=columns,
+                            rows=rows, verdicts=verdicts, wallclock=time.monotonic() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +669,8 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     n_max = n_list[-1]
     if not 1 <= n_list[0] <= n_max < spec.side:
         raise ParameterError(f"separations must lie in [1, {spec.side}), got {n_list}")
+    if len(set(n_list)) < len(n_list):
+        raise ParameterError(f"separations must not repeat, got {n_list}")
 
     if compare_lrp:
         _require_sfp(cfg, "distances --compare-lrp")
@@ -702,11 +688,10 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     config = _config_echo(cfg, n_list=",".join(str(n) for n in n_list),
                           n_sources=n_sources, cutoff=cutoff, compare_lrp=compare_lrp)
     ex = derived_exponents(cfg.params)
+    columns = ["model", "N", "median_hops", "samples", "excluded"]
     if frac < _TINY_CLUSTER_FRACTION:
         return ExperimentReport(
-            name="distances", config=config,
-            columns=["model", "N", "median_hops", "samples", "excluded"],
-            rows=[], verdicts=[],
+            name="distances", config=config, columns=columns, rows=[], verdicts=[],
             flags=[f"LargestClusterTiny fraction={frac!r}"],
             wallclock=time.monotonic() - t0)
 
@@ -721,30 +706,20 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     step = max(1, len(candidates) // n_sources)
     sources = candidates[::step][:n_sources]
 
-    medians = {}
-    rows = []
-    excluded = {name: 0 for name, _ in reals}
-    samples = {name: {n: [] for n in n_list} for name, _ in reals}
+    # Row i, column j: the pair (sources[i], sources[i] + n_list[j] e1).  A
+    # pair counts when its target is in the largest cluster and reached.
+    targets = sources[:, None] + np.array(n_list) * stride
+    medians, rows = {}, []
     for name, real in reals:
-        for s in sources:
-            dist = distances_from(real, int(s))
-            for n in n_list:
-                tgt = int(s) + n * stride
-                if not mask[tgt]:
-                    excluded[name] += 1
-                    continue
-                hops = int(dist[tgt])
-                if hops < 0:
-                    excluded[name] += 1
-                    continue
-                samples[name][n].append(hops)
-        medians[name] = {n: float(np.median(v)) if v else math.nan
-                         for n, v in samples[name].items()}
-        for n in n_list:
-            rows.append((name, n, medians[name][n], len(samples[name][n]), excluded[name]))
+        hops = np.stack([distances_from(real, int(s))[t] for s, t in zip(sources, targets)])
+        ok = mask[targets] & (hops >= 0)
+        excluded = int(np.count_nonzero(~ok))
+        medians[name] = [float(np.median(col[keep])) if keep.any() else math.nan
+                         for col, keep in zip(hops.T, ok.T)]
+        rows += [(name, n, m, int(c), excluded)
+                 for n, m, c in zip(n_list, medians[name], ok.sum(axis=0))]
 
-    primary = reals[0][0]
-    med = [medians[primary][n] for n in n_list]
+    med = medians[reals[0][0]]
     verdicts = [
         Verdict("median-nondecreasing",
                 all(b >= a for a, b in zip(med[:-1], med[1:])),
@@ -755,10 +730,9 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
                 f"D/N {[m / n for m, n in zip(med, n_list)]}"),
     ]
     if compare_lrp:
-        dom = all(medians["sfp"][n] <= medians["lrp"][n] for n in n_list)
+        dom = all(a <= b for a, b in zip(medians["sfp"], medians["lrp"]))
         verdicts.append(Verdict("coupled-median-domination", dom,
-                                f"sfp {[medians['sfp'][n] for n in n_list]} vs "
-                                f"lrp {[medians['lrp'][n] for n in n_list]}"))
+                                f"sfp {medians['sfp']} vs lrp {medians['lrp']}"))
 
     flags = []
     try:
@@ -768,7 +742,5 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     except (TooFewPoints, NonPositivePoint):
         flags.append("polylog-exponent-estimate unavailable")
 
-    return ExperimentReport(
-        name="distances", config=config,
-        columns=["model", "N", "median_hops", "samples", "excluded"],
-        rows=rows, verdicts=verdicts, flags=flags, wallclock=time.monotonic() - t0)
+    return ExperimentReport(name="distances", config=config, columns=columns, rows=rows,
+                            verdicts=verdicts, flags=flags, wallclock=time.monotonic() - t0)

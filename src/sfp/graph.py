@@ -483,21 +483,16 @@ def _truncation_bias(spec: BoxSpec, params: ModelParams,
         mask = r > cutoff
         raw = lam * np.sum(r[mask] ** -alpha * c[mask])
     else:
-        # Canonical lags in lexicographic order, one chunk per first
-        # coordinate: the rest run over [-(L-1), L-1]^(d-1) in C order,
-        # and for a first coordinate of 0 only past the zero lag.
-        rest = np.arange(-(L - 1), L)
-        rest_r2 = sum(np.meshgrid(*[rest * rest] * (d - 1), indexing="ij")).ravel()
-        rest_idx = np.ix_(*[rest % n for n in padded[1:]])
-        raw, cache = 0.0, {}
-        for d0 in range(L):
-            r2 = d0 * d0 + rest_r2
-            keep = r2 > cutoff * cutoff
-            if d0 == 0:
-                keep[:len(rest_r2) // 2 + 1] = False
-            pw = _powers(cache, r2[keep], lambda v: float(v) ** (-alpha / 2.0))
-            raw = _fold(raw, pw * corr[d0][rest_idx].ravel()[keep])
-        raw *= lam
+        # Canonical lags in lexicographic order: a first coordinate in
+        # [0, L), the rest over [-(L-1), L-1]^(d-1) in C order, and for a
+        # first coordinate of 0 only past the zero lag.
+        lead, rest = np.arange(L), np.arange(-(L - 1), L)
+        r2 = sum(np.meshgrid(lead * lead, *[rest * rest] * (d - 1), indexing="ij")).reshape(L, -1)
+        keep = r2 > cutoff * cutoff
+        keep[0, :r2.shape[1] // 2 + 1] = False
+        pw = _powers({}, r2[keep], lambda v: float(v) ** (-alpha / 2.0))
+        lag_sums = corr[np.ix_(lead, *[rest % n for n in padded[1:]])].reshape(L, -1)[keep]
+        raw = lam * _fold(0.0, pw * lag_sums)
 
     # Saturation correction: any pair with lambda W_x W_y r^-alpha > 1 and
     # r > cutoff needs min(1, t) = 1 instead of t.  Such a pair has

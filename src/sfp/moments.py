@@ -24,6 +24,9 @@ import numpy as np
 from .params import ModelParams, ParameterError, RadiusTooSmall, derived_exponents
 
 _QUAD_REL_TOL = 1e-10
+# Most lattice points `convolution_ratio` may visit: the d=3 default box
+# (about 1.1M points) fits, d=4 at its default radius (about 1e8) does not.
+_CONVOLUTION_POINTS = 1 << 22
 
 
 class NonPositiveDistance(ParameterError):
@@ -212,7 +215,7 @@ def convolution_ratio(params: ModelParams, u, v, ball_radius: float) -> Convolut
     The sum runs over w within `ball_radius` of either endpoint; the
     discarded tail is bounded by 2^alpha * S_d * Rb^(d-2 alpha) / (2 alpha - d),
     recorded in the result.  Requires alpha > d (summability) and
-    ball_radius >= 4 |u-v|.
+    ball_radius >= 4 |u-v| and a box of at most _CONVOLUTION_POINTS points.
     """
     d, alpha = params.d, params.alpha
     if not alpha > d:
@@ -230,6 +233,12 @@ def convolution_ratio(params: ModelParams, u, v, ball_radius: float) -> Convolut
             f"ball radius {ball_radius} below 4 |u-v| = {4.0 * duv}")
 
     rb = int(math.floor(ball_radius))
+    # Counted in Python ints before any array is built: numpy would wrap or
+    # fail to allocate.
+    points = math.prod(2 * rb + abs(int(a) - int(b)) + 1 for a, b in zip(ua, va))
+    if points > _CONVOLUTION_POINTS:
+        raise ParameterError(f"the convolution box has {points} lattice points, over the "
+                             f"budget of {_CONVOLUTION_POINTS}; lower the radius")
     lo = np.minimum(ua, va) - rb
     hi = np.maximum(ua, va) + rb
     axes = [np.arange(lo[j], hi[j] + 1, dtype=np.int64) for j in range(d)]

@@ -275,10 +275,10 @@ def toy_hierarchy() -> Hierarchy:
     return Hierarchy(depth=4, sites=sites)
 
 
-def forced_realization(edges, d: int = 2, origin=(-6, -6), side: int = 15) -> BoxRealization:
-    """A synthetic realization whose open edges are exactly `edges`."""
-    spec = BoxSpec(d=d, side=side, origin=tuple(origin))
-    params = ModelParams(d=d, alpha=1.5, lambda_=1.0, tau=2.5, kind=ModelKind.LRP)
+def forced_realization(edges) -> BoxRealization:
+    """A synthetic realization of the toy hierarchy's box [-6, 8]^2: `edges` open, no other."""
+    spec = BoxSpec(d=2, side=15, origin=(-6, -6))
+    params = ModelParams(d=2, alpha=1.5, lambda_=1.0, tau=2.5, kind=ModelKind.LRP)
     if edges:
         flat = np.array([[int(spec.flat_of(np.asarray(a, dtype=np.int64))),
                           int(spec.flat_of(np.asarray(b, dtype=np.int64)))]

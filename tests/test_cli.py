@@ -141,6 +141,8 @@ def test_bad_model_parameter_is_usage_error(argv, capsys):
     ["fkg", *_MODEL, "--path", "0;5;10;5"],
     ["distances", *_MODEL, "--side", "64", "--n-list", "16,128"],
     ["distances", *_MODEL, "--side", "256", "--n-list", "0,16,32"],
+    ["distances", "--alpha", "1.5", "--tau", "3.5", "--lambda", "5", "--side", "512",
+     "--n-list", "16,16,32,64", "--sources", "4"],
     ["adjacent", *_MODEL, "--rxy", "4", "--ryz", "2", "--sweep-ryz", "0,8,16"],
     ["degrees", "--alpha", "0.5", "--tau", "3.5", "--side", "2000"],
     ["moments", "second", *_MODEL, "--r", "0.5"],
@@ -154,18 +156,23 @@ def test_bad_model_parameter_is_usage_error(argv, capsys):
     ["moments", "convolution", "--alpha", "1.5", "--dist", "5", "--radius", "nan"],
     ["moments", "convolution", "--alpha", "1.5", "--dist", "5", "--radius", "inf"],
     ["moments", "convolution", "--alpha", "1.5", "--dist", "5", "--radius", "-4"],
+    ["moments", "convolution", "--alpha", "1.5", "--dist", "5", "--radius", "1e9"],
+    ["moments", "convolution", "--alpha", "1.5", "--dist", "5", "--radius", "4e19"],
+    ["moments", "convolution", "--dim", "4", "--alpha", "4.5", "--dist", "5"],
     ["fkg", *_MODEL, "--path", "0;a;5"],
     ["fkg", *_MODEL, "--path", "0,0;1,1;2,2"],
     ["bridge", *_MODEL, "--beta", "0.5", "--n-list", "64,abc"],
 ], ids=["adjacent-tau", "adjacent-threshold", "adjacent-order", "bridge-beta", "bridge-tau",
         "fkg-one-edge", "fkg-back-and-forth", "fkg-revisit", "distances-separation",
-        "distances-zero-separation", "adjacent-zero-sweep",
+        "distances-zero-separation", "distances-repeated-separation", "adjacent-zero-sweep",
         "degrees-alpha", "moments-second-r", "moments-convolution-radius", "moments-adjacent-tau",
         "moments-convolution-alpha", "moments-convolution-dist",
         "moments-convolution-dist-overflow", "moments-convolution-dist-int64",
         "moments-convolution-dist-square-overflow",
         "moments-convolution-radius-nan", "moments-convolution-radius-inf",
-        "moments-convolution-radius-negative", "fkg-not-integer",
+        "moments-convolution-radius-negative", "moments-convolution-over-budget",
+        "moments-convolution-radius-int64", "moments-convolution-d4-default",
+        "fkg-not-integer",
         "fkg-wrong-dimension", "n-list-not-integer"])
 def test_bad_experiment_input_is_usage_error(argv, capsys):
     # Each is rejected before any Monte Carlo or generation runs.
@@ -235,6 +242,13 @@ def test_moments_convolution_row():
     assert code == 0
     row = out.strip().splitlines()[-1].split(",")
     assert float(row[3]) > 0
+
+
+def test_moments_convolution_d3_default_radius_fits_the_budget():
+    # 106 * 101 * 101 = 1,081,306 lattice points, under the 2^22 budget.
+    code, out = run_cli("moments", "convolution", "--dim", "3", "--alpha", "4", "--dist", "5")
+    assert code == 0
+    assert out.strip().splitlines()[-1].split(",")[:2] == ["5.0", "50.0"]
 
 
 def test_hierarchy_check_valid_and_violation(tmp_path):

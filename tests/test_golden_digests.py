@@ -43,6 +43,14 @@ d=1 and in d=2 (4225 cube vertices per replicate, so only a few rows
 per tile) on both sides of its 2^14 chunk edge.  Each body is checked at
 one and two threads.  They were generated with whole-chunk kernels,
 before the kernels were computed in tiles over reused buffers.
+
+BOX_REPORT_DIGESTS pins the report bodies of `sfp degrees` (with a
+cutoff over three replicates, so trunc_bias_mean is recorded, without
+one, and a box too small for the tail estimators) and `sfp coupling`
+(as is, with --lambda-lrp and with --trunc), each at one and two
+threads.  They were generated while the replicates were still split
+into chunks by hand and the degree survival counts taken one tail value
+at a time.
 """
 
 import contextlib
@@ -460,3 +468,36 @@ def test_mc_cases_cover_every_digest():
 @pytest.mark.parametrize("name", sorted(MC_DIGESTS))
 def test_golden_mc_report(name, threads):
     assert _report_body_digest(MC_ARGV[name] + ["--threads", str(threads)]) == MC_DIGESTS[name]
+
+
+_DEG = ["degrees", "--alpha", "1.5", "--tau", "2.5", "--lambda", "1"]
+_CPL = ["coupling", "--alpha", "1.5", "--tau", "2.5", "--lambda", "1"]
+
+# name: (sfp arguments, sha256 of the report body)
+BOX_REPORT_DIGESTS = {
+    "degrees-trunc-3rep": (
+        _DEG + ["--seed", "21", "--side", "4000", "--trunc", "16", "--replicates", "3"],
+        "5963a9cfbf8d8f86e24b439196f2469a0d86029535cece4f8656b5627d57a4a0"),
+    "degrees-full": (
+        _DEG + ["--seed", "22", "--side", "3000", "--replicates", "2"],
+        "d870129675613ae9aaebeb1c97228320802b2444e265ab5ee489bee795b5c440"),
+    "degrees-insufficient-tail": (
+        _DEG + ["--seed", "23", "--side", "500", "--trunc", "16"],
+        "115398556f514da7602b2a11c5346670c6b0386435086e6194dca54fcee6c1f7"),
+    "coupling": (
+        _CPL + ["--seed", "24", "--side", "600", "--replicates", "10"],
+        "718b750b01eb25c952075bb1be5546031da5691948b4e9f8680f8c29f4f69884"),
+    "coupling-lambda-lrp": (
+        _CPL + ["--seed", "25", "--side", "600", "--replicates", "10", "--lambda-lrp", "3"],
+        "280788c699a187729dba437241390a00fdad059aaf6c9698fab9bdee2df3a43e"),
+    "coupling-trunc": (
+        _CPL + ["--seed", "26", "--side", "2000", "--replicates", "10", "--trunc", "16"],
+        "fc090454fa922ab38dc1af14c5d308ba6d6dec0a2789bde0d197b199f9fe5d70"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(BOX_REPORT_DIGESTS))
+def test_golden_box_report(name, threads):
+    argv, digest = BOX_REPORT_DIGESTS[name]
+    assert _report_body_digest(argv + ["--threads", str(threads)]) == digest

@@ -19,9 +19,15 @@ from sfp.graph import (BoxRealization, BoxSpec, BoxTooLarge, FormatVersionMismat
                        save_realization)
 from sfp.params import ModelKind, validate_params
 from sfp.randomness import derive_seed
-from sfp.verify import forced_realization
 
 P = validate_params(1, 1.5, 1.0, 2.5)
+
+
+def _line_box(edges, side):
+    """The d=1 box {0, ..., side-1} whose open edges are exactly `edges`."""
+    flat = np.unique(np.sort(np.array(edges, dtype=np.int64), axis=1), axis=0)
+    return BoxRealization(spec=BoxSpec(d=1, side=side), params=P, seed=0, weights=None,
+                          edges=flat)
 
 
 def test_complete_graph_at_huge_intensity():
@@ -312,7 +318,7 @@ def test_clusters_complete_graph():
 
 
 def test_clusters_two_components():
-    r = forced_realization([((0,), (1,)), ((2,), (3,))], d=1, origin=(0,), side=4)
+    r = _line_box([(0, 1), (2, 3)], side=4)
     cl = clusters(r)
     assert cl.sizes == {0: 2, 2: 2}
     assert cl.largest == 0  # tie broken by smallest root
@@ -320,14 +326,13 @@ def test_clusters_two_components():
 
 
 def test_graph_distance_trivial_cases():
-    r = forced_realization([((0,), (1,))], d=1, origin=(0,), side=4)
+    r = _line_box([(0, 1)], side=4)
     dist = distances_from(r, 0)
     assert dist.tolist() == [0, 1, -1, -1]
 
 
 def test_graph_distance_cycle():
-    edges = [((0,), (1,)), ((1,), (2,)), ((2,), (3,)), ((0,), (3,))]
-    r = forced_realization(edges, d=1, origin=(0,), side=4)
+    r = _line_box([(0, 1), (1, 2), (2, 3), (0, 3)], side=4)
     assert distances_from(r, 0)[2] == 2
 
 
@@ -430,7 +435,7 @@ def test_distances_equal_deque_bfs_oracle(case):
 
 def test_distances_from_isolated_source_and_edge_free_box():
     # Vertex 2 has no edge; the rest form a path.
-    r = forced_realization([((0,), (1,)), ((1,), (3,)), ((3,), (4,))], d=1, origin=(0,), side=5)
+    r = _line_box([(0, 1), (1, 3), (3, 4)], side=5)
     assert distances_from(r, 2).tolist() == [-1, -1, 0, -1, -1]
     _assert_bfs_matches_oracle(r, range(5))
     empty = generate_box(validate_params(2, 3.0, 1e-300, 2.5), 0, BoxSpec(d=2, side=6))

@@ -1,8 +1,10 @@
 import pytest
 
+from sfp.graph import BoxSpec, generate_box
 from sfp.hierarchy import (Hierarchy, InvalidHierarchy, PathEndpointMismatch,
                            SiteOutOfBox, check_gap_paths_condition, decompose_paths,
                            validate_hierarchy)
+from sfp.params import validate_params
 from sfp.verify import forced_realization, toy_hierarchy
 
 
@@ -60,8 +62,10 @@ class TestValidate:
 
     def test_site_outside_box_raises(self):
         h = toy_hierarchy()
+        # An edge-free box {0..3}^2, which leaves out sites of the toy hierarchy.
+        empty = generate_box(validate_params(2, 3.0, 1e-300, 2.5), 0, BoxSpec(d=2, side=4))
         with pytest.raises(SiteOutOfBox):
-            validate_hierarchy(h, forced_realization([], d=2, origin=(0, 0), side=4))
+            validate_hierarchy(h, empty)
 
 
 class TestDecompose:

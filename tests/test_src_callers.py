@@ -1,8 +1,11 @@
-"""Every function, class and method defined in src/sfp has a caller in src/sfp.
+"""Every function, class and method defined in src/sfp has a caller in src/sfp,
+and every name a module of src/sfp imports is used in that module.
 
 Code that only tests call is dead weight unless it is kept on purpose as
 an oracle, so a name defined in the package must be referenced (as a bare
-name or an attribute) somewhere in the package itself.
+name or an attribute) somewhere in the package itself.  An import counts
+as used when the module refers to its name anywhere, annotations
+included, or lists it in `__all__`.
 """
 
 import ast
@@ -23,14 +26,14 @@ ALLOWED = {
 
 
 def _trees():
-    return [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for path in sorted(Path(sfp.__file__).parent.glob("*.py"))]
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(Path(sfp.__file__).parent.glob("*.py"))}
 
 
 def test_every_src_definition_has_a_src_caller():
     trees = _trees()
     defined, referenced = set(), set()
-    for tree in trees:
+    for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
@@ -42,3 +45,21 @@ def test_every_src_definition_has_a_src_caller():
     assert defined - dunders - referenced - ALLOWED == set()
     # An entry that is gone, or has gained a caller, leaves the list.
     assert ALLOWED <= defined - referenced
+
+
+def test_every_src_import_is_used():
+    unused = []
+    for name, tree in _trees().items():
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{name}:{line} {bound}" for bound, line in imported.items() if bound not in used]
+    assert unused == []
