@@ -115,7 +115,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--replicates", type=_at_least(1), default=1)
     p.add_argument("--margin", type=_at_least(0), default=0)
     p.add_argument("--hill-k", type=_at_least(1), default=None)
-    p.add_argument("--tol", type=float, default=0.3)
 
     p = sub.add_parser("distances", parents=[box], help="distance-scaling experiment")
     p.add_argument("--n-list", type=_int_list, default=None,
@@ -129,7 +128,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--rxy", type=float, required=True)
     p.add_argument("--ryz", type=float, required=True)
     p.add_argument("--sweep-ryz", type=_float_list, default="8,16,32,64")
-    p.add_argument("--sweep-rxy", type=float, default=256.0)
 
     p = sub.add_parser("fkg", parents=[model], help="path-cut correlation check")
     p.add_argument("--replicates", type=_at_least(1), default=1_000_000)
@@ -222,13 +220,12 @@ def _params_from(args):
                            ModelKind.parse(args.model))
 
 
-def _header(args, **extra) -> list:
+def _header(args) -> list:
     lines = [f"#version=sfp-{__version__}"]
-    echo = {"seed": getattr(args, "seed", 0)}
-    for key in ("dim", "alpha", "tau", "lambda_", "model", "side", "trunc"):
-        if hasattr(args, key) and getattr(args, key) is not None:
+    echo = {"seed": args.seed}
+    for key in ("dim", "alpha", "tau", "lambda_", "model"):
+        if hasattr(args, key):
             echo[key.rstrip("_")] = getattr(args, key)
-    echo.update(extra)
     for k in sorted(echo):
         lines.append(f"#config {k}={_fmt(echo[k])}")
     return lines
@@ -269,10 +266,10 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _experiment_config(args, need_spec: bool):
+def _experiment_config(args):
     from .experiments import ExperimentConfig
     from .graph import BoxSpec
-    spec = BoxSpec(d=args.dim, side=args.side) if need_spec else None
+    spec = BoxSpec(d=args.dim, side=args.side) if hasattr(args, "side") else None
     return ExperimentConfig(params=_params_from(args), spec=spec, seed=args.seed,
                             replicates=getattr(args, "replicates", 1),
                             threads=args.threads)
@@ -280,46 +277,43 @@ def _experiment_config(args, need_spec: bool):
 
 def _cmd_degrees(args) -> int:
     from .experiments import run_degree_experiment
-    cfg = _experiment_config(args, need_spec=True)
-    rep = run_degree_experiment(cfg, margin=args.margin, hill_k=args.hill_k,
-                                cutoff=args.trunc, tol=args.tol)
+    cfg = _experiment_config(args)
+    rep = run_degree_experiment(cfg, margin=args.margin, hill_k=args.hill_k, cutoff=args.trunc)
     return _report_exit(rep, args)
 
 
 def _cmd_distances(args) -> int:
     from .experiments import run_distance_experiment
-    cfg = _experiment_config(args, need_spec=True)
-    rep = run_distance_experiment(cfg, n_list=args.n_list or None, n_sources=args.sources,
+    cfg = _experiment_config(args)
+    rep = run_distance_experiment(cfg, n_list=args.n_list, n_sources=args.sources,
                                   cutoff=args.trunc, compare_lrp=args.compare_lrp)
     return _report_exit(rep, args)
 
 
 def _cmd_adjacent(args) -> int:
     from .experiments import run_adjacent_mc
-    cfg = _experiment_config(args, need_spec=False)
-    rep = run_adjacent_mc(cfg, args.rxy, args.ryz,
-                          sweep_ryz=tuple(args.sweep_ryz),
-                          sweep_rxy=args.sweep_rxy)
+    cfg = _experiment_config(args)
+    rep = run_adjacent_mc(cfg, args.rxy, args.ryz, sweep_ryz=tuple(args.sweep_ryz))
     return _report_exit(rep, args)
 
 
 def _cmd_fkg(args) -> int:
     from .experiments import run_fkg_check
-    cfg = _experiment_config(args, need_spec=False)
+    cfg = _experiment_config(args)
     rep = run_fkg_check(cfg, args.path)
     return _report_exit(rep, args)
 
 
 def _cmd_bridge(args) -> int:
     from .experiments import run_bridge_experiment
-    cfg = _experiment_config(args, need_spec=False)
+    cfg = _experiment_config(args)
     rep = run_bridge_experiment(cfg, beta=args.beta, n_list=args.n_list)
     return _report_exit(rep, args)
 
 
 def _cmd_coupling(args) -> int:
     from .experiments import run_coupling_check
-    cfg = _experiment_config(args, need_spec=True)
+    cfg = _experiment_config(args)
     rep = run_coupling_check(cfg, lambda_lrp=args.lambda_lrp, cutoff=args.trunc)
     return _report_exit(rep, args)
 
@@ -433,6 +427,7 @@ _DISPATCH = {
     "bridge": _cmd_bridge,
     "coupling": _cmd_coupling,
     "moments": _cmd_moments,
+    "hierarchy": _cmd_hierarchy_check,
     "verify": _cmd_verify,
 }
 
@@ -443,8 +438,6 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
-        if args.command == "hierarchy":
-            return _cmd_hierarchy_check(args)
         return _DISPATCH[args.command](args)
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

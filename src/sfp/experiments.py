@@ -41,12 +41,15 @@ _CHUNK = 1 << 16
 # buffer) is a single tile; a bridge chunk is split.  Much
 # smaller tiles lose to per-call numpy overhead and GIL handoffs.
 _TILE = 1 << 16
-# Verdict constants: a fitted slope's distance from its target, the fkg
-# verdicts' relative slack for float rounding, and the largest-cluster
-# share below which distances are not measured.
+# Verdict constants: a fitted slope's or the Hill estimate's distance
+# from its target, the fkg verdicts' relative slack for float rounding,
+# the largest-cluster share below which distances are not measured, and
+# the r_xy of the adjacent decay sweep.
 _SLOPE_TOL = 0.3
+_HILL_TOL = 0.3
 _EQUALITY_TOL_REL = 1e-12
 _TINY_CLUSTER_FRACTION = 0.05
+_SWEEP_RXY = 256.0
 
 
 class KTooLarge(ValueError):
@@ -335,21 +338,19 @@ def _path_estimates(cfg: ExperimentConfig, point: int, lengths) -> list:
 # ---------------------------------------------------------------------------
 
 def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
-                    sweep_ryz=(8.0, 16.0, 32.0, 64.0),
-                    sweep_rxy: float = 256.0) -> ExperimentReport:
+                    sweep_ryz=(8.0, 16.0, 32.0, 64.0)) -> ExperimentReport:
     """Estimate P(x ~ y ~ z) for a collinear triple and its decay in r_yz.
 
     P(x ~ y ~ z) is the two-edge case of `_path_estimates`.  Verdicts:
     the point estimate lies in the closed-form sandwich [middle/4,
     mu^2 middle] widened by 3 standard errors, and the fitted slope of
-    log P against log r_yz at fixed r_xy is within _SLOPE_TOL of
+    log P against log r_yz at r_xy = _SWEEP_RXY is within _SLOPE_TOL of
     -alpha (tau - 2).
     """
     t0 = time.monotonic()
     exact = adjacent_expectation_exact(cfg.params, r_xy, r_yz)
-    if not min((sweep_rxy, *sweep_ryz)) > 0:
-        raise NonPositiveDistance(
-            f"sweep distances must be positive, got {sweep_rxy}, {sweep_ryz}")
+    if not all(r > 0 for r in sweep_ryz):
+        raise NonPositiveDistance(f"sweep distances must be positive, got {sweep_ryz}")
     est = _path_estimates(cfg, 0, [r_xy, r_yz])[0][0]
     lo_bound = exact.lower - 3.0 * est.stderr
     hi_bound = exact.upper + 3.0 * est.stderr
@@ -361,8 +362,8 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
     rows = [("point", r_xy, r_yz, est.mean, est.stderr, est.n)]
     pts = []
     for i, r in enumerate(sweep_ryz):
-        e = _path_estimates(cfg, 1 + i, [sweep_rxy, float(r)])[0][0]
-        rows.append(("sweep", sweep_rxy, float(r), e.mean, e.stderr, e.n))
+        e = _path_estimates(cfg, 1 + i, [_SWEEP_RXY, float(r)])[0][0]
+        rows.append(("sweep", _SWEEP_RXY, float(r), e.mean, e.stderr, e.n))
         pts.append((float(r), e.mean))
     if len(pts) >= 3:
         target = -cfg.params.alpha * (cfg.params.tau - 2.0)
@@ -373,7 +374,7 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
 
     return ExperimentReport(
         name="adjacent",
-        config=_config_echo(cfg, r_xy=r_xy, r_yz=r_yz, sweep_rxy=sweep_rxy,
+        config=_config_echo(cfg, r_xy=r_xy, r_yz=r_yz, sweep_rxy=_SWEEP_RXY,
                             sweep_ryz=",".join(repr(float(r)) for r in sweep_ryz),
                             slope_tol=_SLOPE_TOL),
         columns=["kind", "r_xy", "r_yz", "estimate", "stderr", "n"],
@@ -456,13 +457,16 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
     weights.  Verdicts: fitted slope of log P against log N within
     _SLOPE_TOL of -(2 alpha1 - d beta), and positive mass at every N.
     Both the weights and the target are SFP's, so other model kinds
-    raise ModelKindUnsupported.
+    raise ModelKindUnsupported.  The N must be distinct and >= 1, so
+    every cube has at least two vertices.
     """
     t0 = time.monotonic()
     _require_sfp(cfg, "bridge")
     target = -bridging_exponent(cfg.params, beta)  # rejects beta before any chunk runs
     if not (2.0 < cfg.params.tau < 3.0):
         raise TauOutOfRange(f"bridge experiment needs tau in (2,3), got {cfg.params.tau}")
+    if not n_list or min(n_list) < 1 or len(set(n_list)) < len(n_list):
+        raise ParameterError(f"bridge needs distinct N >= 1, got {list(n_list)}")
     d, lam, alpha, tau = cfg.params.d, cfg.params.lambda_, cfg.params.alpha, cfg.params.tau
 
     rows, pts, flags = [], [], []
@@ -471,7 +475,7 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
         x = np.zeros(d, dtype=np.int64)
         y = np.zeros(d, dtype=np.int64)
         y[0] = int(n)
-        if len(cube) == 0 or np.any(np.all(cube == x, axis=1)) or np.any(np.all(cube == y, axis=1)):
+        if np.any(np.all(cube == x, axis=1)) or np.any(np.all(cube == y, axis=1)):
             flags.append(f"GeometryDegenerate N={n}: cube touches an endpoint")
             continue
         r_xz = np.sqrt(np.sum((cube - x) ** 2, axis=1).astype(np.float64))
@@ -557,11 +561,7 @@ def run_coupling_check(cfg: ExperimentConfig, lambda_lrp: float | None = None,
         seed_i = derive_seed(cfg.seed, i)
         sfp = generate_box(cfg.params, seed_i, cfg.spec, cutoff)
         lrp = generate_box(lrp_params, seed_i, cfg.spec, cutoff)
-        nv = cfg.spec.vertex_count
-        sfp_keys = sfp.edges[:, 0] * nv + sfp.edges[:, 1]
-        lrp_keys = lrp.edges[:, 0] * nv + lrp.edges[:, 1]
-        missing = int(np.count_nonzero(~np.isin(lrp_keys, sfp_keys)))
-        return missing, len(lrp_keys), len(sfp_keys)
+        return int(np.count_nonzero(~sfp.has_edges(lrp.edges))), lrp.n_edges, sfp.n_edges
 
     per_seed = _run_chunks(one, range(cfg.replicates), cfg.worker_count)
     total_viol = sum(p[0] for p in per_seed)
@@ -582,15 +582,15 @@ def run_coupling_check(cfg: ExperimentConfig, lambda_lrp: float | None = None,
 # ---------------------------------------------------------------------------
 
 def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
-                          hill_k: int | None = None, cutoff: float | None = None,
-                          tol: float = 0.3) -> ExperimentReport:
+                          hill_k: int | None = None,
+                          cutoff: float | None = None) -> ExperimentReport:
     """Estimate the degree-tail exponent and compare it to gamma.
 
     Simulates `replicates` boxes (derived seeds), pools interior degrees
     (boundary margin excluded), and estimates the tail index two ways:
     Hill on the top-k order statistics and a log-log regression of the
     empirical survival function over the same tail.  The verdict checks
-    the Hill estimate against gamma = alpha (tau - 1) / d.
+    the Hill estimate against gamma = alpha (tau - 1) / d, within _HILL_TOL.
     """
     t0 = time.monotonic()
     if cfg.spec is None:
@@ -606,7 +606,7 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
     degrees = np.concatenate([dg for dg, _ in boxes])
     n = len(degrees)
     gamma = derived_exponents(cfg.params).gamma
-    config = _config_echo(cfg, margin=margin, cutoff=cutoff, gamma=gamma, tol=tol)
+    config = _config_echo(cfg, margin=margin, cutoff=cutoff, gamma=gamma, tol=_HILL_TOL)
     if cutoff is not None:
         config["trunc_bias_mean"] = float(np.mean([bias for _, bias in boxes]))
     columns = ["estimator", "estimate", "stderr", "k", "threshold"]
@@ -633,8 +633,8 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
     rows = [("hill", hill.mean, hill.stderr, k, threshold)]
     if reg is not None:
         rows.append(("survival-regression", -reg.mean, reg.stderr, len(surv), threshold))
-    verdicts = [Verdict("hill-vs-gamma", abs(hill.mean - gamma) <= tol,
-                        f"hill {hill.mean!r} vs gamma {gamma!r} +- {tol}")]
+    verdicts = [Verdict("hill-vs-gamma", abs(hill.mean - gamma) <= _HILL_TOL,
+                        f"hill {hill.mean!r} vs gamma {gamma!r} +- {_HILL_TOL}")]
     return ExperimentReport(name="degrees", config=config, columns=columns,
                             rows=rows, verdicts=verdicts, wallclock=time.monotonic() - t0)
 
@@ -666,9 +666,9 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     if n_list is None:
         n_list = [2 ** k for k in range(4, 11)]
     n_list = sorted(int(n) for n in n_list)
+    if not n_list or not 1 <= n_list[0] <= n_list[-1] < spec.side:
+        raise ParameterError(f"need one or more separations in [1, {spec.side}), got {n_list}")
     n_max = n_list[-1]
-    if not 1 <= n_list[0] <= n_max < spec.side:
-        raise ParameterError(f"separations must lie in [1, {spec.side}), got {n_list}")
     if len(set(n_list)) < len(n_list):
         raise ParameterError(f"separations must not repeat, got {n_list}")
 

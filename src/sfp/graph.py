@@ -154,8 +154,8 @@ class BoxRealization:
         Row v holds the neighbours of v in increasing order, each with
         value 1.0.  The values are float64, the dtype scipy.sparse.csgraph
         works in, so its traversals take the matrix as it is instead of
-        converting it on every call.  `has_edge`, `clusters` and
-        `distances_from` all read this one matrix; treat it as immutable.
+        converting it on every call.  `clusters` and `distances_from`
+        read this one matrix; treat it as immutable.
         """
         if self._adjacency is None:
             from scipy.sparse import csr_matrix
@@ -174,11 +174,20 @@ class BoxRealization:
         """Degree of every vertex (int64), counted from the edges; builds no matrix."""
         return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        m = self.adjacency()
-        nbrs = m.indices[m.indptr[i]:m.indptr[i + 1]]
-        pos = np.searchsorted(nbrs, j)
-        return pos < len(nbrs) and nbrs[pos] == j
+    def has_edges(self, pairs) -> np.ndarray:
+        """Whether each row (i, j), i < j, of `pairs` is an open edge: one bool per row.
+
+        Rows are searched as 16-byte records, i then j big-endian, whose byte
+        order is the lexsort order of non-negative indices; unlike a key
+        i * n + j, they cannot wrap, whatever the box.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        rows, want = (np.ascontiguousarray(a, dtype=">u8").view("V16").ravel()
+                      for a in (self.edges, pairs))
+        pos = np.searchsorted(rows, want)
+        hit = pos < self.n_edges
+        hit[hit] = np.all(self.edges[pos[hit]] == pairs[hit], axis=1)
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +578,7 @@ def clusters(r: BoxRealization) -> Clusters:
     """The open clusters of `r`: scipy's connected components of its cached CSR.
 
     Reads the matrix `BoxRealization.adjacency` builds once per
-    realization, as `has_edge` and `distances_from` do; an edge-free box
+    realization, as `distances_from` does; an edge-free box
     has one singleton cluster per vertex, the largest labelled 0.
     """
     from scipy.sparse.csgraph import connected_components
@@ -636,10 +645,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _record_text(fmt: str, columns, chunk: int = 1 << 16):
-    """One `fmt` line per row of the columns, %-formatted a chunk of rows at a time."""
-    for s in range(0, len(columns[0]), chunk):
-        rows = zip(*(c[s:s + chunk].tolist() for c in columns))
+def _record_text(fmt: str, columns):
+    """One `fmt` line per row of the columns, %-formatted 2^16 rows at a time."""
+    for s in range(0, len(columns[0]), 1 << 16):
+        rows = zip(*(c[s:s + (1 << 16)].tolist() for c in columns))
         values = tuple(itertools.chain.from_iterable(rows))
         yield (fmt * (len(values) // len(columns))) % values
 
@@ -680,23 +689,17 @@ def _outside_box(spec: BoxSpec, coords: np.ndarray, line_nos, per_record: int):
     return ParseError(line_nos[k // per_record], f"coordinates {coords[k].tolist()} outside box")
 
 
-def _missing_nn_edge(spec: BoxSpec, edges: np.ndarray):
-    """The first lattice-neighbour pair (lo, hi) absent from the sorted edges, or None."""
-    n, side = spec.vertex_count, spec.side
-    flat = np.arange(n, dtype=np.int64)
-    lo, hi = [], []
-    for j in range(spec.d):
-        stride = side ** (spec.d - 1 - j)
+def _missing_nn_edge(r: BoxRealization):
+    """The first lattice-neighbour pair (lo, hi), axis by axis, that r lacks, or None."""
+    d, side = r.spec.d, r.spec.side
+    flat = np.arange(r.n_vertices, dtype=np.int64)
+    pairs = []
+    for stride in (side ** (d - 1 - j) for j in range(d)):
         x = flat[flat // stride % side < side - 1]
-        lo.append(x)
-        hi.append(x + stride)
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    want = lo * n + hi
-    # Keys are ascending because the edges are lexsorted; the sentinel n*n
-    # exceeds every wanted key, so each search lands on a valid slot.
-    keys = np.append(edges[:, 0] * n + edges[:, 1], n * n)
-    gone = np.flatnonzero(keys[np.searchsorted(keys, want)] != want)
-    return None if gone.size == 0 else (int(lo[gone[0]]), int(hi[gone[0]]))
+        pairs.append(np.stack([x, x + stride], axis=1))
+    pairs = np.concatenate(pairs)
+    gone = np.flatnonzero(~r.has_edges(pairs))
+    return None if gone.size == 0 else pairs[gone[0]]
 
 
 def _record_fault(parts: list, d: int, weighted: bool) -> str:
@@ -828,11 +831,12 @@ def load_realization(path) -> BoxRealization:
     if dup.size:
         k = int(np.maximum(order[dup], order[dup + 1]).min())
         raise ParseError(e_lines[k], "duplicate edge")
-    if kind is ModelKind.SFP_NN:
-        gap = _missing_nn_edge(spec, edges)
-        if gap is not None:
-            a, b = spec.coords_of(np.array(gap)).tolist()
-            raise ParseError(len(lines) + 1, f"missing nearest-neighbour edge {a} {b}")
     edges.setflags(write=False)
-    return BoxRealization(spec=spec, params=params, seed=seed, weights=weights,
-                          edges=edges, trunc=trunc, trunc_bias=trunc_bias)
+    r = BoxRealization(spec=spec, params=params, seed=seed, weights=weights,
+                       edges=edges, trunc=trunc, trunc_bias=trunc_bias)
+    if kind is ModelKind.SFP_NN:
+        gap = _missing_nn_edge(r)
+        if gap is not None:
+            a, b = spec.coords_of(gap).tolist()
+            raise ParseError(len(lines) + 1, f"missing nearest-neighbour edge {a} {b}")
+    return r

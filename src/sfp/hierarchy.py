@@ -152,16 +152,15 @@ def validate_hierarchy(h: Hierarchy, r: BoxRealization) -> Violation | None:
             else:
                 seen[site] = key
 
-    # Condition 3: required edges with distinct endpoints are open.
-    for _, a, b in h.required_edge_keys():
-        za, zb = h.sites[a], h.sites[b]
-        if za == zb:
-            continue
-        ia = int(r.spec.flat_of(np.asarray(za, dtype=np.int64)))
-        ib = int(r.spec.flat_of(np.asarray(zb, dtype=np.int64)))
-        if not r.has_edge(min(ia, ib), max(ia, ib)):
-            return Violation(3, f"edge {{z_{a}, z_{b}}} = ({za}, {zb}) is closed")
-
+    # Condition 3: required edges with distinct endpoints are open.  One
+    # lookup decides them all; the first closed one in key order is reported.
+    req = [(a, b) for _, a, b in h.required_edge_keys() if h.sites[a] != h.sites[b]]
+    ends = np.array([[h.sites[a], h.sites[b]] for a, b in req], dtype=np.int64)
+    flat = np.sort(r.spec.flat_of(ends.reshape(-1, 2, r.spec.d)), axis=1)
+    closed = np.flatnonzero(~r.has_edges(flat))
+    if closed.size:
+        a, b = req[closed[0]]
+        return Violation(3, f"edge {{z_{a}, z_{b}}} = ({h.sites[a]}, {h.sites[b]}) is closed")
     return None
 
 

@@ -97,8 +97,6 @@ def validate_params(d, alpha, lambda_, tau, kind=ModelKind.SFP) -> ModelParams:
     Raises NonPositive(field) for d < 1, alpha <= 0, lambda <= 0 and
     TauTooSmall for tau <= 1.
     """
-    if isinstance(kind, str):
-        kind = ModelKind.parse(kind)
     return ModelParams(d=d, alpha=float(alpha), lambda_=float(lambda_),
                        tau=float(tau), kind=kind)
 

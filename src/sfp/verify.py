@@ -141,7 +141,7 @@ def criterion_adjacent_decay(seed: int = 0, threads: int = 1) -> CriterionResult
     cfg = ExperimentConfig(params=p, seed=seed, replicates=_DECAY_REPLICATES,
                            threads=threads)
     rep = run_adjacent_mc(cfg, 100.0 ** (2.0 / 3.0), 10.0 ** (2.0 / 3.0),
-                          sweep_ryz=(8.0, 16.0, 32.0, 64.0), sweep_rxy=256.0)
+                          sweep_ryz=(8.0, 16.0, 32.0, 64.0))
     v = rep.verdict("decay-slope")
     return _result("4", "adjacent-decay-slope", v.passed, v.detail, t0)
 
@@ -180,7 +180,7 @@ def criterion_degree_tail(seed: int = 0, threads: int = 1) -> CriterionResult:
         p = validate_params(1, 1.5, 1.0, tau)
         cfg = ExperimentConfig(params=p, spec=BoxSpec(d=1, side=_DEGREE_SIDE),
                                seed=seed, threads=threads)
-        rep = run_degree_experiment(cfg, margin=1_000, hill_k=k, cutoff=cutoff, tol=0.3)
+        rep = run_degree_experiment(cfg, margin=1_000, hill_k=k, cutoff=cutoff)
         v = rep.verdict("hill-vs-gamma")
         ok = ok and v.passed
         details.append(f"tau={tau}: {v.detail}")

@@ -647,6 +647,29 @@ def test_load_rejects_sfpnn_file_missing_a_nearest_neighbour_edge(tmp_path):
     assert exc.value.line_number == len(lines) + 1
 
 
+def test_has_edges_matches_the_edge_set():
+    r = generate_box(validate_params(2, 2.5, 2.0, 2.5), 3, BoxSpec(d=2, side=6))
+    open_pairs = set(map(tuple, r.edges.tolist()))
+    pairs = np.array(list(itertools.combinations(range(r.n_vertices), 2)), dtype=np.int64)
+    assert 0 < len(open_pairs) < len(pairs)
+    assert r.has_edges(pairs).tolist() == [p in open_pairs for p in map(tuple, pairs.tolist())]
+    assert r.has_edges(np.empty((0, 2), dtype=np.int64)).shape == (0,)
+    empty = generate_box(validate_params(1, 1.5, 1e-300, 2.5), 0, BoxSpec(d=1, side=4))
+    assert empty.n_edges == 0 and not empty.has_edges([[0, 1], [2, 3]]).any()
+
+
+def test_has_edges_is_exact_where_a_flat_key_wraps(tmp_path):
+    # n = 2^62, so n^2 >= 2^63: the key lo * n + hi of (4, 7) wraps onto
+    # that of the open edge (0, 7), and past lo = 2 the keys turn negative.
+    n = 2 ** 62
+    path = tmp_path / "huge.txt"
+    path.write_text(f"#sfp-box v1\nd=1 alpha=1.5 lambda=1.0 tau=2.5 model=lrp L={n} seed=0\n"
+                    f"e 0 7\ne 3 {n - 1}\ne {n - 3} {n - 2}\n")
+    r = load_realization(path)
+    pairs = [(0, 7), (4, 7), (3, n - 1), (2, n - 1), (n - 3, n - 2), (n - 3, n - 1), (0, 1)]
+    assert r.has_edges(pairs).tolist() == [True, False, True, False, True, False, False]
+
+
 def test_radius_too_small_is_one_class():
     from sfp import moments, params
     assert graph.RadiusTooSmall is moments.RadiusTooSmall is params.RadiusTooSmall
@@ -660,16 +683,27 @@ def test_graph_import_does_not_load_moments():
 
 
 _IMPORT_BUDGET = """
-import sys
+import os, sys
 from sfp import cli
+from sfp.graph import save_realization
+from sfp.verify import forced_realization, toy_hierarchy
 
 def scipy_packages():
     return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules if m.split('.')[0] == 'scipy'})
 
+# The toy hierarchy and a box with exactly its required edges open.
+real, sites = (os.path.join(sys.argv[1], name) for name in ('real.txt', 'sites.txt'))
+h = toy_hierarchy()
+save_realization(forced_realization(h.required_edges()), real)
+with open(sites, 'w') as fh:
+    fh.writelines(f's {key} {z[0]} {z[1]}\\n' for key, z in h.sites.items())
+
 model = ['--alpha', '1.5', '--tau', '2.5', '--threads', '2']
 for argv in (['adjacent', *model, '--rxy', '20', '--ryz', '4', '--replicates', '2000'],
              ['fkg', *model, '--path', '0;17;-5;30', '--replicates', '2000'],
-             ['bridge', *model, '--beta', '0.5', '--n-list', '64,128', '--replicates', '400']):
+             ['bridge', *model, '--beta', '0.5', '--n-list', '64,128', '--replicates', '400'],
+             ['coupling', *model, '--side', '64', '--replicates', '2'],
+             ['hierarchy', 'check', '--realization', real, '--hierarchy', sites]):
     assert cli.main(argv) in (0, 2), argv
     assert not scipy_packages(), (argv[0], scipy_packages())
 
@@ -683,9 +717,9 @@ assert 'scipy.fft' in loaded and not {'scipy.sparse', 'scipy.integrate'} & set(l
 """
 
 
-def test_cli_commands_import_only_the_scipy_they_run():
+def test_cli_commands_import_only_the_scipy_they_run(tmp_path):
     src = os.path.dirname(os.path.dirname(graph.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET], env=env,
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -43,6 +43,14 @@ class TestValidate:
         assert v is not None and v.condition == 3
         assert "z_01" in v.witness
 
+    def test_first_closed_edge_in_key_order_is_reported(self):
+        h = toy_hierarchy()
+        v = validate_hierarchy(h, forced_realization([]))
+        assert v.witness == "edge {z_01, z_10} = ((-4, 3), (5, 5)) is closed"
+        # With the level-0 edge open, the next closed one is z_001 - z_010.
+        v = validate_hierarchy(h, forced_realization([((-4, 3), (5, 5))]))
+        assert str(v) == "condition 3 violated: edge {z_001, z_010} = ((-5, -3), (-2, 1)) is closed"
+
     def test_duplicate_edge_is_condition_4(self):
         h = toy_hierarchy()
         sites = dict(h.sites)
