@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -259,7 +260,8 @@ def _cmd_generate(args) -> int:
     p = _params_from(args)
     spec = BoxSpec(d=args.dim, side=args.side)
     budget = DEFAULT_PAIR_BUDGET if args.pair_budget is None else args.pair_budget
-    r = generate_box(p, args.seed, spec, args.trunc, pair_budget=budget)
+    r = generate_box(p, args.seed, spec, args.trunc, pair_budget=budget,
+                     workers=args.threads or os.cpu_count() or 1)
     save_realization(r, args.out)
     print(f"wrote {r.n_edges} edges on {r.n_vertices} vertices to {args.out}",
           file=sys.stderr)

@@ -5,9 +5,11 @@ ExperimentReport: point estimates with standard errors, named pass/fail
 verdicts with their tolerances, and a config echo sufficient to
 reproduce the run.  All randomness is keyed by
 (seed, experiment point, replicate index, slot), so reports are
-bit-identical for any number of worker threads; threading only splits
+bit-identical for any number of worker threads.  Threading splits
 replicate ranges into fixed-size chunks whose partial sums are combined
-in a fixed order.
+in a fixed order.  It also maps the boxes of a box experiment over the
+workers and splits the pairs of each box among the workers left to it
+(`_box_workers`); a box's edges do not depend on that split.
 
 Estimators for edge events average the exact conditional probability
 given the sampled weights (edges are conditionally independent given
@@ -193,6 +195,17 @@ def _run_chunks(fn, ranges, workers: int):
     return [fn(rg) for rg in ranges]
 
 
+def _box_workers(cfg: ExperimentConfig, boxes: int):
+    """(threads that map the boxes, workers that decide each box's pairs).
+
+    The boxes are spread over the workers first and each box splits what
+    is left, so a single box gets every worker and no more threads run
+    than there are workers.
+    """
+    outer = min(cfg.worker_count, boxes)
+    return outer, cfg.worker_count // outer
+
+
 def _combine_mean_se(sums, n: int) -> EstimateWithCI:
     s1 = sum(s[0] for s in sums)
     s2 = sum(s[1] for s in sums)
@@ -345,12 +358,16 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
     the point estimate lies in the closed-form sandwich [middle/4,
     mu^2 middle] widened by 3 standard errors, and the fitted slope of
     log P against log r_yz at r_xy = _SWEEP_RXY is within _SLOPE_TOL of
-    -alpha (tau - 2).
+    -alpha (tau - 2).  The sweep distances must be positive and distinct;
+    with fewer than three of them the slope verdict is skipped, and a
+    flag says so.
     """
     t0 = time.monotonic()
     exact = adjacent_expectation_exact(cfg.params, r_xy, r_yz)
     if not all(r > 0 for r in sweep_ryz):
         raise NonPositiveDistance(f"sweep distances must be positive, got {sweep_ryz}")
+    if len(set(sweep_ryz)) < len(sweep_ryz):
+        raise ParameterError(f"sweep distances must not repeat, got {list(sweep_ryz)}")
     est = _path_estimates(cfg, 0, [r_xy, r_yz])[0][0]
     lo_bound = exact.lower - 3.0 * est.stderr
     hi_bound = exact.upper + 3.0 * est.stderr
@@ -360,7 +377,7 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
         f"(middle {exact.middle_expectation!r}, se {est.stderr!r})")]
 
     rows = [("point", r_xy, r_yz, est.mean, est.stderr, est.n)]
-    pts = []
+    pts, flags = [], []
     for i, r in enumerate(sweep_ryz):
         e = _path_estimates(cfg, 1 + i, [_SWEEP_RXY, float(r)])[0][0]
         rows.append(("sweep", _SWEEP_RXY, float(r), e.mean, e.stderr, e.n))
@@ -371,6 +388,8 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
         verdicts.append(Verdict(
             "decay-slope", abs(slope.mean - target) <= _SLOPE_TOL,
             f"slope {slope.mean!r} (se {slope.stderr!r}) vs target {target!r} +- {_SLOPE_TOL}"))
+    else:
+        flags.append(f"decay-slope skipped: {len(pts)} sweep points, the fit needs 3")
 
     return ExperimentReport(
         name="adjacent",
@@ -378,7 +397,7 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
                             sweep_ryz=",".join(repr(float(r)) for r in sweep_ryz),
                             slope_tol=_SLOPE_TOL),
         columns=["kind", "r_xy", "r_yz", "estimate", "stderr", "n"],
-        rows=rows, verdicts=verdicts, wallclock=time.monotonic() - t0)
+        rows=rows, verdicts=verdicts, flags=flags, wallclock=time.monotonic() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +576,15 @@ def run_coupling_check(cfg: ExperimentConfig, lambda_lrp: float | None = None,
     lrp_params = replace(cfg.params, kind=ModelKind.LRP,
                          lambda_=cfg.params.lambda_ if lambda_lrp is None else lambda_lrp)
 
+    outer, inner = _box_workers(cfg, cfg.replicates)
+
     def one(i: int):
         seed_i = derive_seed(cfg.seed, i)
-        sfp = generate_box(cfg.params, seed_i, cfg.spec, cutoff)
-        lrp = generate_box(lrp_params, seed_i, cfg.spec, cutoff)
+        sfp = generate_box(cfg.params, seed_i, cfg.spec, cutoff, workers=inner)
+        lrp = generate_box(lrp_params, seed_i, cfg.spec, cutoff, workers=inner)
         return int(np.count_nonzero(~sfp.has_edges(lrp.edges))), lrp.n_edges, sfp.n_edges
 
-    per_seed = _run_chunks(one, range(cfg.replicates), cfg.worker_count)
+    per_seed = _run_chunks(one, range(cfg.replicates), outer)
     total_viol = sum(p[0] for p in per_seed)
     rows = [(i, p[0], p[1], p[2]) for i, p in enumerate(per_seed)]
     verdicts = []
@@ -598,11 +619,13 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
     if not cfg.params.alpha > cfg.params.d:
         raise ParameterError("degree tail needs alpha > d (locally finite degrees)")
 
+    outer, inner = _box_workers(cfg, cfg.replicates)
+
     def one(i: int):
-        r = generate_box(cfg.params, derive_seed(cfg.seed, i), cfg.spec, cutoff)
+        r = generate_box(cfg.params, derive_seed(cfg.seed, i), cfg.spec, cutoff, workers=inner)
         return degree_sequence(r, margin), r.trunc_bias
 
-    boxes = _run_chunks(one, range(cfg.replicates), cfg.worker_count)
+    boxes = _run_chunks(one, range(cfg.replicates), outer)
     degrees = np.concatenate([dg for dg, _ in boxes])
     n = len(degrees)
     gamma = derived_exponents(cfg.params).gamma
@@ -674,10 +697,11 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
 
     if compare_lrp:
         _require_sfp(cfg, "distances --compare-lrp")
-        sfp, lrp = coupled_pair(cfg.params, cfg.seed, spec, cutoff=cutoff)
+        sfp, lrp = coupled_pair(cfg.params, cfg.seed, spec, cutoff, workers=cfg.worker_count)
         reals = [("sfp", sfp), ("lrp", lrp)]
     else:
-        reals = [(cfg.params.kind.value, generate_box(cfg.params, cfg.seed, spec, cutoff))]
+        reals = [(cfg.params.kind.value,
+                  generate_box(cfg.params, cfg.seed, spec, cutoff, workers=cfg.worker_count))]
 
     # Pair eligibility is decided on the most restrictive realization
     # (the coupled LRP if present: its largest cluster is contained in a

@@ -228,9 +228,11 @@ def _offset_runs(d: int, side: int, cutoff: float | None):
 
 def _generate(params: ModelParams, seed: int, spec: BoxSpec,
               cutoff: float | None, pair_budget: int,
-              weights_override: np.ndarray | None = None) -> BoxRealization:
+              weights_override: np.ndarray | None = None, workers: int = 1) -> BoxRealization:
     if spec.d != params.d:
         raise ValueError(f"spec dimension {spec.d} != params dimension {params.d}")
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     if cutoff is not None:
         if not cutoff >= 1:
             raise RadiusTooSmall(f"cutoff must be >= 1, got {cutoff}")
@@ -263,7 +265,7 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
     # LRP is decided, and its bias summed, with unit weights; the
     # realization still records no weights for it.
     unit = np.ones(n, dtype=np.float64) if weights is None else weights
-    edges = _open_pairs(params, seed, spec, runs, unit)
+    edges = _open_pairs(params, seed, spec, runs, unit, workers)
 
     bias = None
     if cutoff is not None:
@@ -306,7 +308,7 @@ def _pair_blocks(side: int, runs):
 
 
 def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
-                weights: np.ndarray) -> np.ndarray:
+                weights: np.ndarray, workers: int) -> np.ndarray:
     """The open pairs {x, x + delta}, delta in the `runs`, as a canonical (E, 2) array.
 
     Every pair of every model kind is decided by one rule: with
@@ -327,6 +329,12 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
     - A pair can open only if u < t.  The cheap lower bound
       `unit_lower_bound` <= u discards almost every closed pair; the
       exact u and the two comparisons run on the survivors only.
+    - The block list is cut into one contiguous piece per worker, of
+      about equal pair counts, each with its own buffers.  The calling
+      thread decides the first piece and a thread pool the others; numpy
+      releases the GIL inside its loops.  No block depends on the cut,
+      and the closing sort orders the edges, so the array is the same
+      bit for bit at any worker count.
     """
     L, d = spec.side, spec.d
     forced = params.kind is ModelKind.SFP_NN
@@ -343,54 +351,77 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
     padded = np.pad(wgrid, [(0, 0)] * (d - 1) + [(L, 2 * L)], constant_values=1.0)
     y_weights = sliding_window_view(padded, L, axis=-1)
 
-    eis, ejs = [], []
+    def pairs(block):
+        lead, rows, cols = block
+        return math.prod(L - abs(dj) for dj in lead) * len(rows) * len(cols)
+
+    # Block i goes to piece workers * (pairs before block i) // (all pairs).
     blocks = list(_pair_blocks(L, runs))
-    most = max((math.prod(L - abs(dj) for dj in lead) * len(rows) * len(cols)
-                for lead, rows, cols in blocks), default=0)
-    h, tmp = np.empty(most, np.uint64), np.empty(most, np.uint64)
-    t_buf, cand = np.empty(most, np.float64), np.empty(most, np.bool_)
+    sizes = [pairs(b) for b in blocks]
+    total = sum(sizes)
+    pieces = [[] for _ in range(workers)]
+    for block, before in zip(blocks, itertools.accumulate(sizes, initial=0)):
+        pieces[workers * before // total].append(block)
 
-    for lead, rows, cols in blocks:
-        lead_lo = tuple(slice(max(0, -dj), L - max(0, dj)) for dj in lead)
-        lead_hi = tuple(slice(max(0, dj), L - max(0, -dj)) for dj in lead)
-        block = tuple(s.stop - s.start for s in lead_lo) + (len(rows), len(cols))
-        m = math.prod(block)
-        x_cols = lead_lo + (slice(cols.start, cols.stop),)
-        y_cols = (slice(L + cols.start + rows.start, L + cols.start + rows.stop),
-                  slice(0, len(cols)))
+    def decide(piece):
+        eis, ejs = [], []
+        most = max(map(pairs, piece))
+        h, tmp = np.empty(most, np.uint64), np.empty(most, np.uint64)
+        t_buf, cand = np.empty(most, np.float64), np.empty(most, np.bool_)
+        for lead, rows, cols in piece:
+            lead_lo = tuple(slice(max(0, -dj), L - max(0, dj)) for dj in lead)
+            lead_hi = tuple(slice(max(0, dj), L - max(0, -dj)) for dj in lead)
+            block = tuple(s.stop - s.start for s in lead_lo) + (len(rows), len(cols))
+            m = math.prod(block)
+            x_cols = lead_lo + (slice(cols.start, cols.stop),)
+            y_cols = (slice(L + cols.start + rows.start, L + cols.start + rows.stop),
+                      slice(0, len(cols)))
 
-        w, spare = h[:m].reshape(block), tmp[:m].reshape(block)
-        state = prefix[x_cols][..., None, :]
-        for j in range(d - 1):
-            col = axes[j][lead_hi[j]].reshape([-1 if k == j else 1 for k in range(d + 1)])
-            state = absorb(state, col, w, spare)
-        absorb(state, y_words[y_cols], w, spare)
-        w = w.reshape(-1)
-        bound = unit_lower_bound(w, tmp[:m]).reshape(block)
+            w, spare = h[:m].reshape(block), tmp[:m].reshape(block)
+            state = prefix[x_cols][..., None, :]
+            for j in range(d - 1):
+                col = axes[j][lead_hi[j]].reshape([-1 if k == j else 1 for k in range(d + 1)])
+                state = absorb(state, col, w, spare)
+            absorb(state, y_words[y_cols], w, spare)
+            w = w.reshape(-1)
+            bound = unit_lower_bound(w, tmp[:m]).reshape(block)
 
-        lead_r2 = sum(dj * dj for dj in lead)
-        scales = [math.inf if forced and lead_r2 + r * r == 1
-                  else params.lambda_ * float(lead_r2 + r * r) ** (-params.alpha / 2.0)
-                  for r in rows]
-        t = t_buf[:m].reshape(block)
-        np.multiply(wgrid[x_cols][..., None, :], np.array(scales)[:, None], out=t)
-        np.multiply(t, y_weights[lead_hi + y_cols], out=t)
-        keep = np.flatnonzero(np.less(bound, t, out=cand[:m].reshape(block)))
-        if keep.size == 0:
-            continue
-        idx = np.unravel_index(keep, block)
-        r = idx[-2] + rows.start
-        c = idx[-1] + cols.start
-        inside = (c + r >= 0) & (c + r < L)
-        keep, idx, r, c = keep[inside], [i[inside] for i in idx], r[inside], c[inside]
-        u = unit_from_word(w[keep])
-        tk = t_buf[keep]
-        opened = (u < np.minimum(tk, 1.0)) & (u < -np.expm1(-tk))
-        lead_idx = [i[opened] for i in idx[:-2]]
-        eis.append(np.ravel_multi_index(
-            tuple(i + s.start for i, s in zip(lead_idx, lead_lo)) + (c[opened],), shape))
-        ejs.append(np.ravel_multi_index(
-            tuple(i + s.start for i, s in zip(lead_idx, lead_hi)) + (c[opened] + r[opened],), shape))
+            lead_r2 = sum(dj * dj for dj in lead)
+            scales = [math.inf if forced and lead_r2 + r * r == 1
+                      else params.lambda_ * float(lead_r2 + r * r) ** (-params.alpha / 2.0)
+                      for r in rows]
+            t = t_buf[:m].reshape(block)
+            np.multiply(wgrid[x_cols][..., None, :], np.array(scales)[:, None], out=t)
+            np.multiply(t, y_weights[lead_hi + y_cols], out=t)
+            keep = np.flatnonzero(np.less(bound, t, out=cand[:m].reshape(block)))
+            if keep.size == 0:
+                continue
+            idx = np.unravel_index(keep, block)
+            r = idx[-2] + rows.start
+            c = idx[-1] + cols.start
+            inside = (c + r >= 0) & (c + r < L)
+            keep, idx, r, c = keep[inside], [i[inside] for i in idx], r[inside], c[inside]
+            u = unit_from_word(w[keep])
+            tk = t_buf[keep]
+            opened = (u < np.minimum(tk, 1.0)) & (u < -np.expm1(-tk))
+            lead_idx = [i[opened] for i in idx[:-2]]
+            eis.append(np.ravel_multi_index(
+                tuple(i + s.start for i, s in zip(lead_idx, lead_lo)) + (c[opened],), shape))
+            ejs.append(np.ravel_multi_index(
+                tuple(i + s.start for i, s in zip(lead_idx, lead_hi)) + (c[opened] + r[opened],),
+                shape))
+        return eis, ejs
+
+    pieces = [p for p in pieces if p]
+    if len(pieces) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by one-worker runs
+        with ThreadPoolExecutor(len(pieces) - 1) as pool:
+            rest = [pool.submit(decide, p) for p in pieces[1:]]
+            found = [decide(pieces[0])] + [f.result() for f in rest]
+    else:
+        found = [decide(p) for p in pieces]
+    eis = [e for part, _ in found for e in part]
+    ejs = [e for _, part in found for e in part]
 
     if eis:
         ei = np.concatenate(eis)
@@ -405,17 +436,19 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
 
 def generate_box(params: ModelParams, seed: int, spec: BoxSpec,
                  cutoff: float | None = None, pair_budget: int = DEFAULT_PAIR_BUDGET,
-                 _weights_override: np.ndarray | None = None) -> BoxRealization:
+                 _weights_override: np.ndarray | None = None,
+                 workers: int = 1) -> BoxRealization:
     """Sample the realization on every vertex pair within Euclidean distance `cutoff`.
 
-    Deterministic in (params, seed, spec).  With cutoff None every pair
+    Deterministic in (params, seed, spec), whatever the number of
+    `workers` threads that decide the pairs.  With cutoff None every pair
     is decided; otherwise pairs beyond the cutoff are never opened, the
     decisions inside it agree bit for bit with the full box, and the
     realization records the union-bound truncation bias.  Raises
     RadiusTooSmall for a cutoff below 1, and BoxTooLarge when the pairs
     to decide exceed the pair budget.
     """
-    return _generate(params, seed, spec, cutoff, pair_budget, _weights_override)
+    return _generate(params, seed, spec, cutoff, pair_budget, _weights_override, workers=workers)
 
 
 def generate_box_truncated(params: ModelParams, seed: int, spec: BoxSpec,
@@ -426,13 +459,14 @@ def generate_box_truncated(params: ModelParams, seed: int, spec: BoxSpec,
 
 
 def coupled_pair(params: ModelParams, seed: int, spec: BoxSpec,
-                 cutoff: float | None = None):
+                 cutoff: float | None = None, workers: int = 1):
     """The (SFP, LRP) pair built from the same keyed uniforms.
 
     Edge-by-edge domination holds by construction: W >= 1 makes every
-    LRP-open uniform also SFP-open.
+    LRP-open uniform also SFP-open.  The boxes are built one after the
+    other, each by all `workers`.
     """
-    return tuple(generate_box(replace(params, kind=kind), seed, spec, cutoff)
+    return tuple(generate_box(replace(params, kind=kind), seed, spec, cutoff, workers=workers)
                  for kind in (ModelKind.SFP, ModelKind.LRP))
 
 

@@ -51,7 +51,7 @@ def test_criterion_05_coupling_domination():
 
 
 def test_criterion_06_degree_tail():
-    _check(verify.criterion_degree_tail(seed=0), 300.0)
+    _check(verify.criterion_degree_tail(seed=0, threads=0), 300.0)
 
 
 def test_criterion_07_bridge_slope():
@@ -90,7 +90,7 @@ def test_criterion_10_rejects_wrong_moments(monkeypatch):
 
 
 def test_criterion_11_distance_property_suite():
-    _check(verify.criterion_distance_suite(seed=0, full_scale=True), 900.0)
+    _check(verify.criterion_distance_suite(seed=0, threads=0, full_scale=True), 900.0)
 
 
 def test_criterion_12_determinism_across_threads(tmp_path):

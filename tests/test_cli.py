@@ -64,6 +64,15 @@ def test_generate_roundtrips(tmp_path):
     assert np.array_equal(back.weights, fresh.weights)
 
 
+def test_generate_file_is_the_same_at_any_thread_count(tmp_path):
+    args = ["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "2000", "--seed", "4",
+            "--trunc", "100", "--out"]
+    for threads in ("1", "2", "3"):
+        assert main(args + [str(tmp_path / f"t{threads}.txt"), "--threads", threads]) == 0
+    first = (tmp_path / "t1.txt").read_bytes()
+    assert all((tmp_path / f"t{t}.txt").read_bytes() == first for t in ("2", "3"))
+
+
 def test_generate_without_out_is_usage_error_before_generating():
     # An oversized box would raise BoxTooLarge (exit 3) if generated first.
     assert main(["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "100000"]) == 1
@@ -141,6 +150,7 @@ def test_bad_model_parameter_is_usage_error(argv, capsys):
     ["distances", "--alpha", "1.5", "--tau", "3.5", "--lambda", "5", "--side", "512",
      "--n-list", "16,16,32,64", "--sources", "4"],
     ["adjacent", *_MODEL, "--rxy", "4", "--ryz", "2", "--sweep-ryz", "0,8,16"],
+    ["adjacent", *_MODEL, "--rxy", "4", "--ryz", "2", "--sweep-ryz", "8,8,16"],
     ["degrees", "--alpha", "0.5", "--tau", "3.5", "--side", "2000"],
     ["moments", "second", *_MODEL, "--r", "0.5"],
     ["moments", "convolution", "--alpha", "1.5", "--dist", "8", "--radius", "1"],
@@ -166,6 +176,7 @@ def test_bad_model_parameter_is_usage_error(argv, capsys):
 ], ids=["adjacent-tau", "adjacent-threshold", "adjacent-order", "bridge-beta", "bridge-tau",
         "fkg-one-edge", "fkg-back-and-forth", "fkg-revisit", "distances-separation",
         "distances-zero-separation", "distances-repeated-separation", "adjacent-zero-sweep",
+        "adjacent-repeated-sweep",
         "degrees-alpha", "moments-second-r", "moments-convolution-radius", "moments-adjacent-tau",
         "moments-convolution-alpha", "moments-convolution-dist",
         "moments-convolution-dist-overflow", "moments-convolution-dist-int64",

@@ -75,6 +75,19 @@ class TestAdjacentMC:
         with pytest.raises(ValueError):
             ExperimentConfig(params=P, replicates=0)
 
+    def test_short_sweep_flags_the_skipped_slope(self):
+        cfg = ExperimentConfig(params=P, seed=0, replicates=1000)
+        rep = run_adjacent_mc(cfg, 20.0, 5.0, sweep_ryz=(8.0, 16.0))
+        assert [v.rule for v in rep.verdicts] == ["sandwich-3se"]
+        assert rep.flags == ["decay-slope skipped: 2 sweep points, the fit needs 3"]
+        assert "#flag decay-slope skipped" in rep.to_csv()
+        assert run_adjacent_mc(cfg, 20.0, 5.0, sweep_ryz=(8.0, 16.0, 32.0)).flags == []
+
+    def test_repeated_sweep_point_rejected(self):
+        with pytest.raises(ParameterError, match="must not repeat"):
+            run_adjacent_mc(ExperimentConfig(params=P, replicates=1000), 20.0, 5.0,
+                            sweep_ryz=(8.0, 8.0, 16.0))
+
     def test_point_estimate_in_sandwich(self):
         cfg = ExperimentConfig(params=P, seed=0, replicates=200_000)
         rep = run_adjacent_mc(cfg, 100.0 ** (2 / 3), 10.0 ** (2 / 3), sweep_ryz=())

@@ -3,7 +3,8 @@
 The matrix is kind {sfp, lrp, sfpnn} x d {1, 2} x seed {0, 1, 2} x
 {full, truncated}, the same boxes as `perfbench/checks.edge_cases`, so
 EDGE_DIGESTS equals the "edges" table of `perfbench/golden.json`.  The
-digest is sha256 of the little-endian int64 edge array.
+digest is sha256 of the little-endian int64 edge array.  Each box is
+checked generated by one worker and by two.
 
 TRUNC_BIAS_BITS pins the exact float (as `float.hex`) of the truncation
 bias of each truncated box.  In d >= 2 the bias is a sum over lattice
@@ -26,8 +27,9 @@ here.
 DISTANCE_DIGESTS pins sha256 of the body of three `sfp distances`
 reports (the CSV minus its #wallclock and #threads lines, as the
 benchmark compares them): a coupled SFP/LRP pair, a truncated sfpnn box
-with paths of up to ~80 hops, and a d=2 box.  They were generated with
-the numpy level-by-level BFS, before BFS moved to scipy's traversal.
+with paths of up to ~80 hops, and a d=2 box.  Each is checked at one and
+two threads.  They were generated with the numpy level-by-level BFS,
+before BFS moved to scipy's traversal.
 
 EXTRA_DIGESTS pins the edges, and for truncated boxes the bias bits, of
 boxes the matrix above leaves out: d=3 LRP and sfpnn boxes, full and
@@ -264,22 +266,23 @@ def _name(kind, d, seed, cutoff):
     return f"{kind.value}-d{d}-s{seed}-" + ("full" if cutoff is None else f"R{cutoff:g}")
 
 
-def _build(kind, d, seed, cutoff):
+def _build(kind, d, seed, cutoff, workers=1):
     params = ModelParams(d=d, alpha=SMALL[d]["alpha"], lambda_=1.0, tau=2.5, kind=kind)
     spec = BoxSpec(d=d, side=SMALL[d]["side"])
-    return generate_box(params, seed, spec, cutoff=cutoff)
+    return generate_box(params, seed, spec, cutoff=cutoff, workers=workers)
 
 
 @pytest.mark.parametrize("kind, d, seed, cutoff", CASES, ids=[_name(*c) for c in CASES])
 def test_golden_box(kind, d, seed, cutoff):
     name = _name(kind, d, seed, cutoff)
-    r = _build(kind, d, seed, cutoff)
-    digest = hashlib.sha256(np.ascontiguousarray(r.edges, dtype="<i8").tobytes()).hexdigest()
-    assert digest == EDGE_DIGESTS[name]
-    if cutoff is None:
-        assert r.trunc is None and r.trunc_bias is None
-    else:
-        assert r.trunc_bias.hex() == TRUNC_BIAS_BITS[name]
+    for workers in (1, 2):
+        r = _build(kind, d, seed, cutoff, workers)
+        digest = hashlib.sha256(np.ascontiguousarray(r.edges, dtype="<i8").tobytes()).hexdigest()
+        assert digest == EDGE_DIGESTS[name], workers
+        if cutoff is None:
+            assert r.trunc is None and r.trunc_bias is None
+        else:
+            assert r.trunc_bias.hex() == TRUNC_BIAS_BITS[name]
 
 
 def _file_digest(r, path):
@@ -358,7 +361,8 @@ def _report_body_digest(argv) -> str:
 @pytest.mark.parametrize("name", sorted(DISTANCE_DIGESTS))
 def test_golden_distance_report(name):
     argv, digest = DISTANCE_DIGESTS[name]
-    assert _report_body_digest(argv) == digest
+    for threads in ("1", "2"):
+        assert _report_body_digest(argv + ["--threads", threads]) == digest, threads
 
 
 _D3 = dict(d=3, alpha=4.0, lam=1.0, side=7, origin=None)

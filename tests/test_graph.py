@@ -17,7 +17,7 @@ from sfp.graph import (BoxRealization, BoxSpec, BoxTooLarge, FormatVersionMismat
                        VertexOutOfBox, clusters, coupled_pair, degree_sequence,
                        distances_from, generate_box, load_realization,
                        save_realization)
-from sfp.params import ModelKind, validate_params
+from sfp.params import ModelKind, ParameterError, validate_params
 from sfp.randomness import derive_seed
 
 P = validate_params(1, 1.5, 1.0, 2.5)
@@ -116,6 +116,28 @@ def test_generation_deterministic():
     b = generate_box(P, 9, spec)
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.weights, b.weights)
+
+
+def test_generation_is_the_same_at_any_worker_count():
+    # The d=1 box has two blocks, so at three workers one piece is empty.
+    boxes = [(validate_params(2, 3.0, 1.0, 2.5), BoxSpec(d=2, side=40), None),
+             (validate_params(1, 1.5, 4.0, 2.5, kind=ModelKind.SFP_NN), BoxSpec(d=1, side=8), 2.0)]
+    assert len(list(graph._pair_blocks(8, graph._offset_runs(1, 8, 2.0)))) == 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for params, spec, cutoff in boxes:
+            one = generate_box(params, 4, spec, cutoff)
+            assert one.n_edges > 0
+            for workers in (2, 3):
+                many = generate_box(params, 4, spec, cutoff, workers=workers)
+                assert many.edges.dtype == one.edges.dtype
+                assert np.array_equal(many.edges, one.edges)
+                assert many.trunc_bias == one.trunc_bias
+    finally:
+        sys.setswitchinterval(interval)
+    with pytest.raises(ParameterError):
+        generate_box(P, 0, BoxSpec(d=1, side=8), workers=0)
 
 
 def test_pair_budget_enforced():
