@@ -474,10 +474,11 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
     Per replicate, fresh weights for x, y and every cube vertex; the
     success probability 1 - prod_z (1 - p_xz p_zy) is exact given the
     weights.  Verdicts: fitted slope of log P against log N within
-    _SLOPE_TOL of -(2 alpha1 - d beta), and positive mass at every N.
-    Both the weights and the target are SFP's, so other model kinds
-    raise ModelKindUnsupported.  The N must be distinct and >= 1, so
-    every cube has at least two vertices.
+    _SLOPE_TOL of -(2 alpha1 - d beta), flagged as skipped when fewer
+    than three N give estimates, and positive mass at every N.  Both
+    the weights and the target are SFP's, so other model kinds raise
+    ModelKindUnsupported.  The N must be distinct and >= 1, so every
+    cube has at least two vertices.
     """
     t0 = time.monotonic()
     _require_sfp(cfg, "bridge")
@@ -542,6 +543,8 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
         verdicts.append(Verdict(
             "bridge-slope", abs(slope.mean - target) <= _SLOPE_TOL,
             f"slope {slope.mean!r} (se {slope.stderr!r}) vs target {target!r} +- {_SLOPE_TOL}"))
+    else:
+        flags.append(f"bridge-slope skipped: {len(pts)} N values, the fit needs 3")
     verdicts.append(Verdict(
         "positive-mass", all(row[2] > 0 for row in rows),
         "every estimate strictly positive"))

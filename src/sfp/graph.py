@@ -747,23 +747,113 @@ def _record_fault(parts: list, d: int, weighted: bool) -> str:
     return f"unknown record type {tag!r}"
 
 
+def _scan_records(lines, d: int, weighted: bool):
+    """Parse the record lines one at a time, in any order and layout.
+
+    Returns the weight coordinates (k, d), weights (k,) and their line
+    numbers, the edge endpoint coordinates (2m, d) and their line
+    numbers, and the ParseError of the first malformed line or None.
+    The buffers then hold the records before that line.
+    """
+    w_fields, e_fields = d + 2, 2 * d + 1
+    w_coords, w_values, w_lines = array("q"), array("d"), array("q")
+    e_coords, e_lines = array("q"), array("q")
+    failure = None
+    for ln, line in enumerate(itertools.islice(lines, 2, None), start=3):
+        parts = line.split()
+        if not parts:
+            continue
+        tag = parts[0]
+        try:
+            if tag == "e" and len(parts) == e_fields:
+                e_coords.extend(map(int, parts[1:]))
+                e_lines.append(ln)
+            elif tag == "w" and weighted and len(parts) == w_fields:
+                w_coords.extend(map(int, parts[1:-1]))
+                w_values.append(float(parts[-1]))
+                w_lines.append(ln)
+            else:
+                failure = ParseError(ln, _record_fault(parts, d, weighted))
+                break
+        except (ValueError, OverflowError) as exc:
+            failure = ParseError(ln, str(exc))
+            break
+
+    # A record that failed part-way may have left fields in a buffer:
+    # keep whole records only.
+    wc = np.frombuffer(w_coords, dtype=np.int64)[:len(w_lines) * d].reshape(-1, d)
+    ec = np.frombuffer(e_coords, dtype=np.int64)[:len(e_lines) * 2 * d].reshape(-1, d)
+    return wc, np.frombuffer(w_values, dtype=np.float64), w_lines, ec, e_lines, failure
+
+
+def _scan_layout(lines, d: int, n_weights: int):
+    """Parse a file in the writer's layout with two numpy passes, or None.
+
+    That layout is n_weights `w` lines, then `e` lines to the end, each
+    with exactly its fields and no blank line between.  Returns what
+    _scan_records returns, the line numbers as ranges; None for any
+    other file, and for tokens that numpy does not parse as int() and
+    float() do (such as 1_0 or non-ASCII digits).
+    """
+    def records(rows, fields):
+        # The tag is a field, so every row must hold exactly these fields.
+        # U2 keeps a longer tag (ew) from passing as its first letter.
+        dtype = np.dtype([("t", "U2"), *fields])
+        if not rows:
+            return np.empty(0, dtype)
+        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+
+    # Slices share the line strings.  loadtxt skips blank lines, so the
+    # row counts below catch them; a blank last row, caught here, would
+    # also make loadtxt warn of a slice with no data.
+    w_rows, e_rows = lines[2:2 + n_weights], lines[2 + n_weights:]
+    if any(not row.strip() for row in w_rows[-1:] + e_rows[-1:]):
+        return None
+    try:
+        w = records(w_rows, [("c", np.int64, (d,)), ("w", np.float64)])
+        e = records(e_rows, [("c", np.int64, (2 * d,))])
+    except ValueError:
+        return None
+    if (len(w) != n_weights or len(w) + len(e) != len(lines) - 2
+            or not np.all(w["t"] == "w") or not np.all(e["t"] == "e")):
+        return None
+    return (w["c"], w["w"], range(3, 3 + n_weights), e["c"].reshape(-1, d),
+            range(3 + n_weights, len(lines) + 1), None)
+
+
+def _read_lines(path) -> list:
+    """The lines of a UTF-8 file; ParseError at the line of a byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "x" stands in for the bad byte, which may start a line.
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"byte 0x{data[exc.start]:02x} is not UTF-8 "
+                               f"({exc.reason})") from None
+    del data  # before the lines are built
+    return text.splitlines()
+
+
 def load_realization(path) -> BoxRealization:
     """Parse the text format v1 back into a BoxRealization (bit-exact).
 
     Records may come in any order and their fields may be separated by
     any whitespace; blank lines are skipped.  Rejects, with the offending
-    line number: unknown metadata keys, malformed records, coordinates
-    outside the box, weights that are not finite or below 1, a second
-    weight for a vertex, self-loops, edges whose lower endpoint (in flat
-    order) is not written first, and duplicate edges.  Missing weights,
-    and for sfpnn a missing nearest-neighbour edge, are reported at the
-    line after the last.
+    line number: bytes that are not UTF-8, unknown metadata keys,
+    malformed records, coordinates outside the box, weights that are not
+    finite or below 1, a second weight for a vertex, self-loops, edges
+    whose lower endpoint (in flat order) is not written first, and
+    duplicate edges.  Missing weights, and for sfpnn a missing
+    nearest-neighbour edge, are reported at the line after the last.
 
-    One Python pass appends the fields of each record, and its line
-    number, to typed buffers; every check then runs in numpy.
+    A file in the layout `save_realization` writes is parsed by two
+    numpy passes (`_scan_layout`); any other file, hand-edited or
+    malformed, by one Python pass over its lines (`_scan_records`),
+    which names the first bad line.  Every check then runs in numpy.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != FORMAT_HEADER:
         got = lines[0] if lines else "<empty file>"
         raise FormatVersionMismatch(f"expected {FORMAT_HEADER!r}, got {got!r}")
@@ -799,34 +889,9 @@ def load_realization(path) -> BoxRealization:
         raise ParseError(2, str(exc)) from exc
 
     weighted = kind is not ModelKind.LRP
-    w_fields, e_fields = d + 2, 2 * d + 1
-    w_coords, w_values, w_lines = array("q"), array("d"), array("q")
-    e_coords, e_lines = array("q"), array("q")
-    failure = None
-    for ln, line in enumerate(itertools.islice(lines, 2, None), start=3):
-        parts = line.split()
-        if not parts:
-            continue
-        tag = parts[0]
-        try:
-            if tag == "e" and len(parts) == e_fields:
-                e_coords.extend(map(int, parts[1:]))
-                e_lines.append(ln)
-            elif tag == "w" and weighted and len(parts) == w_fields:
-                w_coords.extend(map(int, parts[1:-1]))
-                w_values.append(float(parts[-1]))
-                w_lines.append(ln)
-            else:
-                failure = ParseError(ln, _record_fault(parts, d, weighted))
-                break
-        except (ValueError, OverflowError) as exc:
-            failure = ParseError(ln, str(exc))
-            break
-
-    # A record that failed part-way may have left fields in a buffer:
-    # keep whole records only.
-    wc = np.frombuffer(w_coords, dtype=np.int64)[:len(w_lines) * d].reshape(-1, d)
-    ec = np.frombuffer(e_coords, dtype=np.int64)[:len(e_lines) * 2 * d].reshape(-1, d)
+    n_weights = spec.vertex_count if weighted else 0
+    wc, values, w_lines, ec, e_lines, failure = (_scan_layout(lines, d, n_weights)
+                                                 or _scan_records(lines, d, weighted))
     # Every buffered record precedes a failed line, so the first fault in
     # file order is the least line among these.
     faults = [f for f in (failure, _outside_box(spec, wc, w_lines, 1),
@@ -836,7 +901,6 @@ def load_realization(path) -> BoxRealization:
 
     weights = None
     if weighted:
-        values = np.frombuffer(w_values, dtype=np.float64)
         bad = np.flatnonzero(~((values >= 1.0) & (values < math.inf)))
         if bad.size:
             ln = w_lines[int(bad[0])]

@@ -233,6 +233,14 @@ class TestBridge:
         assert any("GeometryDegenerate" in f for f in rep.flags)
         assert rep.rows == []
 
+    def test_short_n_list_flags_the_skipped_slope(self):
+        cfg = ExperimentConfig(params=P, seed=0, replicates=1000)
+        rep = run_bridge_experiment(cfg, beta=0.5, n_list=(64, 128))
+        assert [v.rule for v in rep.verdicts] == ["positive-mass"]
+        assert rep.flags == ["bridge-slope skipped: 2 N values, the fit needs 3"]
+        assert "#flag bridge-slope skipped" in rep.to_csv()
+        assert run_bridge_experiment(cfg, beta=0.5, n_list=(64, 128, 256)).flags == []
+
     def test_beta_out_of_range(self):
         cfg = ExperimentConfig(params=P, replicates=10)
         with pytest.raises(BetaOutOfRange):

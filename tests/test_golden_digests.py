@@ -44,7 +44,9 @@ sides of the 2^16 chunk edge and across several chunks, and bridge in
 d=1 and in d=2 (4225 cube vertices per replicate, so only a few rows
 per tile) on both sides of its 2^14 chunk edge.  Each body is checked at
 one and two threads.  They were generated with whole-chunk kernels,
-before the kernels were computed in tiles over reused buffers.
+before the kernels were computed in tiles over reused buffers.  The
+three d=2 bridge bodies run one N, so they were pinned again when a
+bridge run of fewer than three N began to flag its skipped slope fit.
 
 BOX_REPORT_DIGESTS pins the report bodies of `sfp degrees` (with a
 cutoff over three replicates, so trunc_bias_mean is recorded, without
@@ -456,11 +458,11 @@ MC_DIGESTS = {
     "adjacent-lrp-200003": "5e33a79bcb085f55741515d8e2758bc3ed597ab3e03bc6299bd107576aa177ea",
     "fkg-lrp-200003": "d1ae5b30558cb7163b0272948248b337ecbea913122f70672729e5b0a2cba177",
     "bridge-d1-16383": "be3b051fb7bb77a9ed67ed70fa33c2acbc868e2b819efefce296f61da1f41472",
-    "bridge-d2-16383": "f433e033a473af9bc99d56bc72a5a32dfb6dbc8ac03f4789f57a311f5eee0e36",
+    "bridge-d2-16383": "7fb5acda4bbcd845ccb1fcf92e3b0bcd72e2299166f74f3ac7c5495a6f76223b",
     "bridge-d1-16385": "a686add184b8691d9c1db3c0f955fdc7f603fe84ca8fa364ecc13510cb549573",
-    "bridge-d2-16385": "3e2f5d9e56ba0645d3b0b943e1236e51e0789e14491ffd1e2c366963bf123924",
+    "bridge-d2-16385": "9af0b0a02d06f37600055876ad25de3895512541741d60a31690f7045501fa76",
     "bridge-d1-50001": "b60569f8ce4bac9d1736f1e222f523d8357a292eb596da3b9543c8b3be574c3e",
-    "bridge-d2-50001": "6481d4a12c8b4401a891a3449098abf218abd9b793b85ddf0fe0289d68973a01",
+    "bridge-d2-50001": "ef0d8d4ba96289235e1ab8e469bb507c976b24aafa7b801ab51e6e36d3f2ae5e",
 }
 
 

@@ -616,15 +616,18 @@ _VALID_FILE = [
     (5, "w 3 3.25\nw 3 2.0", 7),                        # second weight for a vertex
     (1, _VALID_FILE[1] + " origin=9223372036854775805", 2),  # coordinates overflow int64
     (1, _VALID_FILE[1].replace("d=1", "d=3").replace("L=4", "L=3000000"), 2),  # 2.7e19 vertices
+    (4, "w 2 1.0\udcff", 5),                            # byte 0xff: not UTF-8
 ], ids=["reversed", "duplicate", "self-loop", "weight-below-1", "weight-inf",
-        "weight-nan", "unknown-key", "duplicate-weight", "origin-overflow", "box-too-large"])
+        "weight-nan", "unknown-key", "duplicate-weight", "origin-overflow", "box-too-large",
+        "not-utf8"])
 def test_load_rejects_malformed_records(tmp_path, line, text, expect_line):
     path = tmp_path / "box.txt"
     path.write_text("\n".join(_VALID_FILE) + "\n")
     assert load_realization(path).n_edges == 3
     lines = list(_VALID_FILE)
     lines[line] = text
-    path.write_text("\n".join(lines) + "\n")
+    # surrogateescape writes a lone surrogate \udcXX as the raw byte 0xXX.
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ParseError) as exc:
         load_realization(path)
     assert exc.value.line_number == expect_line
