@@ -327,8 +327,14 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
       operand is a strided view or a broadcast coordinate axis; nothing
       is gathered.
     - A pair can open only if u < t.  The cheap lower bound
-      `unit_lower_bound` <= u discards almost every closed pair; the
-      exact u and the two comparisons run on the survivors only.
+      `unit_lower_bound` <= u discards almost every closed pair.  The
+      partner weights read 0 outside the box, so t = 0 (or nan on a
+      forced row) there and the ragged corner never survives.
+    - A block keeps only its survivors' words, t and endpoint indices.
+      The exact u and the two comparisons run on them in batches, once
+      the held survivors reach _BLOCK_PAIRS and at the end of the
+      piece, so the many small numpy calls per block become a few per
+      batch, and a batch holds about one block's worth of survivors.
     - The block list is cut into one contiguous piece per worker, of
       about equal pair counts, each with its own buffers.  The calling
       thread decides the first piece and a thread pool the others; numpy
@@ -343,13 +349,15 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
     # Coordinate k of axis j is origin[j] + k, as a hash word.  Partners
     # read the last axis through windows of width L: window L + c + r
     # starts at the partner of lower endpoint c at last offset r.  Ragged
-    # blocks reach up to L - 1 before and 2L after the box.
+    # blocks reach up to L - 1 before and 2L after the box, where partners
+    # weigh 0.
     axes = [(np.arange(L, dtype=np.int64) + o).view(np.uint64) for o in spec.origin[:-1]]
     last = (np.arange(-L, 3 * L, dtype=np.int64) + spec.origin[-1]).view(np.uint64)
     y_words = sliding_window_view(last, L)
     wgrid = weights.reshape(shape)
-    padded = np.pad(wgrid, [(0, 0)] * (d - 1) + [(L, 2 * L)], constant_values=1.0)
+    padded = np.pad(wgrid, [(0, 0)] * (d - 1) + [(L, 2 * L)], constant_values=0.0)
     y_weights = sliding_window_view(padded, L, axis=-1)
+    strides = [L ** (d - 1 - j) for j in range(d)]
 
     def pairs(block):
         lead, rows, cols = block
@@ -368,6 +376,16 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
         most = max(map(pairs, piece))
         h, tmp = np.empty(most, np.uint64), np.empty(most, np.uint64)
         t_buf, cand = np.empty(most, np.float64), np.empty(most, np.bool_)
+        held, n_held = [], 0  # survivors (words, t, lower, upper) per block
+
+        def settle():
+            w, t, lo, hi = map(np.concatenate, zip(*held))
+            u = unit_from_word(w)
+            opened = (u < np.minimum(t, 1.0)) & (u < -np.expm1(-t))
+            eis.append(lo[opened])
+            ejs.append(hi[opened])
+            held.clear()
+
         for lead, rows, cols in piece:
             lead_lo = tuple(slice(max(0, -dj), L - max(0, dj)) for dj in lead)
             lead_hi = tuple(slice(max(0, dj), L - max(0, -dj)) for dj in lead)
@@ -391,25 +409,28 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
                       else params.lambda_ * float(lead_r2 + r * r) ** (-params.alpha / 2.0)
                       for r in rows]
             t = t_buf[:m].reshape(block)
-            np.multiply(wgrid[x_cols][..., None, :], np.array(scales)[:, None], out=t)
-            np.multiply(t, y_weights[lead_hi + y_cols], out=t)
+            # inf * 0, a forced row's partner outside the box, is nan: no
+            # bound is below it.
+            with np.errstate(invalid="ignore"):
+                np.multiply(wgrid[x_cols][..., None, :], np.array(scales)[:, None], out=t)
+                np.multiply(t, y_weights[lead_hi + y_cols], out=t)
             keep = np.flatnonzero(np.less(bound, t, out=cand[:m].reshape(block)))
             if keep.size == 0:
                 continue
-            idx = np.unravel_index(keep, block)
-            r = idx[-2] + rows.start
-            c = idx[-1] + cols.start
-            inside = (c + r >= 0) & (c + r < L)
-            keep, idx, r, c = keep[inside], [i[inside] for i in idx], r[inside], c[inside]
-            u = unit_from_word(w[keep])
-            tk = t_buf[keep]
-            opened = (u < np.minimum(tk, 1.0)) & (u < -np.expm1(-tk))
-            lead_idx = [i[opened] for i in idx[:-2]]
-            eis.append(np.ravel_multi_index(
-                tuple(i + s.start for i, s in zip(lead_idx, lead_lo)) + (c[opened],), shape))
-            ejs.append(np.ravel_multi_index(
-                tuple(i + s.start for i, s in zip(lead_idx, lead_hi)) + (c[opened] + r[opened],),
-                shape))
+            # Lower endpoint x and upper x + delta as flat indices.
+            *lead_i, hi, lo = np.unravel_index(keep, block)
+            lo += sum(s.start * k for s, k in zip(lead_lo, strides)) + cols.start
+            for i, k in zip(lead_i, strides):
+                lo += i * k
+            hi += lo
+            hi += sum(dj * k for dj, k in zip(lead, strides)) + rows.start
+            held.append((w[keep], t_buf[keep], lo, hi))
+            n_held += keep.size
+            if n_held >= _BLOCK_PAIRS:
+                settle()
+                n_held = 0
+        if held:
+            settle()
         return eis, ejs
 
     pieces = [p for p in pieces if p]
@@ -851,7 +872,8 @@ def load_realization(path) -> BoxRealization:
     A file in the layout `save_realization` writes is parsed by two
     numpy passes (`_scan_layout`); any other file, hand-edited or
     malformed, by one Python pass over its lines (`_scan_records`),
-    which names the first bad line.  Every check then runs in numpy.
+    which names the first bad line.  Every check then runs in numpy;
+    edges already in the writer's order skip the sort.
     """
     lines = _read_lines(path)
     if not lines or lines[0] != FORMAT_HEADER:
@@ -923,12 +945,17 @@ def load_realization(path) -> BoxRealization:
         k = int(bad[0])
         raise ParseError(e_lines[k], "self-loop" if pairs[k, 0] == pairs[k, 1]
                          else "edge endpoints reversed (lower endpoint must come first)")
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    edges = pairs[order]
-    dup = np.flatnonzero(np.all(edges[1:] == edges[:-1], axis=1))
-    if dup.size:
-        k = int(np.maximum(order[dup], order[dup + 1]).min())
-        raise ParseError(e_lines[k], "duplicate edge")
+    # The writer's rows increase strictly, so they need no sort and hold
+    # no duplicate; any other order is sorted and scanned.
+    a, b = pairs[:-1], pairs[1:]
+    edges = pairs
+    if not np.all((a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] < b[:, 1]))):
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        edges = pairs[order]
+        dup = np.flatnonzero(np.all(edges[1:] == edges[:-1], axis=1))
+        if dup.size:
+            k = int(np.maximum(order[dup], order[dup + 1]).min())
+            raise ParseError(e_lines[k], "duplicate edge")
     edges.setflags(write=False)
     r = BoxRealization(spec=spec, params=params, seed=seed, weights=weights,
                        edges=edges, trunc=trunc, trunc_bias=trunc_bias)

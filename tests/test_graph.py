@@ -118,26 +118,58 @@ def test_generation_deterministic():
     assert np.array_equal(a.weights, b.weights)
 
 
-def test_generation_is_the_same_at_any_worker_count():
+def test_generation_is_the_same_at_any_worker_count(monkeypatch):
     # The d=1 box has two blocks, so at three workers one piece is empty.
-    boxes = [(validate_params(2, 3.0, 1.0, 2.5), BoxSpec(d=2, side=40), None),
-             (validate_params(1, 1.5, 4.0, 2.5, kind=ModelKind.SFP_NN), BoxSpec(d=1, side=8), 2.0)]
+    # At 64 pairs a block, each piece holds many batches of survivors.
+    boxes = [(validate_params(2, 3.0, 1.0, 2.5), BoxSpec(d=2, side=40), None, False),
+             (validate_params(1, 1.5, 4.0, 2.5, kind=ModelKind.SFP_NN), BoxSpec(d=1, side=8),
+              2.0, True),
+             (validate_params(1, 1.5, 4.0, 2.5), BoxSpec(d=1, side=300), 40.0, True),
+             (validate_params(2, 2.5, 4.0, 2.5, kind=ModelKind.SFP_NN), BoxSpec(d=2, side=12),
+              None, True),
+             (validate_params(3, 4.0, 2.0, 2.5), BoxSpec(d=3, side=6, origin=(-2, 0, 5)), 3.0,
+              True)]
     assert len(list(graph._pair_blocks(8, graph._offset_runs(1, 8, 2.0)))) == 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        for params, spec, cutoff in boxes:
+        for params, spec, cutoff, small_blocks in boxes:
             one = generate_box(params, 4, spec, cutoff)
             assert one.n_edges > 0
-            for workers in (2, 3):
+            runs = [(graph._BLOCK_PAIRS, 2), (graph._BLOCK_PAIRS, 3)]
+            if small_blocks:
+                runs += [(64, 1), (64, 2), (64, 3)]
+            for block_pairs, workers in runs:
+                monkeypatch.setattr(graph, "_BLOCK_PAIRS", block_pairs)
                 many = generate_box(params, 4, spec, cutoff, workers=workers)
+                monkeypatch.undo()
                 assert many.edges.dtype == one.edges.dtype
-                assert np.array_equal(many.edges, one.edges)
+                assert np.array_equal(many.edges, one.edges), (spec, block_pairs, workers)
                 assert many.trunc_bias == one.trunc_bias
     finally:
         sys.setswitchinterval(interval)
     with pytest.raises(ParameterError):
         generate_box(P, 0, BoxSpec(d=1, side=8), workers=0)
+
+
+@pytest.mark.parametrize("block_pairs, workers", [(None, 1), (None, 2), (64, 1), (64, 3)])
+def test_exact_stage_batches_hold_at_most_two_blocks(block_pairs, workers, monkeypatch):
+    # Weights so large that every pair survives the bound filter and opens.
+    side = 600
+    spec = BoxSpec(d=1, side=side)
+    if block_pairs is not None:
+        monkeypatch.setattr(graph, "_BLOCK_PAIRS", block_pairs)
+    sizes, exact = [], graph.unit_from_word
+
+    def counted(words):
+        sizes.append(np.size(words))
+        return exact(words)
+
+    monkeypatch.setattr(graph, "unit_from_word", counted)
+    r = generate_box(P, 2, spec, _weights_override=np.full(side, 1e4), workers=workers)
+    assert r.n_edges == sum(sizes) == side * (side - 1) // 2
+    assert len(sizes) >= 2
+    assert max(sizes) <= 2 * graph._BLOCK_PAIRS
 
 
 def test_pair_budget_enforced():

@@ -6,7 +6,7 @@ the per-line loop (`graph._scan_records`), the reference that names the
 first bad line.
 
 Guard: every file the writer makes takes the numpy path, checked by
-making the loop raise.
+making the loop raise, and its edges, already in order, are not sorted.
 
 Differential: a writer's file with one edit, each a token that int(),
 float() and str.split() read differently from numpy or a change to the
@@ -18,6 +18,7 @@ import itertools
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sfp import graph
@@ -56,10 +57,14 @@ def test_writer_files_take_the_numpy_path(name, tmp_path, monkeypatch):
     def loop(*args):
         raise AssertionError("a file in the writer's layout fell back to the per-line loop")
 
+    def sort(*args):
+        raise AssertionError("the writer's edges, already in order, were sorted")
+
     r = BOXES[name]
     path = tmp_path / "box.txt"
     save_realization(r, path)
     monkeypatch.setattr(graph, "_scan_records", loop)
+    monkeypatch.setattr(np, "lexsort", sort)
     assert _same(load_realization(path), r)
 
 
@@ -101,6 +106,7 @@ CASES = {
     "weight-inf": (lambda ls: _edit(ls, W + 9, 2, "inf"), W + 10),
     "weight-1e400": (lambda ls: _edit(ls, W + 9, 2, "1e400"), W + 10),
     "weight-underscore": (lambda ls: _edit(ls, W + 9, 2, "1_0.5"), None),
+    "repeated-edge": (lambda ls: ls.insert(E + 4, ls[E + 1]), E + 5),
 }
 
 
@@ -119,6 +125,7 @@ def test_edited_writer_file_loads_as_the_loop_does(case, newline, tmp_path, monk
     save_realization(r, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[E].startswith("e ") and lines[E - 1].startswith("w 15 ")
+    assert len(lines) > E + 4
     edit, expect_line = CASES[case]
     edit(lines)
     path.write_bytes(newline.join(lines + [""]).encode("utf-8"))
@@ -132,6 +139,17 @@ def test_edited_writer_file_loads_as_the_loop_does(case, newline, tmp_path, monk
     else:
         assert got == want
         assert got[1][0] == expect_line
+
+
+def test_swapped_edge_lines_load_the_writers_edges(tmp_path):
+    # The file keeps the writer's layout, so only the edge order check sends it to the sort.
+    r = generate_box(validate_params(1, 1.5, 2.0, 2.5), 9, BoxSpec(d=1, side=16))
+    path = tmp_path / "box.txt"
+    save_realization(r, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[E + 1], lines[E + 3] = lines[E + 3], lines[E + 1]
+    path.write_text("\n".join(lines + [""]), encoding="utf-8")
+    assert _same(load_realization(path), r)
 
 
 def test_blank_lines_alone_load_without_a_warning(tmp_path):
