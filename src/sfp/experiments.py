@@ -263,6 +263,17 @@ def loglog_slope(points) -> EstimateWithCI:
     return EstimateWithCI(mean=slope, stderr=math.sqrt(s2 / sxx), n=n)
 
 
+def _slope_verdict(rule: str, pts, target: float, points: str, verdicts: list, flags: list):
+    """Verdict `rule`, the log-log slope of `pts` within _SLOPE_TOL of `target`, or a flag."""
+    if len(pts) < 3:
+        flags.append(f"{rule} skipped: {len(pts)} {points}, the fit needs 3")
+        return
+    slope = loglog_slope(pts)
+    verdicts.append(Verdict(
+        rule, abs(slope.mean - target) <= _SLOPE_TOL,
+        f"slope {slope.mean!r} (se {slope.stderr!r}) vs target {target!r} +- {_SLOPE_TOL}"))
+
+
 def _replicate_states(seed: int, point: int, lo: int, hi: int) -> np.ndarray:
     """Hash states of the keys (point, replicate) for replicates lo..hi-1."""
     return keyed_words(seed, TAG_EXPERIMENT, np.uint64(point),
@@ -382,14 +393,8 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
         e = _path_estimates(cfg, 1 + i, [_SWEEP_RXY, float(r)])[0][0]
         rows.append(("sweep", _SWEEP_RXY, float(r), e.mean, e.stderr, e.n))
         pts.append((float(r), e.mean))
-    if len(pts) >= 3:
-        target = -cfg.params.alpha * (cfg.params.tau - 2.0)
-        slope = loglog_slope(pts)
-        verdicts.append(Verdict(
-            "decay-slope", abs(slope.mean - target) <= _SLOPE_TOL,
-            f"slope {slope.mean!r} (se {slope.stderr!r}) vs target {target!r} +- {_SLOPE_TOL}"))
-    else:
-        flags.append(f"decay-slope skipped: {len(pts)} sweep points, the fit needs 3")
+    _slope_verdict("decay-slope", pts, -cfg.params.alpha * (cfg.params.tau - 2.0),
+                   "sweep points", verdicts, flags)
 
     return ExperimentReport(
         name="adjacent",
@@ -538,13 +543,7 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
         pts.append((float(n), est.mean))
 
     verdicts = []
-    if len(pts) >= 3:
-        slope = loglog_slope(pts)
-        verdicts.append(Verdict(
-            "bridge-slope", abs(slope.mean - target) <= _SLOPE_TOL,
-            f"slope {slope.mean!r} (se {slope.stderr!r}) vs target {target!r} +- {_SLOPE_TOL}"))
-    else:
-        flags.append(f"bridge-slope skipped: {len(pts)} N values, the fit needs 3")
+    _slope_verdict("bridge-slope", pts, target, "N values", verdicts, flags)
     verdicts.append(Verdict(
         "positive-mass", all(row[2] > 0 for row in rows),
         "every estimate strictly positive"))
@@ -723,7 +722,7 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
             wallclock=time.monotonic() - t0)
 
     mask = cl.largest_mask()
-    stride = spec.side ** (spec.d - 1)  # flat jump of +1 along the first axis
+    stride = spec.strides[0]  # flat jump of +1 along the first axis
     max_source_row = spec.side - 1 - n_max
     candidates = np.nonzero(mask)[0]
     candidates = candidates[(candidates // stride) <= max_source_row]

@@ -279,15 +279,8 @@ def forced_realization(edges) -> BoxRealization:
     """A synthetic realization of the toy hierarchy's box [-6, 8]^2: `edges` open, no other."""
     spec = BoxSpec(d=2, side=15, origin=(-6, -6))
     params = ModelParams(d=2, alpha=1.5, lambda_=1.0, tau=2.5, kind=ModelKind.LRP)
-    if edges:
-        flat = np.array([[int(spec.flat_of(np.asarray(a, dtype=np.int64))),
-                          int(spec.flat_of(np.asarray(b, dtype=np.int64)))]
-                         for a, b in edges], dtype=np.int64)
-        flat.sort(axis=1)
-        order = np.lexsort((flat[:, 1], flat[:, 0]))
-        flat = flat[order]
-    else:
-        flat = np.empty((0, 2), dtype=np.int64)
+    flat = np.sort(spec.flat_of(np.array(edges, dtype=np.int64).reshape(-1, 2, 2)), axis=1)
+    flat = flat[np.lexsort((flat[:, 1], flat[:, 0]))]
     return BoxRealization(spec=spec, params=params, seed=0, weights=None, edges=flat)
 
 

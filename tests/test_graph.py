@@ -30,6 +30,37 @@ def _line_box(edges, side):
                           edges=flat)
 
 
+@pytest.mark.parametrize("d, side, origin", [
+    (1, 7, None), (1, 5, (-3,)), (2, 4, None), (2, 5, (-2, 7)), (3, 3, (4, -1, -5)),
+])
+def test_box_layout_is_row_major(d, side, origin):
+    # Oracle: itertools.product lists the vertices in row-major order, so
+    # the k-th tuple is the relative position of flat index k.
+    spec = BoxSpec(d=d, side=side, origin=origin)
+    shift = np.asarray(spec.origin, dtype=np.int64)
+    coords = np.array(list(itertools.product(range(side), repeat=d)), dtype=np.int64) + shift
+    flat = np.arange(side ** d, dtype=np.int64)
+    assert np.array_equal(spec.coords_of(flat), coords)
+    assert np.array_equal(spec.flat_of(coords), flat)
+    assert np.array_equal(spec.all_coords(), coords)
+    # One step along axis j moves the flat index by strides[j].
+    rows = [tuple(c) for c in coords.tolist()]
+    assert spec.strides == tuple(rows.index(tuple(shift + np.eye(d, dtype=np.int64)[j]))
+                                 for j in range(d))
+    # Scalars, (k, d) and (k, 2, d) arrays keep their shapes.
+    for k in (0, 1, side ** d - 1):
+        assert np.array_equal(spec.coords_of(k), coords[k])
+        assert int(spec.flat_of(coords[k])) == k
+    n = side ** d
+    pairs = np.array([[0, n - 1], [1, 2], [n // 2, n - 2]], dtype=np.int64)
+    assert np.array_equal(spec.coords_of(pairs), coords[pairs])
+    assert np.array_equal(spec.flat_of(coords[pairs]), pairs)
+    assert spec.flat_of(coords[pairs][:0]).shape == (0, 2)
+    for outside in (shift - 1, shift + side):
+        with pytest.raises(VertexOutOfBox, match="outside box"):
+            spec.flat_of(outside)
+
+
 def test_complete_graph_at_huge_intensity():
     p = validate_params(1, 1.5, 1e6, 2.5)
     r = generate_box(p, 0, BoxSpec(d=1, side=4))

@@ -20,8 +20,6 @@ ALLOWED = {
     "uniform_for_edge",
     "weight_for_vertex",
     "experiment_uniforms",
-    # Called by perfbench/checks.py until exact sparse sampling removes truncation.
-    "generate_box_truncated",
 }
 
 
