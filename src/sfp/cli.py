@@ -152,7 +152,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--oracle", action="store_true",
                    help="also run the quadrature oracle")
     p = msub.add_parser("second", parents=[model])
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
     p = msub.add_parser("convolution", parents=[common])
     p.add_argument("--dim", type=_at_least(1), default=1)
     p.add_argument("--alpha", type=float, required=True)
@@ -332,7 +332,8 @@ def _cmd_moments(args) -> int:
         if args.oracle:
             oracle = moments.adjacent_expectation_quadrature(p, args.rxy, args.ryz)
             cols += ",oracle,rel_gap"
-            gap = abs(res.middle_expectation - oracle) / abs(oracle)
+            diff = abs(res.middle_expectation - oracle)
+            gap = diff / abs(oracle) if oracle else (0.0 if diff == 0 else math.inf)
             row += [_fmt(oracle), _fmt(gap)]
         lines.append(cols)
         lines.append(",".join(row))

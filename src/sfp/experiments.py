@@ -52,6 +52,9 @@ _HILL_TOL = 0.3
 _EQUALITY_TOL_REL = 1e-12
 _TINY_CLUSTER_FRACTION = 0.05
 _SWEEP_RXY = 256.0
+# Most lattice points a bridge cube may hold: a d = 3 cube of 101^3 points
+# (N = 2500, beta = 0.5) raised peak memory by ~90 MB.
+_BRIDGE_POINTS = 1 << 20
 
 
 class KTooLarge(ValueError):
@@ -268,7 +271,11 @@ def _slope_verdict(rule: str, pts, target: float, points: str, verdicts: list, f
     if len(pts) < 3:
         flags.append(f"{rule} skipped: {len(pts)} {points}, the fit needs 3")
         return
-    slope = loglog_slope(pts)
+    try:
+        slope = loglog_slope(pts)
+    except (NonPositivePoint, TooFewPoints) as exc:  # an estimate of 0, or x equal as floats
+        flags.append(f"{rule} skipped: {exc}")
+        return
     verdicts.append(Verdict(
         rule, abs(slope.mean - target) <= _SLOPE_TOL,
         f"slope {slope.mean!r} (se {slope.stderr!r}) vs target {target!r} +- {_SLOPE_TOL}"))
@@ -421,7 +428,10 @@ def run_fkg_check(cfg: ExperimentConfig, path) -> ExperimentReport:
     only slack left in the LRP case where the estimator is exact).
     """
     t0 = time.monotonic()
-    pts = [np.atleast_1d(np.asarray(p, dtype=np.int64)) for p in path]
+    try:
+        pts = [np.atleast_1d(np.asarray(p, dtype=np.int64)) for p in path]
+    except OverflowError:
+        raise ParameterError("path coordinates must fit in 64-bit integers") from None
     n_edges = len(pts) - 1
     if not 2 <= n_edges <= 6:
         raise PathTooLong(f"path must have 2..6 edges, got {n_edges}")
@@ -429,7 +439,9 @@ def run_fkg_check(cfg: ExperimentConfig, path) -> ExperimentReport:
         raise ParameterError(f"path vertices must be {cfg.params.d}-dimensional")
     if len({tuple(p) for p in pts}) < len(pts):
         raise ParameterError("path repeats a vertex")
-    lengths = [math.sqrt(float(np.sum((a - b) ** 2))) for a, b in zip(pts[:-1], pts[1:])]
+    # Squared in Python ints: an int64 square wraps above a difference of ~3e9.
+    lengths = [math.sqrt(sum((int(x) - int(y)) ** 2 for x, y in zip(a, b)))
+               for a, b in zip(pts[:-1], pts[1:])]
 
     lrp = cfg.params.kind is ModelKind.LRP
     rows, verdicts = [], []
@@ -461,14 +473,16 @@ def run_fkg_check(cfg: ExperimentConfig, path) -> ExperimentReport:
 # Bridging through a midpoint cube
 # ---------------------------------------------------------------------------
 
-def _bridge_cube(d: int, n: int, beta: float) -> np.ndarray:
-    """Lattice points of the cube mid + [-N^beta, N^beta]^d, mid = (N/2) e1."""
+def _bridge_axes(d: int, n: int, beta: float) -> list:
+    """Per axis, the first and last coordinate of mid + [-N^beta, N^beta]^d, mid = (N/2) e1."""
     half = float(n) ** beta
-    mid = np.zeros(d)
-    mid[0] = n / 2.0
-    axes = [np.arange(math.ceil(mid[j] - half), math.floor(mid[j] + half) + 1,
-                      dtype=np.int64) for j in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
+    return [(math.ceil(m - half), math.floor(m + half)) for m in [n / 2.0] + [0.0] * (d - 1)]
+
+
+def _bridge_cube(axes) -> np.ndarray:
+    """The lattice points of the cube with these `_bridge_axes`, as an (nz, d) array."""
+    grids = np.meshgrid(*[np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in axes],
+                        indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
@@ -490,21 +504,28 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
     target = -bridging_exponent(cfg.params, beta)  # rejects beta before any chunk runs
     if not (2.0 < cfg.params.tau < 3.0):
         raise TauOutOfRange(f"bridge experiment needs tau in (2,3), got {cfg.params.tau}")
-    if not n_list or min(n_list) < 1 or len(set(n_list)) < len(n_list):
-        raise ParameterError(f"bridge needs distinct N >= 1, got {list(n_list)}")
+    if (not n_list or min(n_list) < 1 or max(n_list) >= 2 ** 63
+            or len(set(n_list)) < len(n_list)):
+        raise ParameterError(f"bridge needs distinct N in [1, 2^63), got {list(n_list)}")
     d, lam, alpha, tau = cfg.params.d, cfg.params.lambda_, cfg.params.alpha, cfg.params.tau
+    # Counted in Python ints before any array is built: numpy would fail to allocate.
+    axes = [_bridge_axes(d, int(n), beta) for n in n_list]
+    for n, ax in zip(n_list, axes):
+        if math.prod(hi - lo + 1 for lo, hi in ax) > _BRIDGE_POINTS:
+            raise ParameterError(f"the bridge cube at N={n} has over {_BRIDGE_POINTS} lattice "
+                                 f"points; lower N or beta")
 
     rows, pts, flags = [], [], []
     for ni, n in enumerate(n_list):
-        cube = _bridge_cube(d, int(n), beta)
+        cube = _bridge_cube(axes[ni])
         x = np.zeros(d, dtype=np.int64)
         y = np.zeros(d, dtype=np.int64)
         y[0] = int(n)
         if np.any(np.all(cube == x, axis=1)) or np.any(np.all(cube == y, axis=1)):
             flags.append(f"GeometryDegenerate N={n}: cube touches an endpoint")
             continue
-        r_xz = np.sqrt(np.sum((cube - x) ** 2, axis=1).astype(np.float64))
-        r_zy = np.sqrt(np.sum((cube - y) ** 2, axis=1).astype(np.float64))
+        # Squared in float64: an int64 square wraps above a difference of ~3e9.
+        r_xz, r_zy = (np.sqrt(np.sum((cube - v).astype(np.float64) ** 2, axis=1)) for v in (x, y))
         cxz = lam * r_xz ** -alpha
         czy = lam * r_zy ** -alpha
         nz = len(cube)

@@ -881,6 +881,8 @@ def load_realization(path) -> BoxRealization:
         k, v = tok.split("=", 1)
         if k not in _META_KEYS:
             raise ParseError(2, f"unknown metadata key {k!r}")
+        if k in meta:
+            raise ParseError(2, f"repeated metadata key {k!r}")
         meta[k] = v
     try:
         d = int(meta["d"])
@@ -897,6 +899,12 @@ def load_realization(path) -> BoxRealization:
             raise ValueError("box does not fit 64-bit vertex coordinates and indices")
         trunc = float(meta["trunc"]) if "trunc" in meta else None
         trunc_bias = float(meta["truncbias"]) if "truncbias" in meta else None
+        # What the writer can write: a cutoff >= 1, as the generator demands,
+        # and a bias >= 0 only with a cutoff.
+        if trunc is not None and not trunc >= 1:
+            raise ValueError(f"trunc must be >= 1, got {meta['trunc']}")
+        if trunc_bias is not None and (trunc is None or not trunc_bias >= 0):
+            raise ValueError(f"truncbias needs a trunc and must be >= 0, got {meta['truncbias']}")
     except KeyError as exc:
         raise ParseError(2, f"missing metadata key {exc.args[0]}") from exc
     except ValueError as exc:

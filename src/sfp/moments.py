@@ -65,6 +65,14 @@ class AdjacentEdgeResult:
     a_yz: float
 
 
+def _pow(x: float, y: float) -> float:
+    """x ** y, or inf where that overflows a float, so a huge distance gives the limit."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 def _quad(f, a, b, points=None) -> tuple:
     from scipy import integrate
     with warnings.catch_warnings():
@@ -87,11 +95,17 @@ def single_edge_second_moment(params: ModelParams, r: float) -> float:
     if not r >= 1:
         raise NonPositiveDistance(f"r must be >= 1, got {r}")
     tau, lam, alpha = params.tau, params.lambda_, params.alpha
-    zstar = r ** alpha / lam
+    zstar = _pow(r, alpha) / lam
     if zstar <= 1.0:
         return 1.0
-    c2 = (tau - 1.0) ** 2
-    log_zstar = math.log(zstar)
+    # Past the float range z* is known by its log, which gives the scale.
+    if zstar < math.inf:
+        log_zstar, scale = math.log(zstar), (tau - 1.0) ** 2 * zstar ** (1.0 - tau)
+    else:
+        log_zstar = alpha * math.log(r) - math.log(lam)
+        scale = (tau - 1.0) ** 2 * math.exp((1.0 - tau) * log_zstar)
+    if scale == 0.0:
+        return 0.0
 
     # Substituting z = zstar * u scales both pieces by zstar^(1-tau), so the
     # quadrature sees O(1) integrands and its error estimate stays relative.
@@ -105,7 +119,6 @@ def single_edge_second_moment(params: ModelParams, r: float) -> float:
     breaks = [b for b in (1e-9, 1e-6, 1e-3, 1e-1) if lo < b < 1.0]
     v1, e1 = _quad(below, lo, 1.0, points=breaks)
     v2, e2 = _quad(above, 1.0, math.inf)
-    scale = c2 * zstar ** (1.0 - tau)
     total = scale * (v1 + v2)
     if scale * (e1 + e2) > _QUAD_REL_TOL * max(abs(total), 1e-300):
         raise QuadratureFailure(
@@ -135,14 +148,14 @@ def adjacent_expectation_exact(params: ModelParams, a_xy: float, a_yz: float) ->
         raise ParameterError(f"require a_xy >= a_yz, got {a_xy} < {a_yz}")
     if not a_yz > 0:
         raise NonPositiveDistance(f"a_yz must be positive, got {a_yz}")
-    A = a_xy ** alpha
-    B = a_yz ** alpha
+    A = _pow(a_xy, alpha)
+    B = _pow(a_yz, alpha)
     if B < lam:
         raise ThresholdBelowFloor(
             f"a_yz^alpha = {B} below lambda = {lam}: saturation threshold under the weight floor")
     t1 = (tau - 1.0) / ((3.0 - tau) * (tau - 2.0)) * lam ** (tau - 1.0) * B ** (2.0 - tau) / A
     t2 = (tau - 1.0) / (3.0 - tau) * lam * lam / (A * B)
-    t3 = lam ** (tau - 1.0) / ((tau - 2.0) * A ** (tau - 1.0))
+    t3 = lam ** (tau - 1.0) / ((tau - 2.0) * _pow(A, tau - 1.0))
     middle = t1 - t2 - t3
     mu = (tau - 1.0) / (tau - 2.0)
     return AdjacentEdgeResult(middle_expectation=middle, lower=middle / 4.0,
@@ -160,8 +173,8 @@ def adjacent_expectation_quadrature(params: ModelParams, a_xy: float, a_yz: floa
         raise TauOutOfRange(f"quadrature needs tau > 2 for integrability, got {tau}")
     if not (a_xy > 0 and a_yz > 0):
         raise NonPositiveDistance(f"distances must be positive, got {a_xy}, {a_yz}")
-    A = max(a_xy, a_yz) ** alpha
-    B = min(a_xy, a_yz) ** alpha
+    A = _pow(max(a_xy, a_yz), alpha)
+    B = _pow(min(a_xy, a_yz), alpha)
     u_b = B / lam
     u_a = A / lam
     if u_a <= 1.0:

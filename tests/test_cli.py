@@ -173,6 +173,10 @@ def test_bad_model_parameter_is_usage_error(argv, capsys):
     ["bridge", *_MODEL, "--beta", "0.5", "--n-list=-64,128,256"],
     ["bridge", *_MODEL, "--beta", "0.5", "--n-list", "64,64,128"],
     ["distances", *_MODEL, "--side", "2048", "--n-list", ","],
+    ["moments", "second", *_MODEL, "--r", "inf"],
+    ["fkg", *_MODEL, "--path", "0;4000000000;99999999999999999999"],
+    ["bridge", *_MODEL, "--beta", "0.5", "--n-list", "64,99999999999999999999"],
+    ["bridge", *_MODEL, "--beta", "0.5", "--n-list", "64,4000000000000"],
 ], ids=["adjacent-tau", "adjacent-threshold", "adjacent-order", "bridge-beta", "bridge-tau",
         "fkg-one-edge", "fkg-back-and-forth", "fkg-revisit", "distances-separation",
         "distances-zero-separation", "distances-repeated-separation", "adjacent-zero-sweep",
@@ -186,7 +190,9 @@ def test_bad_model_parameter_is_usage_error(argv, capsys):
         "moments-convolution-radius-int64", "moments-convolution-d4-default",
         "fkg-not-integer",
         "fkg-wrong-dimension", "n-list-not-integer", "bridge-empty-n-list",
-        "bridge-negative-n", "bridge-repeated-n", "distances-empty-n-list"])
+        "bridge-negative-n", "bridge-repeated-n", "distances-empty-n-list",
+        "moments-second-r-inf", "fkg-coordinate-int64", "bridge-n-int64",
+        "bridge-cube-over-budget"])
 def test_bad_experiment_input_is_usage_error(argv, capsys):
     # Each is rejected before any Monte Carlo or generation runs.
     assert main(argv) == 1
@@ -247,6 +253,70 @@ def test_moments_second_row():
     assert code == 0
     assert float(out.strip().splitlines()[-1].split(",")[1]) == \
         pytest.approx(0.035309176758121154, rel=1e-10)
+
+
+def _csv_rows(out):
+    return [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+
+
+def test_moments_at_a_distance_whose_power_overflows():
+    # r^alpha overflows a float at 1e300 but not at 1e200: both give the
+    # limit, 0.0 for tau = 2.5, and a tiny positive value for tau = 1.5.
+    second = {}
+    for tau in ("2.5", "1.5"):
+        for r in ("1e200", "1e300"):
+            code, out = run_cli("moments", "second", "--alpha", "1.5", "--tau", tau, "--r", r)
+            assert code == 0
+            second[tau, r] = float(_csv_rows(out)[0][1])
+    assert second["2.5", "1e200"] == second["2.5", "1e300"] == 0.0
+    assert 0.0 < second["1.5", "1e300"] < second["1.5", "1e200"] < 1e-140
+    code, out = run_cli("moments", "adjacent", *_MODEL, "--rxy", "1e300", "--ryz", "5",
+                        "--oracle")
+    assert code == 0
+    assert _csv_rows(out) == [["1e+300", "5.0", "0.0", "0.0", "0.0", "0.0", "0.0"]]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["adjacent", *_MODEL, "--rxy", "1e300", "--ryz", "5", "--sweep-ryz", "8,16"], 0),
+    (["fkg", *_MODEL, "--path", "0;4000000000;8000000000"], 0),
+    (["bridge", *_MODEL, "--beta", "0.1", "--n-list", "64,128,1000000000000000000"], 2),
+], ids=["adjacent-rxy-overflow", "fkg-square-int64", "bridge-square-int64"])
+def test_huge_distances_give_finite_estimates(argv, code):
+    got, out = run_cli(*argv, "--replicates", "1000")
+    assert got == code
+    rows = _csv_rows(out)
+    assert rows and all(np.isfinite(float(v)) for row in rows for v in row[1:])
+    assert "nan" not in out
+
+
+def test_a_slope_fit_that_cannot_run_is_flagged():
+    code, out = run_cli("adjacent", *_MODEL, "--rxy", "50", "--ryz", "5",
+                        "--sweep-ryz", "8,16,1e300", "--replicates", "1000")
+    assert code == 0
+    assert "#flag decay-slope skipped: log-log fit needs strictly positive coordinates" in out
+    assert "#verdict decay-slope" not in out
+    # Bridge's own verdict reports the zero estimates.
+    code, out = run_cli("bridge", *_MODEL, "--beta", "0.5", "--lambda", "1e-200",
+                        "--n-list", "64,128,256", "--replicates", "1000")
+    assert code == 2
+    assert "#flag bridge-slope skipped: log-log fit needs strictly positive coordinates" in out
+    assert "#verdict positive-mass FAIL" in out
+    # Three N that round to one float leave the fit no spread in log N.
+    n = 2 ** 60
+    code, out = run_cli("bridge", *_MODEL, "--beta", "0.1", "--n-list", f"{n},{n + 1},{n + 2}",
+                        "--replicates", "100")
+    assert code == 0
+    assert "#flag bridge-slope skipped: all x coincide" in out
+
+
+def test_generate_with_an_infinite_cutoff_loads(tmp_path):
+    out = tmp_path / "box.txt"
+    code, _ = run_cli("generate", *_MODEL, "--side", "64", "--trunc", "inf", "--out", str(out))
+    assert code == 0
+    assert out.read_text().splitlines()[1].endswith(" trunc=inf truncbias=0.0")
+    from sfp.graph import load_realization
+    back = load_realization(out)
+    assert (back.trunc, back.trunc_bias) == (float("inf"), 0.0)
 
 
 def test_moments_convolution_row():

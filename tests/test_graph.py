@@ -680,9 +680,16 @@ _VALID_FILE = [
     (1, _VALID_FILE[1] + " origin=9223372036854775805", 2),  # coordinates overflow int64
     (1, _VALID_FILE[1].replace("d=1", "d=3").replace("L=4", "L=3000000"), 2),  # 2.7e19 vertices
     (4, "w 2 1.0\udcff", 5),                            # byte 0xff: not UTF-8
+    (1, _VALID_FILE[1] + " trunc=nan", 2),              # cutoffs the generator rejects
+    (1, _VALID_FILE[1] + " trunc=0.5", 2),
+    (1, _VALID_FILE[1] + " trunc=-5.0", 2),
+    (1, _VALID_FILE[1] + " trunc=2.0 truncbias=-1.0", 2),  # a negative bias
+    (1, _VALID_FILE[1] + " truncbias=0.5", 2),          # a bias with no cutoff
+    (1, _VALID_FILE[1] + " seed=3", 2),                 # a repeated key
 ], ids=["reversed", "duplicate", "self-loop", "weight-below-1", "weight-inf",
         "weight-nan", "unknown-key", "duplicate-weight", "origin-overflow", "box-too-large",
-        "not-utf8"])
+        "not-utf8", "trunc-nan", "trunc-below-1", "trunc-negative", "truncbias-negative",
+        "truncbias-without-trunc", "repeated-key"])
 def test_load_rejects_malformed_records(tmp_path, line, text, expect_line):
     path = tmp_path / "box.txt"
     path.write_text("\n".join(_VALID_FILE) + "\n")
