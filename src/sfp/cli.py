@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -252,7 +251,8 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from .graph import DEFAULT_PAIR_BUDGET, BoxSpec, generate_box, save_realization
+    from .graph import (DEFAULT_PAIR_BUDGET, BoxSpec, generate_box, save_realization,
+                        usable_cores)
     if not args.out:
         raise ParameterError("generate requires --out FILE")
     if args.pair_budget is not None and args.pair_budget < 1:
@@ -261,7 +261,7 @@ def _cmd_generate(args) -> int:
     spec = BoxSpec(d=args.dim, side=args.side)
     budget = DEFAULT_PAIR_BUDGET if args.pair_budget is None else args.pair_budget
     r = generate_box(p, args.seed, spec, args.trunc, pair_budget=budget,
-                     workers=args.threads or os.cpu_count() or 1)
+                     workers=args.threads or usable_cores())
     save_realization(r, args.out)
     print(f"wrote {r.n_edges} edges on {r.n_vertices} vertices to {args.out}",
           file=sys.stderr)

@@ -8,8 +8,9 @@ reproduce the run.  All randomness is keyed by
 bit-identical for any number of worker threads.  Threading splits
 replicate ranges into fixed-size chunks whose partial sums are combined
 in a fixed order.  It also maps the boxes of a box experiment over the
-workers and splits the pairs of each box among the workers left to it
-(`_box_workers`); a box's edges do not depend on that split.
+workers, and the pairs of each box are split among the workers left to
+it, each a forked process (`_box_workers`); a box's edges do not depend
+on that split.
 
 Estimators for edge events average the exact conditional probability
 given the sampled weights (edges are conditionally independent given
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .graph import (BoxSpec, clusters, coupled_pair, degree_sequence,
-                    distances_from, generate_box)
+                    distances_from, generate_box, usable_cores)
 from .moments import (NonPositiveDistance, TauOutOfRange, adjacent_expectation_exact,
                       bridging_exponent)
 from .params import (ModelKind, ModelKindUnsupported, ModelParams, ParameterError,
@@ -104,8 +105,7 @@ class ExperimentConfig:
 
     @property
     def worker_count(self) -> int:
-        import os
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
+        return self.threads if self.threads > 0 else usable_cores()
 
 
 @dataclass(frozen=True)

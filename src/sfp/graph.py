@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import signal
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -333,10 +336,11 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
       batch, and a batch holds about one block's worth of survivors.
     - The block list is cut into one contiguous piece per worker, of
       about equal pair counts, each with its own buffers.  The calling
-      thread decides the first piece and a thread pool the others; numpy
-      releases the GIL inside its loops.  No block depends on the cut,
-      and the closing sort orders the edges, so the array is the same
-      bit for bit at any worker count.
+      process decides the first piece and a forked child each other one
+      (`_map_forked`): a thread would hand the GIL back and forth at
+      every small numpy call.  No block depends on the cut, and the
+      closing sort orders the edges, so the array is the same bit for
+      bit at any worker count.
     """
     L, d = spec.side, spec.d
     forced = params.kind is ModelKind.SFP_NN
@@ -429,14 +433,7 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
             settle()
         return eis, ejs
 
-    pieces = [p for p in pieces if p]
-    if len(pieces) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # not loaded by one-worker runs
-        with ThreadPoolExecutor(len(pieces) - 1) as pool:
-            rest = [pool.submit(decide, p) for p in pieces[1:]]
-            found = [decide(pieces[0])] + [f.result() for f in rest]
-    else:
-        found = [decide(p) for p in pieces]
+    found = _map_forked(decide, [p for p in pieces if p])
     eis = [e for part, _ in found for e in part]
     ejs = [e for _, part in found for e in part]
 
@@ -451,6 +448,59 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
     return edges
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_forked(fn, items) -> list:
+    """[fn(item) for item in items]: the first here, each other one in a forked child.
+
+    A child sends back fn's result, or the exception it raised, pickled
+    through a pipe, and always leaves by os._exit, so it runs no exit
+    handler and flushes no buffer it inherited.  A child that dies
+    without a result, or raises what cannot be pickled, is a
+    RuntimeError here.  Every child is killed and reaped before this
+    returns or raises.
+    """
+    pids, readers = [], []
+    try:
+        for item in items[1:]:
+            r, w = os.pipe()
+            readers.append(os.fdopen(r, "rb"))
+            with os.fdopen(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        try:
+                            result = (True, fn(item))
+                        except BaseException as exc:  # raised again by the parent
+                            result = (False, exc)
+                        out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                        out.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        found = [fn(items[0])]
+        for pid, r in zip(pids, readers):
+            try:
+                ok, value = pickle.load(r)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise RuntimeError(f"worker process {pid} sent no result") from exc
+            if not ok:
+                raise value
+            found.append(value)
+        return found
+    finally:
+        for r in readers:
+            r.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def generate_box(params: ModelParams, seed: int, spec: BoxSpec,
                  cutoff: float | None = None, pair_budget: int = DEFAULT_PAIR_BUDGET,
                  _weights_override: np.ndarray | None = None,
@@ -458,7 +508,7 @@ def generate_box(params: ModelParams, seed: int, spec: BoxSpec,
     """Sample the realization on every vertex pair within Euclidean distance `cutoff`.
 
     Deterministic in (params, seed, spec), whatever the number of
-    `workers` threads that decide the pairs.  With cutoff None every pair
+    `workers` processes that decide the pairs.  With cutoff None every pair
     is decided; otherwise pairs beyond the cutoff are never opened, the
     decisions inside it agree bit for bit with the full box, and the
     realization records the union-bound truncation bias.  Raises

@@ -135,11 +135,13 @@ def adjacent_expectation_exact(params: ModelParams, a_xy: float, a_yz: float) ->
 
     Valid for tau in (2, 3) with a_xy >= a_yz and both saturation
     thresholds above the weight floor (a_yz^alpha >= lambda).  Splitting
-    the integral at B/lambda and A/lambda gives
+    the integral at the thresholds a = A/lambda >= b = B/lambda >= 1 gives
 
-        (tau-1)/((3-tau)(tau-2)) lambda^(tau-1) B^-(tau-2) / A
-        - (tau-1)/(3-tau) lambda^2 / (A B)
-        - lambda^(tau-1) / ((tau-2) A^(tau-1)).
+        (tau-1)/((3-tau)(tau-2)) b^-(tau-2) / a
+        - (tau-1)/(3-tau) / (a b)
+        - 1 / ((tau-2) a^(tau-1)),
+
+    where every factor is at most 1, so no term overflows.
     """
     tau, lam, alpha = params.tau, params.lambda_, params.alpha
     if not (2.0 < tau < 3.0):
@@ -153,9 +155,10 @@ def adjacent_expectation_exact(params: ModelParams, a_xy: float, a_yz: float) ->
     if B < lam:
         raise ThresholdBelowFloor(
             f"a_yz^alpha = {B} below lambda = {lam}: saturation threshold under the weight floor")
-    t1 = (tau - 1.0) / ((3.0 - tau) * (tau - 2.0)) * lam ** (tau - 1.0) * B ** (2.0 - tau) / A
-    t2 = (tau - 1.0) / (3.0 - tau) * lam * lam / (A * B)
-    t3 = lam ** (tau - 1.0) / ((tau - 2.0) * _pow(A, tau - 1.0))
+    a, b = A / lam, B / lam
+    t1 = (tau - 1.0) / ((3.0 - tau) * (tau - 2.0)) * b ** (2.0 - tau) / a
+    t2 = (tau - 1.0) / (3.0 - tau) / (a * b)
+    t3 = 1.0 / ((tau - 2.0) * _pow(a, tau - 1.0))
     middle = t1 - t2 - t3
     mu = (tau - 1.0) / (tau - 2.0)
     return AdjacentEdgeResult(middle_expectation=middle, lower=middle / 4.0,
@@ -166,34 +169,33 @@ def adjacent_expectation_quadrature(params: ModelParams, a_xy: float, a_yz: floa
     """Adaptive-quadrature oracle for the same expectation, any tau > 2.
 
     Integrates (lambda u/A ^ 1)(lambda u/B ^ 1) (tau-1) u^-tau on
-    [1, inf), splitting at the kinks B/lambda and A/lambda.
+    [1, inf), splitting at the kinks B/lambda and A/lambda.  It is
+    integrated in log u, where each piece is an exponential of O(1) scale
+    however many decades it spans.
     """
     tau, lam, alpha = params.tau, params.lambda_, params.alpha
     if not tau > 2.0:
         raise TauOutOfRange(f"quadrature needs tau > 2 for integrability, got {tau}")
     if not (a_xy > 0 and a_yz > 0):
         raise NonPositiveDistance(f"distances must be positive, got {a_xy}, {a_yz}")
-    A = _pow(max(a_xy, a_yz), alpha)
-    B = _pow(min(a_xy, a_yz), alpha)
-    u_b = B / lam
-    u_a = A / lam
-    if u_a <= 1.0:
+    # The kinks in log u, taken from the distances so that no power overflows.
+    log_a = alpha * math.log(max(a_xy, a_yz)) - math.log(lam)
+    log_b = alpha * math.log(min(a_xy, a_yz)) - math.log(lam)
+    if log_a <= 0.0:
         # Both factors saturate on the whole weight support.
         return 1.0
 
-    def f(u):
-        return min(lam * u / A, 1.0) * min(lam * u / B, 1.0) * (tau - 1.0) * u ** -tau
+    def f(s):
+        # The integrand times u, at u = e^s, summed in logs.
+        return (tau - 1.0) * math.exp(min(s - log_a, 0.0) + min(s - log_b, 0.0)
+                                      + (1.0 - tau) * s)
 
-    cuts = [c for c in (u_b, u_a) if c > 1.0]
-    segments = [1.0] + sorted(cuts)
+    segments = [0.0] + sorted({c for c in (log_b, log_a) if 0.0 < c < math.inf}) + [math.inf]
     total, err = 0.0, 0.0
-    for a, b in zip(segments[:-1], segments[1:]):
-        v, e = _quad(f, a, b)
+    for lo, hi in zip(segments[:-1], segments[1:]):
+        v, e = _quad(f, lo, hi)
         total += v
         err += e
-    v, e = _quad(f, segments[-1], math.inf)
-    total += v
-    err += e
     if err > _QUAD_REL_TOL * max(abs(total), 1e-300):
         raise QuadratureFailure(
             f"adjacent expectation at ({a_xy}, {a_yz}): error {err:.3g} vs value {total:.3g}")

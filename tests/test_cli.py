@@ -276,6 +276,21 @@ def test_moments_at_a_distance_whose_power_overflows():
     assert _csv_rows(out) == [["1e+300", "5.0", "0.0", "0.0", "0.0", "0.0", "0.0"]]
 
 
+@pytest.mark.parametrize("argv", [
+    # lambda^(tau-1) alone overflows a float; the expectation is 1.81e-18.
+    ["--alpha", "1.5", "--tau", "2.9", "--lambda", "1e200", "--rxy", "1e140", "--ryz", "1e140"],
+    # The kinks of the oracle's integrand are 224 decades apart.
+    ["--alpha", "1.5", "--tau", "2.5", "--rxy", "1e150", "--ryz", "5"],
+], ids=["huge-lambda", "far-apart-distances"])
+def test_moments_adjacent_closed_form_matches_oracle_at_extreme_scales(argv):
+    code, out = run_cli("moments", "adjacent", *argv, "--oracle")
+    assert code == 0
+    (row,) = _csv_rows(out)
+    middle, oracle, gap = float(row[2]), float(row[5]), float(row[6])
+    assert 0.0 < middle < 1e-17 and 0.0 < oracle
+    assert gap < 1e-6
+
+
 @pytest.mark.parametrize("argv, code", [
     (["adjacent", *_MODEL, "--rxy", "1e300", "--ryz", "5", "--sweep-ryz", "8,16"], 0),
     (["fkg", *_MODEL, "--path", "0;4000000000;8000000000"], 0),

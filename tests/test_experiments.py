@@ -341,3 +341,13 @@ def test_report_csv_shape():
     assert lines[-1].startswith("#wallclock=")
     header = [l for l in lines if not l.startswith("#")][0]
     assert header == "kind,r_xy,r_yz,estimate,stderr,n"
+
+
+def test_threads_zero_counts_the_cores_the_process_may_use(monkeypatch):
+    import os
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert ExperimentConfig(params=P, threads=0).worker_count == 1
+    assert ExperimentConfig(params=P, threads=5).worker_count == 5
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ExperimentConfig(params=P, threads=0).worker_count == 1

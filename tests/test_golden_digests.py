@@ -60,6 +60,8 @@ at a time.
 import contextlib
 import hashlib
 import io
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -507,3 +509,19 @@ BOX_REPORT_DIGESTS = {
 def test_golden_box_report(name, threads):
     argv, digest = BOX_REPORT_DIGESTS[name]
     assert _report_body_digest(argv + ["--threads", str(threads)]) == digest
+
+
+@pytest.mark.parametrize("name, pool_forks", [("degrees-trunc-3rep", 0), ("degrees-full", 2)])
+def test_golden_box_report_with_more_workers_than_boxes(name, pool_forks, monkeypatch):
+    # At 4 workers, 3 boxes get one worker each, and 2 boxes two each:
+    # each pool thread then forks a worker process for its box's pairs.
+    from_pool, fork = [], os.fork
+
+    def recording_fork():
+        from_pool.append(threading.current_thread() is not threading.main_thread())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    argv, digest = BOX_REPORT_DIGESTS[name]
+    assert _report_body_digest(argv + ["--threads", "4"]) == digest
+    assert from_pool == [True] * pool_forks

@@ -184,23 +184,81 @@ def test_generation_is_the_same_at_any_worker_count(monkeypatch):
 
 
 @pytest.mark.parametrize("block_pairs, workers", [(None, 1), (None, 2), (64, 1), (64, 3)])
-def test_exact_stage_batches_hold_at_most_two_blocks(block_pairs, workers, monkeypatch):
+def test_exact_stage_batches_hold_at_most_two_blocks(block_pairs, workers, monkeypatch,
+                                                     tmp_path):
     # Weights so large that every pair survives the bound filter and opens.
     side = 600
     spec = BoxSpec(d=1, side=side)
     if block_pairs is not None:
         monkeypatch.setattr(graph, "_BLOCK_PAIRS", block_pairs)
-    sizes, exact = [], graph.unit_from_word
+    log, exact = tmp_path / "sizes", graph.unit_from_word
 
     def counted(words):
-        sizes.append(np.size(words))
+        # Appended to a file, so the forked workers' batches count too.
+        with open(log, "a") as f:
+            f.write(f"{np.size(words)}\n")
         return exact(words)
 
     monkeypatch.setattr(graph, "unit_from_word", counted)
     r = generate_box(P, 2, spec, _weights_override=np.full(side, 1e4), workers=workers)
+    sizes = [int(n) for n in log.read_text().split()]
     assert r.n_edges == sum(sizes) == side * (side - 1) // 2
     assert len(sizes) >= 2
     assert max(sizes) <= 2 * graph._BLOCK_PAIRS
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_leave_no_child_process():
+    spec = BoxSpec(d=1, side=2000)
+    one = generate_box(P, 3, spec, 200.0)
+    assert np.array_equal(generate_box(P, 3, spec, 200.0, workers=2).edges, one.edges)
+    _assert_no_child_left()
+
+
+def _failing_in(where, monkeypatch, failure):
+    """Patch the exact stage so that it calls `failure` in the parent or in a child only."""
+    parent, exact = os.getpid(), graph.unit_from_word
+
+    def patched(words):
+        if (os.getpid() == parent) == (where == "parent"):
+            failure()
+        return exact(words)
+
+    monkeypatch.setattr(graph, "unit_from_word", patched)
+
+
+class PieceFailed(ValueError):
+    pass  # at module level, so a child can pickle it
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_piece_is_raised_and_leaves_no_child(where, monkeypatch):
+    def fail():
+        raise PieceFailed("in " + where)
+
+    _failing_in(where, monkeypatch, fail)
+    with pytest.raises(PieceFailed, match="in " + where):
+        generate_box(P, 3, BoxSpec(d=1, side=2000), 200.0, workers=3)
+    _assert_no_child_left()
+
+
+def _raise_unpicklable():
+    class Local(ValueError):
+        pass
+    raise Local("a class pickle cannot find by name")
+
+
+@pytest.mark.parametrize("failure", [lambda: os._exit(7), _raise_unpicklable],
+                         ids=["dies", "unpicklable-exception"])
+def test_a_child_that_sends_no_result_is_a_runtime_error(failure, monkeypatch):
+    _failing_in("child", monkeypatch, failure)
+    with pytest.raises(RuntimeError, match="sent no result"):
+        generate_box(P, 3, BoxSpec(d=1, side=2000), 200.0, workers=2)
+    _assert_no_child_left()
 
 
 def test_pair_budget_enforced():
