@@ -251,17 +251,15 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from .graph import (DEFAULT_PAIR_BUDGET, BoxSpec, generate_box, save_realization,
-                        usable_cores)
+    from .graph import DEFAULT_PAIR_BUDGET, generate_box, save_realization
     if not args.out:
         raise ParameterError("generate requires --out FILE")
     if args.pair_budget is not None and args.pair_budget < 1:
         raise ParameterError(f"--pair-budget must be at least 1, got {args.pair_budget}")
-    p = _params_from(args)
-    spec = BoxSpec(d=args.dim, side=args.side)
+    cfg = _experiment_config(args)
     budget = DEFAULT_PAIR_BUDGET if args.pair_budget is None else args.pair_budget
-    r = generate_box(p, args.seed, spec, args.trunc, pair_budget=budget,
-                     workers=args.threads or usable_cores())
+    r = generate_box(cfg.params, cfg.seed, cfg.spec, args.trunc, pair_budget=budget,
+                     workers=cfg.worker_count)
     save_realization(r, args.out)
     print(f"wrote {r.n_edges} edges on {r.n_vertices} vertices to {args.out}",
           file=sys.stderr)

@@ -5,12 +5,12 @@ ExperimentReport: point estimates with standard errors, named pass/fail
 verdicts with their tolerances, and a config echo sufficient to
 reproduce the run.  All randomness is keyed by
 (seed, experiment point, replicate index, slot), so reports are
-bit-identical for any number of worker threads.  Threading splits
-replicate ranges into fixed-size chunks whose partial sums are combined
-in a fixed order.  It also maps the boxes of a box experiment over the
-workers, and the pairs of each box are split among the workers left to
-it, each a forked process (`_box_workers`); a box's edges do not depend
-on that split.
+bit-identical for any number of workers.  Threads split replicate
+ranges into fixed-size chunks whose partial sums are combined in a fixed
+order.  A box experiment runs fewer boxes than workers one after
+another, each box's pairs split over all the workers; more boxes go in
+contiguous groups, one box at a time per worker, each group in a forked
+process (`_map_boxes`).  A box's edges do not depend on either split.
 
 Estimators for edge events average the exact conditional probability
 given the sampled weights (edges are conditionally independent given
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .graph import (BoxSpec, clusters, coupled_pair, degree_sequence,
-                    distances_from, generate_box, usable_cores)
+from .graph import (MAX_WORKERS, BoxSpec, _map_forked, clusters, coupled_pair,
+                    degree_sequence, distances_from, generate_box, usable_cores)
 from .moments import (NonPositiveDistance, TauOutOfRange, adjacent_expectation_exact,
                       bridging_exponent)
 from .params import (ModelKind, ModelKindUnsupported, ModelParams, ParameterError,
@@ -100,8 +100,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ParameterError(f"replicates must be >= 1, got {self.replicates}")
-        if self.threads < 0:
-            raise ParameterError(f"threads must be >= 0, got {self.threads}")
+        if not 0 <= self.threads <= MAX_WORKERS:
+            raise ParameterError(f"threads must be in [0, {MAX_WORKERS}], got {self.threads}")
 
     @property
     def worker_count(self) -> int:
@@ -191,22 +191,26 @@ def _chunk_ranges(n: int, size: int = _CHUNK):
     return [(a, min(a + size, n)) for a in range(0, n, size)]
 
 def _run_chunks(fn, ranges, workers: int):
-    """Map fn over replicate ranges or indices; list order (hence any reduction) is fixed."""
+    """Map fn over replicate ranges on threads; list order (hence any reduction) is fixed."""
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, ranges))
     return [fn(rg) for rg in ranges]
 
 
-def _box_workers(cfg: ExperimentConfig, boxes: int):
-    """(threads that map the boxes, workers that decide each box's pairs).
+def _map_boxes(one, cfg: ExperimentConfig) -> list:
+    """[one(i, workers) for each box i], in box order.
 
-    The boxes are spread over the workers first and each box splits what
-    is left, so a single box gets every worker and no more threads run
-    than there are workers.
+    Fewer boxes than workers run here one after another, each on all the
+    workers.  Otherwise each worker takes a contiguous group of boxes, one
+    box at a time (`graph._map_forked`).  Only the calling thread forks,
+    and no child forks again.
     """
-    outer = min(cfg.worker_count, boxes)
-    return outer, cfg.worker_count // outer
+    boxes, workers = cfg.replicates, cfg.worker_count
+    if boxes < workers:
+        return [one(i, workers) for i in range(boxes)]
+    found = _map_forked(lambda g: [one(i, 1) for i in g], range(boxes), [1] * boxes, workers)
+    return [r for group in found for r in group]
 
 
 def _combine_mean_se(sums, n: int) -> EstimateWithCI:
@@ -599,15 +603,13 @@ def run_coupling_check(cfg: ExperimentConfig, lambda_lrp: float | None = None,
     lrp_params = replace(cfg.params, kind=ModelKind.LRP,
                          lambda_=cfg.params.lambda_ if lambda_lrp is None else lambda_lrp)
 
-    outer, inner = _box_workers(cfg, cfg.replicates)
-
-    def one(i: int):
+    def one(i: int, workers: int):
         seed_i = derive_seed(cfg.seed, i)
-        sfp = generate_box(cfg.params, seed_i, cfg.spec, cutoff, workers=inner)
-        lrp = generate_box(lrp_params, seed_i, cfg.spec, cutoff, workers=inner)
+        sfp = generate_box(cfg.params, seed_i, cfg.spec, cutoff, workers=workers)
+        lrp = generate_box(lrp_params, seed_i, cfg.spec, cutoff, workers=workers)
         return int(np.count_nonzero(~sfp.has_edges(lrp.edges))), lrp.n_edges, sfp.n_edges
 
-    per_seed = _run_chunks(one, range(cfg.replicates), outer)
+    per_seed = _map_boxes(one, cfg)
     total_viol = sum(p[0] for p in per_seed)
     rows = [(i, p[0], p[1], p[2]) for i, p in enumerate(per_seed)]
     verdicts = []
@@ -642,13 +644,11 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
     if not cfg.params.alpha > cfg.params.d:
         raise ParameterError("degree tail needs alpha > d (locally finite degrees)")
 
-    outer, inner = _box_workers(cfg, cfg.replicates)
-
-    def one(i: int):
-        r = generate_box(cfg.params, derive_seed(cfg.seed, i), cfg.spec, cutoff, workers=inner)
+    def one(i: int, workers: int):
+        r = generate_box(cfg.params, derive_seed(cfg.seed, i), cfg.spec, cutoff, workers=workers)
         return degree_sequence(r, margin), r.trunc_bias
 
-    boxes = _run_chunks(one, range(cfg.replicates), outer)
+    boxes = _map_boxes(one, cfg)
     degrees = np.concatenate([dg for dg, _ in boxes])
     n = len(degrees)
     gamma = derived_exponents(cfg.params).gamma

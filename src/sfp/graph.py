@@ -45,6 +45,8 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 DEFAULT_PAIR_BUDGET = 2 ** 32
+# Most workers a call may ask for: each but the first is a forked process.
+MAX_WORKERS = 256
 
 FORMAT_HEADER = "#sfp-box v1"
 _META_KEYS = {"d", "alpha", "lambda", "tau", "model", "L", "seed", "origin", "trunc", "truncbias"}
@@ -230,8 +232,8 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
               weights_override: np.ndarray | None = None, workers: int = 1) -> BoxRealization:
     if spec.d != params.d:
         raise ValueError(f"spec dimension {spec.d} != params dimension {params.d}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ParameterError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     if cutoff is not None:
         if not cutoff >= 1:
             raise RadiusTooSmall(f"cutoff must be >= 1, got {cutoff}")
@@ -335,12 +337,11 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
       piece, so the many small numpy calls per block become a few per
       batch, and a batch holds about one block's worth of survivors.
     - The block list is cut into one contiguous piece per worker, of
-      about equal pair counts, each with its own buffers.  The calling
-      process decides the first piece and a forked child each other one
-      (`_map_forked`): a thread would hand the GIL back and forth at
-      every small numpy call.  No block depends on the cut, and the
-      closing sort orders the edges, so the array is the same bit for
-      bit at any worker count.
+      about equal pair counts, each with its own buffers, and the pieces
+      are decided in forked processes (`_map_forked`): a thread would
+      hand the GIL back and forth at every small numpy call.  No block
+      depends on the cut, and the closing sort orders the edges, so the
+      array is the same bit for bit at any worker count.
     """
     L, d = spec.side, spec.d
     forced = params.kind is ModelKind.SFP_NN
@@ -363,13 +364,7 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
         lead, rows, cols = block
         return math.prod(L - abs(dj) for dj in lead) * len(rows) * len(cols)
 
-    # Block i goes to piece workers * (pairs before block i) // (all pairs).
     blocks = list(_pair_blocks(L, runs))
-    sizes = [pairs(b) for b in blocks]
-    total = sum(sizes)
-    pieces = [[] for _ in range(workers)]
-    for block, before in zip(blocks, itertools.accumulate(sizes, initial=0)):
-        pieces[workers * before // total].append(block)
 
     def decide(piece):
         eis, ejs = [], []
@@ -433,7 +428,7 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
             settle()
         return eis, ejs
 
-    found = _map_forked(decide, [p for p in pieces if p])
+    found = _map_forked(decide, blocks, [pairs(b) for b in blocks], workers)
     eis = [e for part, _ in found for e in part]
     ejs = [e for _, part in found for e in part]
 
@@ -455,19 +450,26 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _map_forked(fn, items) -> list:
-    """[fn(item) for item in items]: the first here, each other one in a forked child.
+def _map_forked(fn, items, sizes, workers: int) -> list:
+    """[fn(group) for each group]: the first here, each other one in a forked child.
 
-    A child sends back fn's result, or the exception it raised, pickled
-    through a pipe, and always leaves by os._exit, so it runs no exit
-    handler and flushes no buffer it inherited.  A child that dies
-    without a result, or raises what cannot be pickled, is a
-    RuntimeError here.  Every child is killed and reaped before this
-    returns or raises.
+    `items` are cut into at most `workers` contiguous groups of about
+    equal total `sizes`: item i goes to group workers * (sizes before
+    item i) // (all sizes), and empty groups are dropped.  A child sends
+    back fn's result, or the exception it raised, pickled through a pipe,
+    and always leaves by os._exit, so it runs no exit handler and flushes
+    no buffer it inherited.  A child that dies without a result, or
+    raises what cannot be pickled, is a RuntimeError here.  Every child
+    is killed and reaped before this returns or raises.
     """
+    groups = [[] for _ in range(workers)]
+    total = sum(sizes)
+    for item, before in zip(items, itertools.accumulate(sizes, initial=0)):
+        groups[workers * before // total].append(item)
+    groups = [g for g in groups if g]
     pids, readers = [], []
     try:
-        for item in items[1:]:
+        for group in groups[1:]:
             r, w = os.pipe()
             readers.append(os.fdopen(r, "rb"))
             with os.fdopen(w, "wb") as out:
@@ -475,7 +477,7 @@ def _map_forked(fn, items) -> list:
                 if pid == 0:
                     try:
                         try:
-                            result = (True, fn(item))
+                            result = (True, fn(group))
                         except BaseException as exc:  # raised again by the parent
                             result = (False, exc)
                         out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
@@ -483,7 +485,7 @@ def _map_forked(fn, items) -> list:
                     finally:
                         os._exit(0)
             pids.append(pid)
-        found = [fn(items[0])]
+        found = [fn(groups[0])]
         for pid, r in zip(pids, readers):
             try:
                 ok, value = pickle.load(r)

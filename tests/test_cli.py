@@ -199,6 +199,21 @@ def test_bad_experiment_input_is_usage_error(argv, capsys):
     assert capsys.readouterr().err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("command", [["degrees", "--side", "20000", "--trunc", "3000"],
+                                     ["generate", "--side", "20000", "--out", "box.txt"]],
+                         ids=["degrees", "generate"])
+def test_a_worker_count_above_the_cap_is_usage_error(command, monkeypatch, tmp_path, capsys):
+    # One forked process per worker: the count is refused before any fork.
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr("os.fork", no_fork)
+    argv = [str(tmp_path / a) if a == "box.txt" else a for a in command]
+    assert main(argv[:1] + _MODEL + argv[1:] + ["--threads", "100000"]) == 1
+    assert capsys.readouterr().err == "usage error: threads must be in [0, 256], got 100000\n"
+    assert not (tmp_path / "box.txt").exists()
+
+
 def test_any_other_exception_is_runtime_error(monkeypatch, capsys):
     import sfp.cli
 

@@ -511,17 +511,18 @@ def test_golden_box_report(name, threads):
     assert _report_body_digest(argv + ["--threads", str(threads)]) == digest
 
 
-@pytest.mark.parametrize("name, pool_forks", [("degrees-trunc-3rep", 0), ("degrees-full", 2)])
-def test_golden_box_report_with_more_workers_than_boxes(name, pool_forks, monkeypatch):
-    # At 4 workers, 3 boxes get one worker each, and 2 boxes two each:
-    # each pool thread then forks a worker process for its box's pairs.
-    from_pool, fork = [], os.fork
+@pytest.mark.parametrize("name, forking_boxes", [("degrees-trunc-3rep", 0), ("degrees-full", 2)])
+def test_golden_box_report_with_more_workers_than_boxes(name, forking_boxes, monkeypatch):
+    # At 4 workers, 3 or 2 boxes run one after another, each on all 4.  A
+    # truncated box is one block of pairs and forks nothing; a full box
+    # forks a worker process for each of its 3 other pieces.
+    from_main, fork = [], os.fork
 
     def recording_fork():
-        from_pool.append(threading.current_thread() is not threading.main_thread())
+        from_main.append(threading.current_thread() is threading.main_thread())
         return fork()
 
     monkeypatch.setattr(os, "fork", recording_fork)
     argv, digest = BOX_REPORT_DIGESTS[name]
     assert _report_body_digest(argv + ["--threads", "4"]) == digest
-    assert from_pool == [True] * pool_forks
+    assert from_main == [True] * 3 * forking_boxes

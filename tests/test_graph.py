@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from sfp import graph
+from sfp.experiments import ExperimentConfig, run_coupling_check, run_degree_experiment
 from sfp.graph import (BoxRealization, BoxSpec, BoxTooLarge, FormatVersionMismatch,
                        MarginTooLarge, ParseError, RadiusTooSmall,
                        VertexOutOfBox, clusters, coupled_pair, degree_sequence,
@@ -161,26 +162,22 @@ def test_generation_is_the_same_at_any_worker_count(monkeypatch):
              (validate_params(3, 4.0, 2.0, 2.5), BoxSpec(d=3, side=6, origin=(-2, 0, 5)), 3.0,
               True)]
     assert len(list(graph._pair_blocks(8, graph._offset_runs(1, 8, 2.0)))) == 2
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        for params, spec, cutoff, small_blocks in boxes:
-            one = generate_box(params, 4, spec, cutoff)
-            assert one.n_edges > 0
-            runs = [(graph._BLOCK_PAIRS, 2), (graph._BLOCK_PAIRS, 3)]
-            if small_blocks:
-                runs += [(64, 1), (64, 2), (64, 3)]
-            for block_pairs, workers in runs:
-                monkeypatch.setattr(graph, "_BLOCK_PAIRS", block_pairs)
-                many = generate_box(params, 4, spec, cutoff, workers=workers)
-                monkeypatch.undo()
-                assert many.edges.dtype == one.edges.dtype
-                assert np.array_equal(many.edges, one.edges), (spec, block_pairs, workers)
-                assert many.trunc_bias == one.trunc_bias
-    finally:
-        sys.setswitchinterval(interval)
-    with pytest.raises(ParameterError):
-        generate_box(P, 0, BoxSpec(d=1, side=8), workers=0)
+    for params, spec, cutoff, small_blocks in boxes:
+        one = generate_box(params, 4, spec, cutoff)
+        assert one.n_edges > 0
+        runs = [(graph._BLOCK_PAIRS, 2), (graph._BLOCK_PAIRS, 3)]
+        if small_blocks:
+            runs += [(64, 1), (64, 2), (64, 3)]
+        for block_pairs, workers in runs:
+            monkeypatch.setattr(graph, "_BLOCK_PAIRS", block_pairs)
+            many = generate_box(params, 4, spec, cutoff, workers=workers)
+            monkeypatch.undo()
+            assert many.edges.dtype == one.edges.dtype
+            assert np.array_equal(many.edges, one.edges), (spec, block_pairs, workers)
+            assert many.trunc_bias == one.trunc_bias
+    for workers in (0, graph.MAX_WORKERS + 1):
+        with pytest.raises(ParameterError):
+            generate_box(P, 0, BoxSpec(d=1, side=8), workers=workers)
 
 
 @pytest.mark.parametrize("block_pairs, workers", [(None, 1), (None, 2), (64, 1), (64, 3)])
@@ -243,6 +240,24 @@ def test_a_failing_piece_is_raised_and_leaves_no_child(where, monkeypatch):
     _failing_in(where, monkeypatch, fail)
     with pytest.raises(PieceFailed, match="in " + where):
         generate_box(P, 3, BoxSpec(d=1, side=2000), 200.0, workers=3)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+@pytest.mark.parametrize("run", [run_coupling_check, run_degree_experiment])
+def test_a_failing_box_is_raised_and_leaves_no_child(run, where, monkeypatch):
+    # Three boxes on two workers: boxes 0 and 1 here, box 2 in a child.
+    cfg = ExperimentConfig(params=P, spec=BoxSpec(d=1, side=2000), seed=5, replicates=3,
+                           threads=2)
+    run(cfg, cutoff=200.0)
+    _assert_no_child_left()
+
+    def fail():
+        raise PieceFailed("in " + where)
+
+    _failing_in(where, monkeypatch, fail)
+    with pytest.raises(PieceFailed, match="in " + where):
+        run(cfg, cutoff=200.0)
     _assert_no_child_left()
 
 
