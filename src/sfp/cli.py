@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .params import ModelKind, ParameterError, classify_regime, derived_exponents, validate_params
+from .params import (MAX_WORKERS, ModelKind, ParameterError, classify_regime, derived_exponents,
+                     validate_params)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,8 +64,17 @@ def _int64_float(text: str) -> float:
     return value
 
 
+def _u64(text: str) -> int:
+    """argparse type: an integer in [0, 2^64), the seeds the 64-bit hash keys take."""
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {text}")
+    return value
+
+
 # argparse names the type in its "invalid" message
 _finite.__name__ = _int64_float.__name__ = "float"
+_u64.__name__ = "int"
 
 
 def _int_list(text: str) -> list:
@@ -85,7 +95,7 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_u64, default=0)
     common.add_argument("--threads", type=_at_least(0), default=1,
                         help="worker cap for parallel sections (0 = auto)")
     common.add_argument("--out", type=str, default=None)
@@ -439,6 +449,10 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
+        # ExperimentConfig's check and message, made here because `verify`
+        # runs two criteria before it builds its first ExperimentConfig.
+        if args.threads > MAX_WORKERS:
+            raise ParameterError(f"threads must be in [0, {MAX_WORKERS}], got {args.threads}")
         return _DISPATCH[args.command](args)
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

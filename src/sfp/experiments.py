@@ -28,12 +28,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .graph import (MAX_WORKERS, BoxSpec, _map_forked, clusters, coupled_pair,
-                    degree_sequence, distances_from, generate_box, usable_cores)
-from .moments import (NonPositiveDistance, TauOutOfRange, adjacent_expectation_exact,
-                      bridging_exponent)
-from .params import (ModelKind, ModelKindUnsupported, ModelParams, ParameterError,
-                     derived_exponents)
+from .graph import (BoxSpec, _map_forked, clusters, coupled_pair, degree_sequence,
+                    distances_from, generate_box, usable_cores)
+from .moments import adjacent_expectation_exact, bridging_exponent
+from .params import MAX_WORKERS, ModelKind, ModelParams, ParameterError, derived_exponents
 from .randomness import (TAG_EXPERIMENT, absorb, derive_seed, keyed_words,
                          unit_from_word_inplace)
 
@@ -62,16 +60,8 @@ class KTooLarge(ValueError):
     pass
 
 
-class TooFewPoints(ValueError):
-    pass
-
-
-class NonPositivePoint(ValueError):
-    pass
-
-
-class PathTooLong(ParameterError):
-    pass
+class FitUndefined(ValueError):
+    """The log-log fit has no value: too few points, a point <= 0, or all x equal."""
 
 
 class NoPairsInLargestCluster(RuntimeError):
@@ -183,7 +173,7 @@ def _config_echo(cfg: ExperimentConfig, **knobs) -> dict:
 
 def _require_sfp(cfg: ExperimentConfig, command: str):
     if cfg.params.kind is not ModelKind.SFP:
-        raise ModelKindUnsupported(
+        raise ParameterError(
             f"{command} supports only --model sfp, got {cfg.params.kind.value}")
 
 
@@ -255,15 +245,15 @@ def loglog_slope(points) -> EstimateWithCI:
         arr = arr.reshape(-1, 2)
     n = len(arr)
     if n < 3:
-        raise TooFewPoints(f"need at least 3 points, got {n}")
+        raise FitUndefined(f"need at least 3 points, got {n}")
     if np.any(arr <= 0):
-        raise NonPositivePoint("log-log fit needs strictly positive coordinates")
+        raise FitUndefined("log-log fit needs strictly positive coordinates")
     lx = np.log(arr[:, 0])
     ly = np.log(arr[:, 1])
     dx = lx - lx.mean()
     sxx = float(np.sum(dx * dx))
     if sxx == 0:
-        raise TooFewPoints("all x coincide")
+        raise FitUndefined("all x coincide")
     slope = float(np.sum(dx * ly) / sxx)
     resid = ly - ly.mean() - slope * dx
     s2 = float(np.sum(resid * resid)) / (n - 2)
@@ -277,7 +267,7 @@ def _slope_verdict(rule: str, pts, target: float, points: str, verdicts: list, f
         return
     try:
         slope = loglog_slope(pts)
-    except (NonPositivePoint, TooFewPoints) as exc:  # an estimate of 0, or x equal as floats
+    except FitUndefined as exc:  # an estimate of 0, or x equal as floats
         flags.append(f"{rule} skipped: {exc}")
         return
     verdicts.append(Verdict(
@@ -387,7 +377,7 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
     t0 = time.monotonic()
     exact = adjacent_expectation_exact(cfg.params, r_xy, r_yz)
     if not all(r > 0 for r in sweep_ryz):
-        raise NonPositiveDistance(f"sweep distances must be positive, got {sweep_ryz}")
+        raise ParameterError(f"sweep distances must be positive, got {sweep_ryz}")
     if len(set(sweep_ryz)) < len(sweep_ryz):
         raise ParameterError(f"sweep distances must not repeat, got {list(sweep_ryz)}")
     est = _path_estimates(cfg, 0, [r_xy, r_yz])[0][0]
@@ -438,7 +428,7 @@ def run_fkg_check(cfg: ExperimentConfig, path) -> ExperimentReport:
         raise ParameterError("path coordinates must fit in 64-bit integers") from None
     n_edges = len(pts) - 1
     if not 2 <= n_edges <= 6:
-        raise PathTooLong(f"path must have 2..6 edges, got {n_edges}")
+        raise ParameterError(f"path must have 2..6 edges, got {n_edges}")
     if any(p.shape != (cfg.params.d,) for p in pts):
         raise ParameterError(f"path vertices must be {cfg.params.d}-dimensional")
     if len({tuple(p) for p in pts}) < len(pts):
@@ -500,14 +490,14 @@ def run_bridge_experiment(cfg: ExperimentConfig, beta: float,
     _SLOPE_TOL of -(2 alpha1 - d beta), flagged as skipped when fewer
     than three N give estimates, and positive mass at every N.  Both
     the weights and the target are SFP's, so other model kinds raise
-    ModelKindUnsupported.  The N must be distinct and >= 1, so every
+    ParameterError.  The N must be distinct and >= 1, so every
     cube has at least two vertices.
     """
     t0 = time.monotonic()
     _require_sfp(cfg, "bridge")
     target = -bridging_exponent(cfg.params, beta)  # rejects beta before any chunk runs
     if not (2.0 < cfg.params.tau < 3.0):
-        raise TauOutOfRange(f"bridge experiment needs tau in (2,3), got {cfg.params.tau}")
+        raise ParameterError(f"bridge experiment needs tau in (2,3), got {cfg.params.tau}")
     if (not n_list or min(n_list) < 1 or max(n_list) >= 2 ** 63
             or len(set(n_list)) < len(n_list)):
         raise ParameterError(f"bridge needs distinct N in [1, 2^63), got {list(n_list)}")
@@ -594,7 +584,7 @@ def run_coupling_check(cfg: ExperimentConfig, lambda_lrp: float | None = None,
     With a mismatched LRP intensity (lambda_lrp) the inclusion argument
     does not apply: violations are only counted, no verdict.  The SFP
     side is the model itself, so other model kinds raise
-    ModelKindUnsupported.
+    ParameterError.
     """
     t0 = time.monotonic()
     if cfg.spec is None:
@@ -703,7 +693,7 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     Delta2 + 1].  With compare_lrp=True, a coupled LRP realization is
     measured on the same pairs and the median domination at every N is
     an exact verdict; the coupling is SFP's, so other model kinds raise
-    ModelKindUnsupported.
+    ParameterError.
     """
     t0 = time.monotonic()
     if cfg.spec is None:
@@ -786,7 +776,7 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
         fit = loglog_slope([(math.log(n), m) for n, m in zip(n_list, med) if m > 0])
         flags.append(f"polylog-exponent-estimate {fit.mean!r} se {fit.stderr!r} "
                      f"band [{ex.delta1 - 1.0!r}, {ex.delta2 + 1.0!r}] informational")
-    except (TooFewPoints, NonPositivePoint):
+    except FitUndefined:
         flags.append("polylog-exponent-estimate unavailable")
 
     return ExperimentReport(name="distances", config=config, columns=columns, rows=rows,

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .params import ModelKind, ModelParams, ParameterError, RadiusTooSmall
+from .params import MAX_WORKERS, ModelKind, ModelParams, ParameterError
 from .randomness import (TAG_EDGE, absorb, keyed_words, unit_from_word,
                          unit_lower_bound, vertex_weights)
 
@@ -45,8 +45,6 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 DEFAULT_PAIR_BUDGET = 2 ** 32
-# Most workers a call may ask for: each but the first is a forked process.
-MAX_WORKERS = 256
 
 FORMAT_HEADER = "#sfp-box v1"
 _META_KEYS = {"d", "alpha", "lambda", "tau", "model", "L", "seed", "origin", "trunc", "truncbias"}
@@ -57,10 +55,6 @@ class BoxTooLarge(ValueError):
 
 
 class VertexOutOfBox(ValueError):
-    pass
-
-
-class MarginTooLarge(ParameterError):
     pass
 
 
@@ -236,7 +230,7 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
         raise ParameterError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     if cutoff is not None:
         if not cutoff >= 1:
-            raise RadiusTooSmall(f"cutoff must be >= 1, got {cutoff}")
+            raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
         cutoff = float(cutoff)
     # The pair budget is enforced before the work it guards: in closed form
     # without a cutoff, otherwise as the runs of offsets are produced.
@@ -514,7 +508,7 @@ def generate_box(params: ModelParams, seed: int, spec: BoxSpec,
     is decided; otherwise pairs beyond the cutoff are never opened, the
     decisions inside it agree bit for bit with the full box, and the
     realization records the union-bound truncation bias.  Raises
-    RadiusTooSmall for a cutoff below 1, and BoxTooLarge when the pairs
+    ParameterError for a cutoff below 1, and BoxTooLarge when the pairs
     to decide exceed the pair budget.
     """
     return _generate(params, seed, spec, cutoff, pair_budget, _weights_override, workers=workers)
@@ -727,7 +721,7 @@ def degree_sequence(r: BoxRealization, margin: int = 0) -> np.ndarray:
     """Degrees of vertices at L-infinity distance >= margin from the boundary."""
     L = r.spec.side
     if not 0 <= margin < L / 2:
-        raise MarginTooLarge(f"margin must satisfy 0 <= m < L/2, got {margin}")
+        raise ParameterError(f"margin must satisfy 0 <= m < L/2, got {margin}")
     deg = r.degrees()
     if margin == 0:
         return deg

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams, ParameterError, RadiusTooSmall, derived_exponents
+from .params import ModelParams, ParameterError, derived_exponents
 
 _QUAD_REL_TOL = 1e-10
 # Most lattice points `convolution_ratio` may visit: the d=3 default box
@@ -29,23 +29,7 @@ _QUAD_REL_TOL = 1e-10
 _CONVOLUTION_POINTS = 1 << 22
 
 
-class NonPositiveDistance(ParameterError):
-    pass
-
-
 class QuadratureFailure(RuntimeError):
-    pass
-
-
-class TauOutOfRange(ParameterError):
-    pass
-
-
-class ThresholdBelowFloor(ParameterError):
-    pass
-
-
-class BetaOutOfRange(ParameterError):
     pass
 
 
@@ -61,8 +45,6 @@ class AdjacentEdgeResult:
     middle_expectation: float
     lower: float
     upper: float
-    a_xy: float
-    a_yz: float
 
 
 def _pow(x: float, y: float) -> float:
@@ -93,7 +75,7 @@ def single_edge_second_moment(params: ModelParams, r: float) -> float:
     Identically 1 once lambda r^-alpha >= 1.
     """
     if not r >= 1:
-        raise NonPositiveDistance(f"r must be >= 1, got {r}")
+        raise ParameterError(f"r must be >= 1, got {r}")
     tau, lam, alpha = params.tau, params.lambda_, params.alpha
     zstar = _pow(r, alpha) / lam
     if zstar <= 1.0:
@@ -145,15 +127,15 @@ def adjacent_expectation_exact(params: ModelParams, a_xy: float, a_yz: float) ->
     """
     tau, lam, alpha = params.tau, params.lambda_, params.alpha
     if not (2.0 < tau < 3.0):
-        raise TauOutOfRange(f"closed form requires tau in (2, 3), got {tau}")
+        raise ParameterError(f"closed form requires tau in (2, 3), got {tau}")
     if not a_xy >= a_yz:
         raise ParameterError(f"require a_xy >= a_yz, got {a_xy} < {a_yz}")
     if not a_yz > 0:
-        raise NonPositiveDistance(f"a_yz must be positive, got {a_yz}")
+        raise ParameterError(f"a_yz must be positive, got {a_yz}")
     A = _pow(a_xy, alpha)
     B = _pow(a_yz, alpha)
     if B < lam:
-        raise ThresholdBelowFloor(
+        raise ParameterError(
             f"a_yz^alpha = {B} below lambda = {lam}: saturation threshold under the weight floor")
     a, b = A / lam, B / lam
     t1 = (tau - 1.0) / ((3.0 - tau) * (tau - 2.0)) * b ** (2.0 - tau) / a
@@ -162,7 +144,7 @@ def adjacent_expectation_exact(params: ModelParams, a_xy: float, a_yz: float) ->
     middle = t1 - t2 - t3
     mu = (tau - 1.0) / (tau - 2.0)
     return AdjacentEdgeResult(middle_expectation=middle, lower=middle / 4.0,
-                              upper=mu * mu * middle, a_xy=a_xy, a_yz=a_yz)
+                              upper=mu * mu * middle)
 
 
 def adjacent_expectation_quadrature(params: ModelParams, a_xy: float, a_yz: float) -> float:
@@ -175,9 +157,9 @@ def adjacent_expectation_quadrature(params: ModelParams, a_xy: float, a_yz: floa
     """
     tau, lam, alpha = params.tau, params.lambda_, params.alpha
     if not tau > 2.0:
-        raise TauOutOfRange(f"quadrature needs tau > 2 for integrability, got {tau}")
+        raise ParameterError(f"quadrature needs tau > 2 for integrability, got {tau}")
     if not (a_xy > 0 and a_yz > 0):
-        raise NonPositiveDistance(f"distances must be positive, got {a_xy}, {a_yz}")
+        raise ParameterError(f"distances must be positive, got {a_xy}, {a_yz}")
     # The kinks in log u, taken from the distances so that no power overflows.
     log_a = alpha * math.log(max(a_xy, a_yz)) - math.log(lam)
     log_b = alpha * math.log(min(a_xy, a_yz)) - math.log(lam)
@@ -244,7 +226,7 @@ def convolution_ratio(params: ModelParams, u, v, ball_radius: float) -> Convolut
     # Squared in Python ints: an int64 square wraps above |u-v| ~ 3e9.
     duv = math.sqrt(sum((int(a) - int(b)) ** 2 for a, b in zip(ua, va)))
     if ball_radius < 4.0 * duv:
-        raise RadiusTooSmall(
+        raise ParameterError(
             f"ball radius {ball_radius} below 4 |u-v| = {4.0 * duv}")
 
     rb = int(math.floor(ball_radius))
@@ -275,6 +257,6 @@ def bridging_exponent(params: ModelParams, beta: float) -> float:
     and the cube volume N^(d beta) discounts the product.
     """
     if not 0.0 < beta < 1.0:
-        raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
+        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
     ex = derived_exponents(params)
     return 2.0 * ex.alpha1 - params.d * beta

@@ -24,6 +24,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+# Most workers a call may ask for: each but the first is a forked process.
+# Here rather than in `graph`, so the CLI checks --threads without loading it.
+MAX_WORKERS = 256
+
 
 class ModelKind(Enum):
     SFP = "sfp"
@@ -42,26 +46,7 @@ class ParameterError(ValueError):
     """Rejected user input (a flag, model parameter or experiment input).
 
     The one usage-error type: the CLI maps it, and only it, to exit 1, so
-    every input check a CLI run can reach raises it or a subclass."""
-
-
-class NonPositive(ParameterError):
-    def __init__(self, field: str, value):
-        self.field = field
-        super().__init__(f"{field} must be positive, got {value}")
-
-
-class TauTooSmall(ParameterError):
-    def __init__(self, value):
-        super().__init__(f"tau must exceed 1, got {value}")
-
-
-class ModelKindUnsupported(ParameterError):
-    """An experiment asked of a model kind it is not defined for."""
-
-
-class RadiusTooSmall(ParameterError):
-    """A truncation cutoff or ball radius below what the computation needs."""
+    every input check a CLI run can reach raises it."""
 
 
 @dataclass(frozen=True)
@@ -82,20 +67,19 @@ class ModelParams:
 
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
-            raise NonPositive("d", self.d)
+            raise ParameterError(f"d must be positive, got {self.d}")
         if not self.alpha > 0:
-            raise NonPositive("alpha", self.alpha)
+            raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if not self.lambda_ > 0:
-            raise NonPositive("lambda", self.lambda_)
+            raise ParameterError(f"lambda must be positive, got {self.lambda_}")
         if not self.tau > 1:
-            raise TauTooSmall(self.tau)
+            raise ParameterError(f"tau must exceed 1, got {self.tau}")
 
 
 def validate_params(d, alpha, lambda_, tau, kind=ModelKind.SFP) -> ModelParams:
     """Construct a ModelParams, rejecting out-of-range values.
 
-    Raises NonPositive(field) for d < 1, alpha <= 0, lambda <= 0 and
-    TauTooSmall for tau <= 1.
+    Raises ParameterError for d < 1, alpha <= 0, lambda <= 0 and tau <= 1.
     """
     return ModelParams(d=d, alpha=float(alpha), lambda_=float(lambda_),
                        tau=float(tau), kind=kind)

@@ -151,8 +151,8 @@ def pareto_from_uniform(u, tau: float):
     reproducibility.
     """
     if not tau > 1:
-        from .params import TauTooSmall
-        raise TauTooSmall(tau)
+        from .params import ParameterError
+        raise ParameterError(f"tau must exceed 1, got {tau}")
     return np.asarray(u, dtype=np.float64) ** (-1.0 / (tau - 1.0))
 
 

@@ -214,6 +214,28 @@ def test_a_worker_count_above_the_cap_is_usage_error(command, monkeypatch, tmp_p
     assert not (tmp_path / "box.txt").exists()
 
 
+def test_verify_checks_the_worker_cap_before_any_criterion(monkeypatch, tmp_path, capsys):
+    def fail(seed):
+        raise RuntimeError("criterion 1 ran")
+
+    monkeypatch.setattr("sfp.verify.criterion_exponent_identities", fail)
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--quick", "--threads", "300", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: threads must be in [0, 256], got 300\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--quick", "--seed", "-1"],
+    ["generate", *_MODEL, "--side", "16", "--seed", str(2 ** 64)],
+], ids=["verify-negative", "generate-2^64"])
+def test_a_seed_outside_u64_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "argument --seed: must be in [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_any_other_exception_is_runtime_error(monkeypatch, capsys):
     import sfp.cli
 

@@ -4,15 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sfp.experiments import (ExperimentConfig, KTooLarge,
-                             ModelKindUnsupported, NonPositivePoint, PathTooLong,
-                             TooFewPoints, _pareto_into, _path_estimates,
-                             _replicate_states, hill_estimator, loglog_slope, run_adjacent_mc,
+from sfp.experiments import (ExperimentConfig, FitUndefined, KTooLarge, _pareto_into,
+                             _path_estimates, _replicate_states, hill_estimator, loglog_slope,
+                             run_adjacent_mc,
                              run_bridge_experiment, run_coupling_check,
                              run_degree_experiment, run_distance_experiment,
                              run_fkg_check)
 from sfp.graph import BoxSpec
-from sfp.moments import BetaOutOfRange, adjacent_expectation_exact
+from sfp.moments import adjacent_expectation_exact
 from sfp.params import ModelKind, ParameterError, validate_params
 from sfp.randomness import experiment_uniforms, pareto_from_uniform
 
@@ -55,11 +54,11 @@ class TestLogLogSlope:
         assert est.stderr < 1e-12
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(FitUndefined, match="need at least 3 points"):
             loglog_slope([(1.0, 1.0)])
 
     def test_nonpositive_point(self):
-        with pytest.raises(NonPositivePoint):
+        with pytest.raises(FitUndefined, match="strictly positive coordinates"):
             loglog_slope([(1.0, 1.0), (2.0, 0.0), (3.0, 1.0)])
 
     def test_noisy_recovery_within_3_se(self):
@@ -106,8 +105,7 @@ class TestAdjacentMC:
             [(v.rule, v.passed) for v in r3.verdicts]
 
     def test_tau_out_of_range(self):
-        from sfp.moments import TauOutOfRange
-        with pytest.raises(TauOutOfRange):
+        with pytest.raises(ParameterError, match="closed form requires tau in"):
             run_adjacent_mc(ExperimentConfig(params=validate_params(1, 1.5, 1.0, 3.5),
                                              replicates=10), 10.0, 5.0)
 
@@ -144,9 +142,9 @@ class TestFkg:
 
     def test_path_too_long(self):
         cfg = ExperimentConfig(params=P, replicates=10)
-        with pytest.raises(PathTooLong):
+        with pytest.raises(ParameterError, match="path must have 2..6 edges, got 7"):
             run_fkg_check(cfg, [(i,) for i in range(0, 80, 10)])  # 7 edges
-        with pytest.raises(PathTooLong):
+        with pytest.raises(ParameterError, match="path must have 2..6 edges, got 1"):
             run_fkg_check(cfg, [(0,), (5,)])  # single edge has no cut
 
     @pytest.mark.parametrize("path", [[(0,), (1,), (0,)], [(0,), (5,), (10,), (5,)],
@@ -224,7 +222,7 @@ class TestBridge:
     @pytest.mark.parametrize("kind", [ModelKind.LRP, ModelKind.SFP_NN])
     def test_other_model_kinds_rejected(self, kind):
         cfg = ExperimentConfig(params=replace(P, kind=kind), replicates=10)
-        with pytest.raises(ModelKindUnsupported):
+        with pytest.raises(ParameterError, match="bridge supports only --model sfp"):
             run_bridge_experiment(cfg, beta=0.5)
 
     def test_geometry_degenerate_flagged(self):
@@ -243,7 +241,7 @@ class TestBridge:
 
     def test_beta_out_of_range(self):
         cfg = ExperimentConfig(params=P, replicates=10)
-        with pytest.raises(BetaOutOfRange):
+        with pytest.raises(ParameterError, match="beta must lie in"):
             run_bridge_experiment(cfg, beta=1.0)
 
     def test_slope_magnitude_shrinks_as_beta_grows(self):

@@ -14,8 +14,7 @@ from scipy import special
 from sfp import graph
 from sfp.experiments import ExperimentConfig, run_coupling_check, run_degree_experiment
 from sfp.graph import (BoxRealization, BoxSpec, BoxTooLarge, FormatVersionMismatch,
-                       MarginTooLarge, ParseError, RadiusTooSmall,
-                       VertexOutOfBox, clusters, coupled_pair, degree_sequence,
+                       ParseError, VertexOutOfBox, clusters, coupled_pair, degree_sequence,
                        distances_from, generate_box, load_realization,
                        save_realization)
 from sfp.params import ModelKind, ParameterError, validate_params
@@ -261,6 +260,15 @@ def test_a_failing_box_is_raised_and_leaves_no_child(run, where, monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("tau, lam, message", [(0.5, 1.0, r"tau must exceed 1, got 0\.5"),
+                                               (2.5, 0.0, r"lambda must be positive, got 0\.0")])
+def test_a_usage_error_in_a_child_keeps_its_message(tau, lam, message, monkeypatch):
+    _failing_in("child", monkeypatch, lambda: validate_params(1, 1.5, lam, tau))
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        generate_box(P, 3, BoxSpec(d=1, side=2000), 200.0, workers=2)
+    _assert_no_child_left()
+
+
 def _raise_unpicklable():
     class Local(ValueError):
         pass
@@ -409,7 +417,7 @@ def test_truncated_agrees_inside_cutoff():
 
 
 def test_truncated_rejects_radius_below_one():
-    with pytest.raises(RadiusTooSmall):
+    with pytest.raises(ParameterError, match="cutoff must be >= 1, got 0.0"):
         generate_box(P, 0, BoxSpec(d=1, side=100), cutoff=0.0)
 
 
@@ -643,7 +651,7 @@ def test_degree_sequence_empty_and_complete():
 def test_degree_sequence_margin():
     r = generate_box(P, 4, BoxSpec(d=1, side=100))
     assert len(degree_sequence(r, 10)) == 80
-    with pytest.raises(MarginTooLarge):
+    with pytest.raises(ParameterError, match="margin must satisfy 0 <= m < L/2, got 50"):
         degree_sequence(r, 50)
 
 
@@ -838,11 +846,6 @@ def test_has_edges_is_exact_where_a_flat_key_wraps(tmp_path):
     assert r.has_edges(pairs).tolist() == [True, False, True, False, True, False, False]
 
 
-def test_radius_too_small_is_one_class():
-    from sfp import moments, params
-    assert graph.RadiusTooSmall is moments.RadiusTooSmall is params.RadiusTooSmall
-
-
 def test_graph_import_does_not_load_moments():
     src = os.path.dirname(os.path.dirname(graph.__file__))
     code = "import sys, sfp.graph; sys.exit('sfp.moments' in sys.modules)"
@@ -875,8 +878,8 @@ for argv in (['adjacent', *model, '--rxy', '20', '--ryz', '4', '--replicates', '
     assert cli.main(argv) in (0, 2), argv
     assert not scipy_packages(), (argv[0], scipy_packages())
 
-# Two worker threads each build a truncated box, so both reach the
-# truncation bias's first import of scipy.fft at about the same time.
+# Two truncated boxes, one built in a forked child and one here: the
+# one built here loads scipy.fft for its truncation bias.
 assert cli.main(['degrees', '--alpha', '1.5', '--tau', '2.5', '--side', '2000',
                  '--trunc', '100', '--margin', '100', '--threads', '2',
                  '--replicates', '2']) in (0, 2)

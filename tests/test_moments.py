@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sfp.moments import (BetaOutOfRange, NonPositiveDistance,
-                         RadiusTooSmall, TauOutOfRange, ThresholdBelowFloor,
-                         adjacent_expectation_exact, adjacent_expectation_quadrature,
+from sfp.moments import (adjacent_expectation_exact, adjacent_expectation_quadrature,
                          bridging_exponent, convolution_ratio,
                          single_edge_second_moment)
-from sfp.params import derived_exponents, validate_params
+from sfp.params import ParameterError, derived_exponents, validate_params
 from sfp.randomness import experiment_uniforms, pareto_from_uniform
 
 P = validate_params(1, 1.5, 1.0, 2.5)
@@ -69,7 +67,7 @@ class TestSecondMoment:
         assert 2.1 < min(g) and max(g) < 9.0
 
     def test_rejects_r_below_one(self):
-        with pytest.raises(NonPositiveDistance):
+        with pytest.raises(ParameterError, match="r must be >= 1"):
             single_edge_second_moment(P, 0.5)
 
 
@@ -134,14 +132,14 @@ class TestAdjacentExpectation:
         assert q(P, 20.0, 6.0) < q(P, 20.0, 5.0)
 
     def test_exact_requires_tau_in_2_3(self):
-        with pytest.raises(TauOutOfRange):
+        with pytest.raises(ParameterError, match="closed form requires tau in"):
             adjacent_expectation_exact(validate_params(1, 1.5, 1.0, 3.5), 10.0, 5.0)
-        with pytest.raises(TauOutOfRange):
+        with pytest.raises(ParameterError, match="quadrature needs tau > 2"):
             adjacent_expectation_quadrature(validate_params(1, 1.5, 1.0, 1.8), 10.0, 5.0)
 
     def test_exact_requires_threshold_above_floor(self):
         p = validate_params(1, 1.5, 8.0, 2.5)
-        with pytest.raises(ThresholdBelowFloor):
+        with pytest.raises(ParameterError, match="below lambda = 8.0"):
             adjacent_expectation_exact(p, 10.0, 1.1)  # 1.1^1.5 < 8
 
     def test_exact_requires_ordered_distances(self):
@@ -178,7 +176,7 @@ class TestConvolution:
         assert res.s > 0 and res.tail_bound < 1e-4
 
     def test_radius_too_small(self):
-        with pytest.raises(RadiusTooSmall):
+        with pytest.raises(ParameterError, match="ball radius 39.0 below 4"):
             convolution_ratio(P, (0,), (10,), 39.0)
 
     def test_requires_alpha_above_d(self):
@@ -196,9 +194,9 @@ class TestBridgingExponent:
                             2.0 * ex.alpha1 - 1.0, rel_tol=1e-9)
 
     def test_beta_range_enforced(self):
-        with pytest.raises(BetaOutOfRange):
+        with pytest.raises(ParameterError, match="beta must lie in"):
             bridging_exponent(P, 0.0)
-        with pytest.raises(BetaOutOfRange):
+        with pytest.raises(ParameterError, match="beta must lie in"):
             bridging_exponent(P, 1.0)
 
     def test_region_a_limit_equals_alpha2(self):

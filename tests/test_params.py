@@ -4,8 +4,8 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from sfp.params import (ModelKind, NonPositive, Regime, TauTooSmall,
-                        classify_regime, derived_exponents, validate_params)
+from sfp.params import (ModelKind, ParameterError, Regime, classify_regime, derived_exponents,
+                        validate_params)
 
 
 def test_validate_accepts_good_params():
@@ -14,20 +14,19 @@ def test_validate_accepts_good_params():
 
 
 def test_validate_rejects_nonpositive_lambda():
-    with pytest.raises(NonPositive) as exc:
+    with pytest.raises(ParameterError, match="lambda must be positive"):
         validate_params(1, 1.5, 0.0, 2.5)
-    assert exc.value.field == "lambda"
 
 
 def test_validate_rejects_tau_at_one():
-    with pytest.raises(TauTooSmall):
+    with pytest.raises(ParameterError, match="tau must exceed 1"):
         validate_params(2, 3.0, 2.0, 1.0)
 
 
 def test_validate_rejects_bad_d_and_alpha():
-    with pytest.raises(NonPositive):
+    with pytest.raises(ParameterError, match="d must be positive"):
         validate_params(0, 1.5, 1.0, 2.5)
-    with pytest.raises(NonPositive):
+    with pytest.raises(ParameterError, match="alpha must be positive"):
         validate_params(1, -1.0, 1.0, 2.5)
 
 

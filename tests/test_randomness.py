@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sfp.params import TauTooSmall
+from sfp.params import ParameterError
 from sfp.randomness import (TAG_EDGE, SelfLoop, derive_seed,
                             experiment_uniforms, keyed_uniforms, keyed_words,
                             pareto_from_uniform, uniform_for_edge,
@@ -73,9 +73,9 @@ def test_weight_hand_inversion():
 
 
 def test_weight_requires_tau_above_one():
-    with pytest.raises(TauTooSmall):
+    with pytest.raises(ParameterError, match="tau must exceed 1"):
         pareto_from_uniform(0.5, 1.0)
-    with pytest.raises(TauTooSmall):
+    with pytest.raises(ParameterError, match="tau must exceed 1"):
         weight_for_vertex(0, (1,), 0.5)
 
 

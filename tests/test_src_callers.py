@@ -1,5 +1,6 @@
 """Every function, class and method defined in src/sfp has a caller in src/sfp,
-and every name a module of src/sfp imports is used in that module.
+every name a module of src/sfp imports is used in that module, and every
+subclass of ParameterError is caught by name in src/sfp.
 
 Code that only tests call is dead weight unless it is kept on purpose as
 an oracle, so a name defined in the package must be referenced (as a bare
@@ -61,3 +62,24 @@ def test_every_src_import_is_used():
                 used.update(ast.literal_eval(node.value))
         unused += [f"{name}:{line} {bound}" for bound, line in imported.items() if bound not in used]
     assert unused == []
+
+
+def _named(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_parameter_error_subclass_is_caught_by_name():
+    # ParameterError is the one type the CLI maps to exit 1, so a subclass
+    # earns its place only where the package tells it apart from the rest.
+    bases, caught = {}, set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {_named(b) for b in node.bases}
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(_named(t) for t in types)
+    family = {"ParameterError"}
+    while grown := {name for name, names in bases.items() if names & family} - family:
+        family |= grown
+    assert sorted(family - {"ParameterError"} - caught) == []
