@@ -16,6 +16,7 @@ flag via --config; explicit flags override the file.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -89,7 +90,8 @@ def _int_path(text: str) -> list:
     return [_int_list(part) for part in text.split(";")]
 
 
-def _build_parser() -> _Parser:
+def _build_parser(required: bool = True) -> _Parser:
+    """The CLI parser; with `required=False` no option is required, to check one flag alone."""
     top = _Parser(prog="sfp", description=__doc__)
     top.add_argument("--version", action="version", version=f"sfp {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
@@ -104,14 +106,14 @@ def _build_parser() -> _Parser:
 
     model = _Parser(add_help=False, parents=[common])
     model.add_argument("--dim", type=_at_least(1), default=1)
-    model.add_argument("--alpha", type=float, required=True)
-    model.add_argument("--tau", type=float, required=True)
+    model.add_argument("--alpha", type=float, required=required)
+    model.add_argument("--tau", type=float, required=required)
     model.add_argument("--lambda", dest="lambda_", type=float, default=1.0)
     model.add_argument("--model", type=str, default="sfp",
                        choices=["sfp", "lrp", "sfpnn"])
 
     box = _Parser(add_help=False, parents=[model])
-    box.add_argument("--side", type=_at_least(2), required=True)
+    box.add_argument("--side", type=_at_least(2), required=required)
     box.add_argument("--trunc", type=_at_least(1.0, float), default=None,
                      help="decide only pairs within this Euclidean distance")
 
@@ -135,18 +137,18 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("adjacent", parents=[model],
                        help="adjacent-edge probability: sandwich and decay")
     p.add_argument("--replicates", type=_at_least(1), default=1_000_000)
-    p.add_argument("--rxy", type=float, required=True)
-    p.add_argument("--ryz", type=float, required=True)
+    p.add_argument("--rxy", type=float, required=required)
+    p.add_argument("--ryz", type=float, required=required)
     p.add_argument("--sweep-ryz", type=_float_list, default="8,16,32,64")
 
     p = sub.add_parser("fkg", parents=[model], help="path-cut correlation check")
     p.add_argument("--replicates", type=_at_least(1), default=1_000_000)
-    p.add_argument("--path", type=_int_path, required=True,
+    p.add_argument("--path", type=_int_path, required=required,
                    help="semicolon-separated vertices, comma-separated coords")
 
     p = sub.add_parser("bridge", parents=[model], help="midpoint-cube bridging slope")
     p.add_argument("--replicates", type=_at_least(1), default=1_000_000)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=float, required=required)
     p.add_argument("--n-list", type=_int_list, default="64,128,256,512,1024")
 
     p = sub.add_parser("coupling", parents=[box], help="SFP/LRP inclusion check")
@@ -156,24 +158,24 @@ def _build_parser() -> _Parser:
     mom = sub.add_parser("moments", help="closed-form / quadrature calculators")
     msub = mom.add_subparsers(dest="moments_command", required=True)
     p = msub.add_parser("adjacent", parents=[model])
-    p.add_argument("--rxy", type=float, required=True)
-    p.add_argument("--ryz", type=float, required=True)
+    p.add_argument("--rxy", type=float, required=required)
+    p.add_argument("--ryz", type=float, required=required)
     p.add_argument("--oracle", action="store_true",
                    help="also run the quadrature oracle")
     p = msub.add_parser("second", parents=[model])
-    p.add_argument("--r", type=_finite, required=True)
+    p.add_argument("--r", type=_finite, required=required)
     p = msub.add_parser("convolution", parents=[common])
     p.add_argument("--dim", type=_at_least(1), default=1)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--dist", type=_int64_float, required=True)
+    p.add_argument("--alpha", type=float, required=required)
+    p.add_argument("--dist", type=_int64_float, required=required)
     p.add_argument("--radius", type=_finite, default=None,
                    help="truncation ball radius (default 1e4 for d=1, 200 for d=2, 50 above)")
 
     hier = sub.add_parser("hierarchy", help="hierarchy tools")
     hsub = hier.add_subparsers(dest="hierarchy_command", required=True)
     p = hsub.add_parser("check", parents=[common])
-    p.add_argument("--realization", type=str, required=True)
-    p.add_argument("--hierarchy", type=str, required=True)
+    p.add_argument("--realization", type=str, required=required)
+    p.add_argument("--hierarchy", type=str, required=required)
 
     p = sub.add_parser("verify", parents=[common], help="run the verification suite")
     p.add_argument("--quick", action="store_true")
@@ -182,17 +184,20 @@ def _build_parser() -> _Parser:
 
 
 def _apply_config_file(argv):
-    """Pre-scan for --config and turn file entries into leading defaults.
+    """Turn the entries of the --config file into leading defaults.
 
     File entries become flags placed before the explicit ones, so
-    command-line flags win.
+    command-line flags win.  Each entry is first parsed alone, so one
+    that argparse rejects is reported with its file and line.
     """
-    if "--config" not in argv:
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")  # so `--config=PATH` is found too
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ParameterError("--config needs a file path")
-    path = argv[i + 1]
+    head = list(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+    single = _build_parser(required=False)
+    single.parse_args(head)  # a bad subcommand is no fault of the file
     extra = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -206,15 +211,15 @@ def _apply_config_file(argv):
                 flag = "--" + key.replace("_", "-")
                 if flag == "--config":
                     raise ParameterError(f"{path}:{ln}: config files cannot nest")
+                try:
+                    single.parse_args(head + [flag, value])
+                except ParameterError as exc:
+                    raise ParameterError(f"{path}:{ln}: {exc}") from None
                 extra.extend([flag, value])
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     # Insert right after the subcommand path, before explicit flags.
-    head = []
-    rest = list(argv)
-    while rest and not rest[0].startswith("-"):
-        head.append(rest.pop(0))
-    return head + extra + rest
+    return head + extra + argv[len(head):]
 
 
 def _emit(text: str, out_path):

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .graph import (BoxSpec, _map_forked, clusters, coupled_pair, degree_sequence,
-                    distances_from, generate_box, usable_cores)
+from .graph import (BoxSpec, _check_margin, _map_forked, clusters, coupled_pair,
+                    degree_sequence, distances_from, generate_box, usable_cores)
 from .moments import adjacent_expectation_exact, bridging_exponent
 from .params import MAX_WORKERS, ModelKind, ModelParams, ParameterError, derived_exponents
 from .randomness import (TAG_EXPERIMENT, absorb, derive_seed, keyed_words,
@@ -633,6 +633,7 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
         raise ParameterError("degree experiment needs a box spec")
     if not cfg.params.alpha > cfg.params.d:
         raise ParameterError("degree tail needs alpha > d (locally finite degrees)")
+    _check_margin(cfg.spec.side, margin)  # before any box is built
 
     def one(i: int, workers: int):
         r = generate_box(cfg.params, derive_seed(cfg.seed, i), cfg.spec, cutoff, workers=workers)

@@ -40,7 +40,8 @@ from .randomness import (TAG_EDGE, absorb, keyed_words, unit_from_word,
                          unit_lower_bound, vertex_weights)
 
 # Each scipy subpackage is imported by the function that uses it, so a
-# command that never builds a CSR or a truncation bias never loads them.
+# command that never builds a CSR loads none; the truncation bias uses
+# numpy's FFT.
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
@@ -533,13 +534,37 @@ def coupled_pair(params: ModelParams, seed: int, spec: BoxSpec,
 # Truncation bias
 # ---------------------------------------------------------------------------
 
+# Each of 2, 3, 5, 7 and 11 to its highest power below 2^64, so every
+# 11-smooth integer below 2^64 divides it and no other integer does.
+_SMOOTH_64 = 2 ** 63 * 3 ** 40 * 5 ** 27 * 7 ** 22 * 11 ** 18
+
+
+def _fast_len(n: int) -> int:
+    """Least 11-smooth integer >= n, the FFT length each lag axis is padded to."""
+    while _SMOOTH_64 % n:
+        n += 1
+    return n
+
+
 def _lag_weight_sums(weights_grid: np.ndarray):
-    """Autocorrelation C[delta] = sum_x W_x W_{x+delta} for all lattice lags."""
-    from scipy import fft as sfft
-    shape = weights_grid.shape
-    padded = [sfft.next_fast_len(2 * s - 1) for s in shape]
-    F = sfft.rfftn(weights_grid, s=padded)
-    corr = sfft.irfftn(F * np.conj(F), s=padded)
+    """Autocorrelation C[delta] = sum_x W_x W_{x+delta} for all lattice lags.
+
+    Transformed an axis at a time in scipy.fft's order (the real last
+    axis first forward and last back, the others in increasing order),
+    unscaled, with the whole 1/N applied once at the end, so the floats
+    equal scipy.fft.irfftn's; numpy's irfftn (axes reversed, scaled per
+    axis) does not match them.
+    """
+    d = weights_grid.ndim
+    padded = [_fast_len(2 * s - 1) for s in weights_grid.shape]
+    F = np.fft.rfft(weights_grid, n=padded[-1], axis=-1)
+    for ax in range(d - 1):
+        F = np.fft.fft(F, n=padded[ax], axis=ax)
+    F = F * np.conj(F)  # as pinned: above 256 KiB numpy computes conj(F) * F
+    for ax in range(d - 1):
+        F = np.fft.ifft(F, axis=ax, norm="forward")
+    corr = np.fft.irfft(F, n=padded[-1], axis=-1, norm="forward")
+    corr *= 1.0 / math.prod(padded)
     return corr, padded
 
 
@@ -566,8 +591,9 @@ def _truncation_bias(spec: BoxSpec, params: ModelParams,
                      weights: np.ndarray, cutoff: float) -> float:
     """Exact sum of min(1, lambda W_x W_y r^-alpha) over pairs with r > cutoff.
 
-    The unsaturated part is lambda * sum_{lags r>R} r^-alpha C[lag] via FFT;
-    pairs whose bound saturates at 1 (both weights large) are corrected
+    The unsaturated part is lambda * sum_{lags r>R} r^-alpha C[lag], with
+    the lag sums C from numpy's FFT (`_lag_weight_sums`); pairs whose
+    bound saturates at 1 (both weights large) are corrected
     individually.  FFT round-off is ~1e-12 relative, negligible for a
     bias diagnostic.  In d >= 2 the lag terms are added one at a time in
     canonical lag order, and the saturated pairs in (x, y) order, so the
@@ -717,11 +743,15 @@ def distances_from(r: BoxRealization, source: int) -> np.ndarray:
     return dist
 
 
+def _check_margin(side: int, margin: int) -> None:
+    if not 0 <= margin < side / 2:
+        raise ParameterError(f"margin must satisfy 0 <= m < L/2, got {margin}")
+
+
 def degree_sequence(r: BoxRealization, margin: int = 0) -> np.ndarray:
     """Degrees of vertices at L-infinity distance >= margin from the boundary."""
     L = r.spec.side
-    if not 0 <= margin < L / 2:
-        raise ParameterError(f"margin must satisfy 0 <= m < L/2, got {margin}")
+    _check_margin(L, margin)
     deg = r.degrees()
     if margin == 0:
         return deg

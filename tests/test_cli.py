@@ -266,12 +266,30 @@ def test_config_file_merge_and_flag_override(tmp_path):
     assert out.strip().splitlines()[-1].split(",")[2] == "3.5"  # flag wins
 
 
-def test_config_file_rejects_unknown_key(tmp_path):
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("frobnicate = 1\n")
+    cfg.write_text("# a comment line\nfrobnicate = 1\n")
     code, _ = run_cli("exponents", "--config", str(cfg), "--dim", "1",
                       "--alpha", "1.5", "--tau", "2.5")
     assert code == 1
+    assert f"{cfg}:2: unrecognized arguments: --frobnicate 1" in capsys.readouterr().err
+
+
+def test_config_file_rejects_bad_value_at_its_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("alpha = 1.5\ntau = abc\n")
+    code, _ = run_cli("exponents", "--config", str(cfg), "--dim", "1")
+    assert code == 1
+    assert f"{cfg}:2: argument --tau: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_config_file_read_with_equals_spelling(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 1.5\ntau = 0.5\n")
+    code, _ = run_cli("exponents", "--dim", "1", f"--config={cfg}")
+    assert code == 1 and "tau must exceed 1, got 0.5" in capsys.readouterr().err
+    code, _ = run_cli("exponents", "--alpha", "1.5", "--tau", "2.5", "--config=nope.cfg")
+    assert code == 1 and "cannot read config file nope.cfg" in capsys.readouterr().err
 
 
 def test_moments_adjacent_row_with_oracle():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sfp import experiments
 from sfp.experiments import (ExperimentConfig, FitUndefined, KTooLarge, _pareto_into,
                              _path_estimates, _replicate_states, hill_estimator, loglog_slope,
                              run_adjacent_mc,
@@ -296,6 +297,15 @@ class TestDegrees:
                                spec=BoxSpec(d=1, side=100), seed=0)
         with pytest.raises(ValueError):
             run_degree_experiment(cfg)
+
+    def test_margin_checked_before_any_box(self, monkeypatch):
+        def no_box(*args, **kwargs):
+            raise AssertionError("a box was generated")
+        monkeypatch.setattr(experiments, "generate_box", no_box)
+        cfg = ExperimentConfig(params=P, spec=BoxSpec(d=1, side=100), seed=0,
+                               replicates=2, threads=2)
+        with pytest.raises(ParameterError, match="margin must satisfy"):
+            run_degree_experiment(cfg, margin=50)
 
     def test_small_box_estimate_in_broad_band(self):
         # Desk-size sanity run; the tight tolerance lives in the

@@ -15,6 +15,8 @@ without building the cached CSR, and agrees with its row lengths.
 
 Bias: `_truncation_bias` must equal, bit for bit, the per-lag and
 per-pair Python loops it replaced (kept below as `_loop_truncation_bias`).
+Its lag sums, from numpy's FFT, must equal scipy.fft's multi-axis real
+FFT bit for bit, and their padded lengths scipy's `next_fast_len`.
 
 The examples are derandomized, so every run checks the same cases.
 """
@@ -165,3 +167,26 @@ def test_truncation_bias_equals_loop_reference(case):
     weights = vertex_weights(seed, spec.all_coords(), params.tau)
     got = graph._truncation_bias(spec, params, weights, cutoff)
     assert got.hex() == _loop_truncation_bias(spec, params, weights, cutoff).hex()
+
+
+@pytest.mark.parametrize("d, side", [(1, 2), (1, 13), (1, 20_001), (2, 3), (2, 12), (2, 33),
+                                     (3, 2), (3, 5), (3, 10), (3, 13)])
+def test_lag_weight_sums_equal_scipy_fft(d, side):
+    from scipy import fft
+    spec = BoxSpec(d=d, side=side)
+    grid = vertex_weights(d * side, spec.all_coords(), 2.5).reshape((side,) * d)
+    corr, padded = _lag_weight_sums(grid)
+    assert padded == [fft.next_fast_len(2 * side - 1)] * d
+    F = fft.rfftn(grid, s=padded)
+    # Outside the assert, as in `_lag_weight_sums`: above 256 KiB numpy
+    # reuses the temporary conj(F) and computes conj(F) * F, whose last
+    # bits can differ from F * conj(F), and the assert's rewriting keeps
+    # that temporary alive.
+    ref = fft.irfftn(F * np.conj(F), s=padded)
+    assert np.array_equal(corr, ref)
+
+
+def test_fast_len_equals_scipy_next_fast_len():
+    from scipy import fft
+    assert [graph._fast_len(n) for n in range(1, 100_001)] == \
+        [fft.next_fast_len(n) for n in range(1, 100_001)]
