@@ -187,8 +187,10 @@ def _apply_config_file(argv):
     """Turn the entries of the --config file into leading defaults.
 
     File entries become flags placed before the explicit ones, so
-    command-line flags win.  Each entry is first parsed alone, so one
-    that argparse rejects is reported with its file and line.
+    command-line flags win.  A flag that takes no value (a switch such
+    as --oracle) is set by `key = true` and left out by `key = false`.
+    Each entry is first parsed alone, so one that argparse rejects is
+    reported with its file and line.
     """
     pre = _Parser(add_help=False)
     pre.add_argument("--config")  # so `--config=PATH` is found too
@@ -211,11 +213,20 @@ def _apply_config_file(argv):
                 flag = "--" + key.replace("_", "-")
                 if flag == "--config":
                     raise ParameterError(f"{path}:{ln}: config files cannot nest")
+                try:  # only a switch parses without its value
+                    single.parse_args(head + [flag])
+                except ParameterError:
+                    entry = [flag, value]
+                else:
+                    if value not in ("true", "false"):
+                        raise ParameterError(
+                            f"{path}:{ln}: {flag} takes true or false, got {value!r}")
+                    entry = [flag] if value == "true" else []
                 try:
-                    single.parse_args(head + [flag, value])
+                    single.parse_args(head + entry)
                 except ParameterError as exc:
                     raise ParameterError(f"{path}:{ln}: {exc}") from None
-                extra.extend([flag, value])
+                extra.extend(entry)
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     # Insert right after the subcommand path, before explicit flags.
@@ -408,11 +419,8 @@ def _cmd_hierarchy_check(args) -> int:
     depth = max(len(k) for k in sites)
     h = Hierarchy(depth=depth, sites=sites)
     violation = validate_hierarchy(h, real)
-    if violation is None:
-        print("valid")
-        return 0
-    print(str(violation))
-    return 2
+    _emit(f"{'valid' if violation is None else violation}\n", args.out)
+    return 0 if violation is None else 2
 
 
 def _cmd_verify(args) -> int:

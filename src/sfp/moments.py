@@ -1,13 +1,14 @@
-"""Connection-probability moments: exact formulas and quadrature oracles.
+"""Connection-probability moments: exact formulas and one quadrature oracle.
 
 All expectations here are over the Pareto weight law
 P(W >= w) = w^-(tau-1), w >= 1.  The quantities computed are
 
   * the single-edge second moment E[(lambda W W' r^-alpha ^ 1)^2],
-    evaluated through the product density (tau-1)^2 z^-tau log z,
+    in closed form from the product density (tau-1)^2 z^-tau log z,
   * the two-adjacent-edges expectation
-    E[(lambda W/A ^ 1)(lambda W/B ^ 1)], both in closed form (valid for
-    tau in (2,3)) and by adaptive quadrature (the independent oracle),
+    E[(lambda W/A ^ 1)(lambda W/B ^ 1)], in closed form (valid for
+    tau in (2,3)) and by adaptive quadrature, the independent oracle and
+    the only code here that loads scipy,
   * the lattice convolution sum behind the iterated path bound, and
   * the decay exponent 2 alpha1 - d beta of the bridged two-hop
     connection through a cube of side ~ N^beta.
@@ -55,57 +56,44 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
-def _quad(f, a, b, points=None) -> tuple:
+def _quad(f, a, b) -> tuple:
     from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        if points is not None and math.isfinite(b):
-            val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12,
-                                      limit=200, points=points)
-        else:
-            val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
-    return val, err
+        return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
 
 
 def single_edge_second_moment(params: ModelParams, r: float) -> float:
-    """E[(lambda W_x W_y r^-alpha ^ 1)^2] over two independent weights.
+    """E[(lambda W_x W_y r^-alpha ^ 1)^2] over two independent weights, in closed form.
 
-    Uses the product density f(z) = (tau-1)^2 z^-tau log z on [1, inf),
-    split at the kink z* = r^alpha / lambda where the minimum saturates.
-    Identically 1 once lambda r^-alpha >= 1.
+    With s = tau-1, k = 3-tau and l = log z*, where z* = r^alpha / lambda
+    is the kink at which the minimum saturates, integrating the product
+    density s^2 z^-tau log z by parts in u = log z gives
+
+        m = e^(-s l) (s l + 1) + s^2 J,
+        J = e^(-2l) int_0^l u e^(ku) du = (e^(-2l) + e^(-s l) (k l - 1)) / k^2,
+
+    the mass above z* plus the part below it.  Near tau = 3 that form of
+    J cancels, so for |k l| < 0.1 it is summed as the series
+    e^(-s l) l^2 sum_n (-k l)^n / (n+2)!.  Every exponent is at most 0, so
+    a huge r gives the limit, never inf or nan.  Identically 1 once
+    lambda r^-alpha >= 1.
     """
     if not r >= 1:
         raise ParameterError(f"r must be >= 1, got {r}")
-    tau, lam, alpha = params.tau, params.lambda_, params.alpha
-    zstar = _pow(r, alpha) / lam
-    if zstar <= 1.0:
+    s, k = params.tau - 1.0, 3.0 - params.tau
+    # log z*, from the logs so that no power overflows.
+    ell = params.alpha * math.log(r) - math.log(params.lambda_)
+    if ell <= 0.0:
         return 1.0
-    # Past the float range z* is known by its log, which gives the scale.
-    if zstar < math.inf:
-        log_zstar, scale = math.log(zstar), (tau - 1.0) ** 2 * zstar ** (1.0 - tau)
-    else:
-        log_zstar = alpha * math.log(r) - math.log(lam)
-        scale = (tau - 1.0) ** 2 * math.exp((1.0 - tau) * log_zstar)
-    if scale == 0.0:
+    if ell == math.inf:  # alpha log r past the float range: the limit
         return 0.0
-
-    # Substituting z = zstar * u scales both pieces by zstar^(1-tau), so the
-    # quadrature sees O(1) integrands and its error estimate stays relative.
-    def below(u):
-        return u ** (2.0 - tau) * (log_zstar + math.log(u))
-
-    def above(u):
-        return u ** -tau * (log_zstar + math.log(u))
-
-    lo = 1.0 / zstar
-    breaks = [b for b in (1e-9, 1e-6, 1e-3, 1e-1) if lo < b < 1.0]
-    v1, e1 = _quad(below, lo, 1.0, points=breaks)
-    v2, e2 = _quad(above, 1.0, math.inf)
-    total = scale * (v1 + v2)
-    if scale * (e1 + e2) > _QUAD_REL_TOL * max(abs(total), 1e-300):
-        raise QuadratureFailure(
-            f"second moment at r={r}: error {scale * (e1 + e2):.3g} vs value {total:.3g}")
-    return float(min(total, 1.0))
+    tail, kl = math.exp(-s * ell), k * ell
+    if abs(kl) >= 0.1:
+        j = (math.exp(-2.0 * ell) + tail * (kl - 1.0)) / (k * k)
+    else:
+        j = tail * ell * ell * sum((-kl) ** n / math.factorial(n + 2) for n in range(14))
+    return min(tail * (s * ell + 1.0) + s * s * j, 1.0)
 
 
 # ---------------------------------------------------------------------------

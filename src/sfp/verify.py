@@ -6,8 +6,9 @@ CriterionResult.  `quick` mode runs the fast deterministic subset at
 reduced Monte-Carlo sizes (seconds); the full suite runs everything at
 the declared sizes (tens of minutes).
 
-Criterion 10 (the second-moment shape) checks m(r) = E[p_xy^2] against
-its exact leading term L r^(-2 alpha1) log r, with L computed from the
+Criterion 10 (the second-moment shape) checks the exact m(r) = E[p_xy^2],
+which `single_edge_second_moment` evaluates in closed form, against its
+exact leading term L r^(-2 alpha1) log r, with L computed from the
 parameters.  At (d=1, alpha=1.5, tau=2.5, lambda=1) the exact moment is
 m(r) = r^-2.25 (9 log r - 8) + 9 r^-3 and L = 9, so the ratio
 g(r) = m(r) r^2.25 / (9 log r) climbs from 0.575 at r=2 to 0.920 at

@@ -292,6 +292,39 @@ def test_config_file_read_with_equals_spelling(tmp_path, capsys):
     assert code == 1 and "cannot read config file nope.cfg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, columns", [
+    ("true", "r_xy,r_yz,middle,lower,upper,oracle,rel_gap"),
+    ("false", "r_xy,r_yz,middle,lower,upper"),
+], ids=["true", "false"])
+def test_config_file_sets_a_switch(tmp_path, value, columns):
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text(f"oracle = {value}\n")
+    code, out = run_cli("moments", "adjacent", "--alpha", "1.5", "--tau", "2.5",
+                        "--rxy", "20", "--ryz", "4", "--config", str(cfg))
+    assert code == 0
+    assert out.strip().splitlines()[-2] == columns
+
+
+def test_config_file_rejects_a_switch_value_other_than_true_or_false(tmp_path, capsys):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("seed = 3\nquick = yes\n")
+    code, out = run_cli("verify", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert f"{cfg}:2: --quick takes true or false, got 'yes'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("alpha = 1.5\ntau 2.5\n", "expected key = value"),
+    ("alpha = 1.5\nconfig = other.cfg\n", "config files cannot nest"),
+], ids=["no-equals", "nested"])
+def test_config_file_rejects_a_malformed_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, _ = run_cli("exponents", "--config", str(cfg))
+    assert code == 1
+    assert f"{cfg}:2: {message}" in capsys.readouterr().err
+
+
 def test_moments_adjacent_row_with_oracle():
     code, out = run_cli("moments", "adjacent", "--alpha", "1.5", "--tau", "2.5",
                         "--rxy", "21.544346900318832", "--ryz", "4.641588833612778",
@@ -308,6 +341,20 @@ def test_moments_second_row():
     assert code == 0
     assert float(out.strip().splitlines()[-1].split(",")[1]) == \
         pytest.approx(0.035309176758121154, rel=1e-10)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--alpha", "1.5", "--tau", "3.5", "--lambda", "0.01", "--r", "1e10"], 2.4999998686265e-33),
+    (["--alpha", "0.5", "--tau", "6", "--lambda", "100", "--r", "1e150"], 2.777777777777812e-146),
+    (["--alpha", "3", "--tau", "3.1", "--lambda", "0.01", "--r", "1e10"], 4.387697712490722e-62),
+], ids=["tau-3.5", "tau-6", "tau-3.1"])
+def test_moments_second_in_the_light_tail(argv, want):
+    # tau > 3, where m(r) falls as z*^-2; the values are the split quadrature's
+    # of tests/test_moments.py.
+    code, out = run_cli("moments", "second", *argv)
+    assert code == 0
+    got = float(out.strip().splitlines()[-1].split(",")[1])
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def _csv_rows(out):
@@ -425,6 +472,33 @@ def test_hierarchy_check_valid_and_violation(tmp_path):
     assert code == 2 and "condition 3" in out
 
 
+def test_hierarchy_check_writes_its_verdict_to_out(tmp_path):
+    from sfp.graph import save_realization
+    from sfp.verify import forced_realization, toy_hierarchy
+    real_path = tmp_path / "real.txt"
+    hier_path = tmp_path / "hier.txt"
+    verdict = tmp_path / "verdict.txt"
+    save_realization(forced_realization(toy_hierarchy().required_edges()), real_path)
+    hier_path.write_text("\n".join(_toy_site_lines()) + "\n")
+    code, out = run_cli("hierarchy", "check", "--realization", str(real_path),
+                        "--hierarchy", str(hier_path), "--out", str(verdict))
+    assert code == 0 and out == ""
+    assert verdict.read_text() == "valid\n"
+
+
+def test_hierarchy_check_rejects_a_file_with_no_site_lines(tmp_path, capsys):
+    from sfp.graph import save_realization
+    from sfp.verify import forced_realization, toy_hierarchy
+    real_path = tmp_path / "real.txt"
+    hier_path = tmp_path / "hier.txt"
+    save_realization(forced_realization(toy_hierarchy().required_edges()), real_path)
+    hier_path.write_text("# only a comment\n\n")
+    code, out = run_cli("hierarchy", "check", "--realization", str(real_path),
+                        "--hierarchy", str(hier_path))
+    assert code == 1 and out == ""
+    assert f"{hier_path}: no site lines" in capsys.readouterr().err
+
+
 def test_degrees_subcommand(tmp_path):
     out = tmp_path / "deg.csv"
     code, _ = run_cli("degrees", "--dim", "1", "--alpha", "1.5", "--tau", "3.5",
@@ -481,7 +555,10 @@ def _toy_site_lines():
     ("s 2 3 4", "site key '2' is not a binary string"),
     ("s 1 5 7", "site key '1' already given on line 2"),
     ("s 01 99 0", "site key '01': coordinates [99, 0] outside box"),
-], ids=["non-integer-coordinate", "bad-key", "repeated-key", "outside-box"])
+    ("s 01 3", "expected 's <binary> <2 coords>'"),
+    ("t 01 3 4", "expected 's <binary> <2 coords>'"),
+], ids=["non-integer-coordinate", "bad-key", "repeated-key", "outside-box", "too-few-fields",
+        "not-a-site-line"])
 def test_hierarchy_check_rejects_bad_site_line_with_its_number(tmp_path, capsys, bad, message):
     from sfp.graph import save_realization
     from sfp.verify import forced_realization, toy_hierarchy

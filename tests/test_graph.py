@@ -784,6 +784,20 @@ def test_load_rejects_malformed_records(tmp_path, line, text, expect_line):
     assert exc.value.line_number == expect_line
 
 
+@pytest.mark.parametrize("lines, message", [
+    (_VALID_FILE[:1], "missing metadata line"),
+    ([_VALID_FILE[0], _VALID_FILE[1] + " seed", *_VALID_FILE[2:]], "bad metadata token 'seed'"),
+    ([_VALID_FILE[0], _VALID_FILE[1].replace(" seed=0", ""), *_VALID_FILE[2:]],
+     "missing metadata key seed"),
+], ids=["no-metadata-line", "token-without-equals", "missing-key"])
+def test_load_rejects_a_bad_metadata_line(tmp_path, lines, message):
+    path = tmp_path / "box.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message) as exc:
+        load_realization(path)
+    assert exc.value.line_number == 2
+
+
 @pytest.mark.parametrize("faults, expect_line", [
     ({3: "w 9 2.0", 7: "e 1 x"}, 4),                    # outside the box, then malformed
     ({3: "w 1 x", 7: "e 1 9"}, 4),                      # malformed, then outside the box
@@ -877,6 +891,8 @@ for argv in (['adjacent', *model, '--rxy', '20', '--ryz', '4', '--replicates', '
              ['fkg', *model, '--path', '0;17;-5;30', '--replicates', '2000'],
              ['bridge', *model, '--beta', '0.5', '--n-list', '64,128', '--replicates', '400'],
              ['coupling', *model, '--side', '64', '--replicates', '2'],
+             ['moments', 'second', *model, '--r', '16'],
+             ['moments', 'adjacent', *model, '--rxy', '20', '--ryz', '4'],
              ['hierarchy', 'check', '--realization', real, '--hierarchy', sites],
              ['degrees', *model, '--side', '2000', '--trunc', '100', '--margin', '100',
               '--replicates', '2'],

@@ -21,6 +21,37 @@ def _second_moment_closed(r, lam=1.0, alpha=1.5):
     return zs ** -1.5 * (6.0 * math.log(zs) - 8.0) + 9.0 * zs ** -2
 
 
+def _log_second_moment_quad(tau, alpha, lam, r):
+    """log m(r) by scipy quadrature in u = log z (test-side oracle, any tau > 1).
+
+    The integrand s^2 u e^g(u) has g = k u - 2l below the kink l = log z*
+    and g = -s u above it (s = tau-1, k = 3-tau).  Each piece of length at
+    most 5 is integrated with its largest e^g factored out and the pieces
+    are summed in logs, so no scale underflows before the end.
+    """
+    from scipy import integrate
+    s, k = tau - 1.0, 3.0 - tau
+    ell = alpha * math.log(r) - math.log(lam)
+    if ell <= 0.0:
+        return 0.0
+
+    def g(u):
+        return k * u - 2.0 * ell if u < ell else -s * u
+
+    n = math.ceil(ell / 5.0)
+    ends = [ell * i / n for i in range(n + 1)]
+    while s * (ends[-1] - ell) < 60.0:  # the rest is below e^-60 of the tail
+        ends.append(ends[-1] + 5.0)
+    logs = []
+    for a, b in zip(ends[:-1], ends[1:]):
+        c = max(g(a), g(b))
+        v = integrate.quad(lambda u: s * s * u * math.exp(g(u) - c), a, b,
+                           epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        logs.append(math.log(v) + c)
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
+
+
 class TestSecondMoment:
     def test_saturated_region_is_one(self):
         p = validate_params(1, 1.5, 4.0, 2.5)
@@ -51,7 +82,7 @@ class TestSecondMoment:
     def test_slope_tracks_closed_form_not_pure_power(self):
         # The moment carries a slowly varying log factor, so the dyadic
         # log-log slope over 2^4..2^14 sits near -2.04, above the pure
-        # -2 alpha1 = -2.25; quadrature and antiderivative must agree.
+        # -2 alpha1 = -2.25; the function and the antiderivative must agree.
         rs = [2.0 ** k for k in range(4, 15)]
         got = np.polyfit(np.log(rs), np.log([single_edge_second_moment(P, r) for r in rs]), 1)[0]
         want = np.polyfit(np.log(rs), np.log([_second_moment_closed(r) for r in rs]), 1)[0]
@@ -65,6 +96,31 @@ class TestSecondMoment:
         g = [single_edge_second_moment(P, 2.0 ** k) * (2.0 ** k) ** two_a1
              / (1.0 + k * math.log(2.0)) for k in range(1, 17)]
         assert 2.1 < min(g) and max(g) < 9.0
+
+    def test_matches_quadrature_on_a_grid_across_tau_three(self):
+        # 1,512 inputs from the heavy to the light tail, through tau = 3,
+        # out to distances whose r^alpha overflows a float.
+        taus = (1.05, 1.5, 2.05, 2.5, 2.9, 2.999, 3 - 1e-9, 3.0, 3 + 1e-9, 3.001, 3.1,
+                3.5, 4.0, 6.0)
+        rs = (1.0, 1.5, 2.0, 16.0, 1e3, 65536.0, 1e10, 1e50, 1e150)
+        for tau in taus:
+            for alpha in (0.5, 1.5, 3.0):
+                for lam in (0.01, 1.0, 5.0, 100.0):
+                    p = validate_params(1, alpha, lam, tau)
+                    for r in rs:
+                        got = single_edge_second_moment(p, r)
+                        want = math.exp(_log_second_moment_quad(tau, alpha, lam, r))
+                        assert got >= 0.0, (tau, alpha, lam, r, got)
+                        if got == 0.0:
+                            assert want == 0.0, (tau, alpha, lam, r, want)
+                        else:
+                            assert math.isclose(got, want, rel_tol=1e-10), \
+                                (tau, alpha, lam, r, got, want)
+
+    def test_a_log_distance_past_the_float_range_gives_zero(self):
+        # alpha log r overflows to inf: the limit, not nan.
+        assert single_edge_second_moment(validate_params(1, 1e308, 1.0, 2.5), 10.0) == 0.0
+        assert single_edge_second_moment(P, math.inf) == 0.0
 
     def test_rejects_r_below_one(self):
         with pytest.raises(ParameterError, match="r must be >= 1"):
