@@ -424,21 +424,18 @@ def _cmd_hierarchy_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .experiments import ExperimentReport, Verdict
     from .verify import run_suite
     results = run_suite(quick=args.quick, seed=args.seed, threads=args.threads)
-    lines = [f"#experiment=verify", f"#version=sfp-{__version__}",
-             f"#config quick={args.quick}", f"#config seed={args.seed}",
-             f"#threads={args.threads}"]
-    lines.append("criterion,name,result,detail")
-    for r in results:
-        detail = r.detail.replace("\n", " ").replace(",", ";")
-        lines.append(f"{r.cid},{r.name},{'pass' if r.passed else 'FAIL'},{detail}")
-    n_fail = sum(1 for r in results if not r.passed)
-    lines.append(f"#verdict verify {'pass' if n_fail == 0 else 'FAIL'} "
-                 f"{len(results) - n_fail}/{len(results)} criteria passed")
-    lines.append("#wallclock={:.3f}".format(sum(r.elapsed for r in results)))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if n_fail == 0 else 2
+    n_pass = sum(r.passed for r in results)
+    return _report_exit(ExperimentReport(
+        name="verify", config={"quick": args.quick, "seed": args.seed, "threads": args.threads},
+        columns=["criterion", "name", "result", "detail"],
+        rows=[(r.cid, r.name, "pass" if r.passed else "FAIL",
+               r.detail.replace("\n", " ").replace(",", ";")) for r in results],
+        verdicts=[Verdict("verify", n_pass == len(results),
+                          f"{n_pass}/{len(results)} criteria passed")],
+        wallclock=sum(r.elapsed for r in results)), args)
 
 
 _DISPATCH = {

@@ -56,16 +56,8 @@ _SWEEP_RXY = 256.0
 _BRIDGE_POINTS = 1 << 20
 
 
-class KTooLarge(ValueError):
-    pass
-
-
 class FitUndefined(ValueError):
     """The log-log fit has no value: too few points, a point <= 0, or all x equal."""
-
-
-class NoPairsInLargestCluster(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -219,14 +211,14 @@ def hill_estimator(samples, k: int) -> EstimateWithCI:
     """Hill tail-index estimate from the top k order statistics.
 
     Inverse of the mean log-excess over the (k+1)-th largest sample;
-    stderr is estimate / sqrt(k).  Scale-invariant.  Raises KTooLarge
-    for k >= n and ValueError when the log-excesses vanish (constant
-    samples).
+    stderr is estimate / sqrt(k).  Scale-invariant.  Raises ValueError
+    unless 1 <= k < n, for a sample <= 0, and when the log-excesses
+    vanish (constant samples).
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = len(x)
     if not 1 <= k < n:
-        raise KTooLarge(f"need 1 <= k < n, got k={k}, n={n}")
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if x[0] <= 0:
         raise ValueError("samples must be positive")
     top = x[n - k:]
@@ -372,9 +364,11 @@ def run_adjacent_mc(cfg: ExperimentConfig, r_xy: float, r_yz: float,
     log P against log r_yz at r_xy = _SWEEP_RXY is within _SLOPE_TOL of
     -alpha (tau - 2).  The sweep distances must be positive and distinct;
     with fewer than three of them the slope verdict is skipped, and a
-    flag says so.
+    flag says so.  The sandwich and the target are SFP's, so other model
+    kinds raise ParameterError.
     """
     t0 = time.monotonic()
+    _require_sfp(cfg, "adjacent")
     exact = adjacent_expectation_exact(cfg.params, r_xy, r_yz)
     if not all(r > 0 for r in sweep_ryz):
         raise ParameterError(f"sweep distances must be positive, got {sweep_ryz}")
@@ -739,7 +733,7 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     candidates = np.nonzero(mask)[0]
     candidates = candidates[(candidates // stride) <= max_source_row]
     if len(candidates) == 0:
-        raise NoPairsInLargestCluster(
+        raise RuntimeError(
             "no largest-cluster vertex leaves room for the largest separation")
     step = max(1, len(candidates) // n_sources)
     sources = candidates[::step][:n_sources]

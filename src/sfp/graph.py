@@ -51,15 +51,7 @@ FORMAT_HEADER = "#sfp-box v1"
 _META_KEYS = {"d", "alpha", "lambda", "tau", "model", "L", "seed", "origin", "trunc", "truncbias"}
 
 
-class BoxTooLarge(ValueError):
-    pass
-
-
 class VertexOutOfBox(ValueError):
-    pass
-
-
-class FormatVersionMismatch(ValueError):
     pass
 
 
@@ -236,8 +228,8 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
     # The pair budget is enforced before the work it guards: in closed form
     # without a cutoff, otherwise as the runs of offsets are produced.
     L, n = spec.side, spec.vertex_count
-    too_large = BoxTooLarge(f"more than {pair_budget} pairs to decide; reduce the box, "
-                            f"lower the cutoff, or raise the pair budget")
+    too_large = ParameterError(f"more than {pair_budget} pairs to decide; reduce the box, "
+                               f"lower the cutoff, or raise the pair budget")
     if cutoff is None and n * (n - 1) // 2 > pair_budget:
         raise too_large
     runs, total_pairs = [], 0
@@ -509,8 +501,8 @@ def generate_box(params: ModelParams, seed: int, spec: BoxSpec,
     is decided; otherwise pairs beyond the cutoff are never opened, the
     decisions inside it agree bit for bit with the full box, and the
     realization records the union-bound truncation bias.  Raises
-    ParameterError for a cutoff below 1, and BoxTooLarge when the pairs
-    to decide exceed the pair budget.
+    ParameterError for a cutoff below 1 or when the pairs to decide
+    exceed the pair budget.
     """
     return _generate(params, seed, spec, cutoff, pair_budget, _weights_override, workers=workers)
 
@@ -930,12 +922,13 @@ def load_realization(path) -> BoxRealization:
 
     Records may come in any order and their fields may be separated by
     any whitespace; blank lines are skipped.  Rejects, with the offending
-    line number: bytes that are not UTF-8, unknown metadata keys,
-    malformed records, coordinates outside the box, weights that are not
-    finite or below 1, a second weight for a vertex, self-loops, edges
-    whose lower endpoint (in flat order) is not written first, and
-    duplicate edges.  Missing weights, and for sfpnn a missing
-    nearest-neighbour edge, are reported at the line after the last.
+    line number: a header other than FORMAT_HEADER, bytes that are not
+    UTF-8, unknown metadata keys, malformed records, coordinates outside
+    the box, weights that are not finite or below 1, a second weight for
+    a vertex, self-loops, edges whose lower endpoint (in flat order) is
+    not written first, and duplicate edges.  Missing weights, and for
+    sfpnn a missing nearest-neighbour edge, are reported at the line
+    after the last.
 
     A file in the layout `save_realization` writes is parsed by two
     numpy passes (`_scan_layout`); any other file, hand-edited or
@@ -946,7 +939,7 @@ def load_realization(path) -> BoxRealization:
     lines = _read_lines(path)
     if not lines or lines[0] != FORMAT_HEADER:
         got = lines[0] if lines else "<empty file>"
-        raise FormatVersionMismatch(f"expected {FORMAT_HEADER!r}, got {got!r}")
+        raise ParseError(1, f"expected {FORMAT_HEADER!r}, got {got!r}")
     if len(lines) < 2:
         raise ParseError(2, "missing metadata line")
 

@@ -27,18 +27,6 @@ import numpy as np
 from .graph import BoxRealization, VertexOutOfBox
 
 
-class SiteOutOfBox(ValueError):
-    pass
-
-
-class InvalidHierarchy(ValueError):
-    pass
-
-
-class PathEndpointMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Violation:
     """First failed hierarchy condition (1-5) with a human-readable witness."""
@@ -63,11 +51,11 @@ class Hierarchy:
 
     def __post_init__(self):
         if self.depth < 1:
-            raise InvalidHierarchy(f"depth must be >= 1, got {self.depth}")
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
         clean = {}
         for key, value in self.sites.items():
             if not key or any(c not in "01" for c in key):
-                raise InvalidHierarchy(f"bad site key {key!r}")
+                raise ValueError(f"bad site key {key!r}")
             clean[key] = _as_site(value)
         object.__setattr__(self, "sites", clean)
 
@@ -101,8 +89,8 @@ def validate_hierarchy(h: Hierarchy, r: BoxRealization) -> Violation | None:
     deterministic report.  (4 must precede 5: a duplicated edge always
     entails a same-level coincidence somewhere down the condition-2
     chains, so under the opposite order no input would ever be reported
-    as a condition-4 failure.)  Sites outside the realization's box
-    raise SiteOutOfBox.
+    as a condition-4 failure.)  A site outside the realization's box
+    raises VertexOutOfBox naming its key.
     """
     n = h.depth
     # Precondition: all sites inside the box.
@@ -110,7 +98,7 @@ def validate_hierarchy(h: Hierarchy, r: BoxRealization) -> Violation | None:
         try:
             r.spec.flat_of(np.asarray(site, dtype=np.int64))
         except VertexOutOfBox as exc:
-            raise SiteOutOfBox(f"site z_{key} = {site}: {exc}") from exc
+            raise VertexOutOfBox(f"site z_{key} = {site}: {exc}") from exc
 
     # Condition 1: endpoint keys present (with the full key set) and distinct.
     for level in range(1, n + 1):
@@ -174,14 +162,14 @@ def decompose_paths(h: Hierarchy):
     """
     edges = h.required_edges()
     if len(set(edges)) != len(edges):
-        raise InvalidHierarchy("required edges are not distinct (condition 4)")
+        raise ValueError("required edges are not distinct (condition 4)")
     adj: dict = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     for v, nbrs in adj.items():
         if len(nbrs) > 2:
-            raise InvalidHierarchy(f"site {v} has degree {len(nbrs)} in the edge graph")
+            raise ValueError(f"site {v} has degree {len(nbrs)} in the edge graph")
 
     paths = []
     visited = set()
@@ -197,14 +185,12 @@ def decompose_paths(h: Hierarchy):
             if not nxt:
                 break
             prev, cur = cur, nxt[0]
-            if cur in visited:
-                raise InvalidHierarchy("cycle in the required-edge graph")
             walk.append(cur)
             visited.add(cur)
         paths.append(walk)
     leftover = set(adj) - visited
     if leftover:
-        raise InvalidHierarchy("cycle in the required-edge graph")
+        raise ValueError("cycle in the required-edge graph")
     paths.sort(key=lambda p: p[0])
     return paths
 
@@ -216,7 +202,7 @@ def check_gap_paths_condition(h: Hierarchy, gap_paths: dict) -> bool:
     z_{s0} to z_{s1} (a single-vertex path for a degenerate gap).  The
     verdict is True iff the paths are mutually vertex-disjoint, use no
     hierarchy site except their own endpoints, and their total edge count
-    is at least 2^n.  Wrong endpoints raise PathEndpointMismatch.
+    is at least 2^n.  A missing path or wrong endpoints raise ValueError.
     """
     n = h.depth
     bottom = ["".join(bits) for bits in product("01", repeat=n - 1)]
@@ -225,11 +211,11 @@ def check_gap_paths_condition(h: Hierarchy, gap_paths: dict) -> bool:
     used: dict = {}
     for s in bottom:
         if s not in gap_paths:
-            raise PathEndpointMismatch(f"missing gap path for sigma = {s}")
+            raise ValueError(f"missing gap path for sigma = {s}")
         path = [_as_site(v) for v in gap_paths[s]]
         za, zb = h.sites[s + "0"], h.sites[s + "1"]
         if not path or path[0] != za or path[-1] != zb:
-            raise PathEndpointMismatch(
+            raise ValueError(
                 f"gap path for sigma = {s} must run from z_{s + '0'} = {za} "
                 f"to z_{s + '1'} = {zb}")
         total_len += len(path) - 1

@@ -30,10 +30,6 @@ _QUAD_REL_TOL = 1e-10
 _CONVOLUTION_POINTS = 1 << 22
 
 
-class QuadratureFailure(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class AdjacentEdgeResult:
     """Closed-form E[(lambda W/A ^ 1)(lambda W/B ^ 1)] and its sandwich.
@@ -54,13 +50,6 @@ def _pow(x: float, y: float) -> float:
         return x ** y
     except OverflowError:
         return math.inf
-
-
-def _quad(f, a, b) -> tuple:
-    from scipy import integrate
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
 
 
 def single_edge_second_moment(params: ModelParams, r: float) -> float:
@@ -160,14 +149,17 @@ def adjacent_expectation_quadrature(params: ModelParams, a_xy: float, a_yz: floa
         return (tau - 1.0) * math.exp(min(s - log_a, 0.0) + min(s - log_b, 0.0)
                                       + (1.0 - tau) * s)
 
+    from scipy import integrate
     segments = [0.0] + sorted({c for c in (log_b, log_a) if 0.0 < c < math.inf}) + [math.inf]
     total, err = 0.0, 0.0
-    for lo, hi in zip(segments[:-1], segments[1:]):
-        v, e = _quad(f, lo, hi)
-        total += v
-        err += e
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
+        for lo, hi in zip(segments[:-1], segments[1:]):
+            v, e = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)
+            total += v
+            err += e
     if err > _QUAD_REL_TOL * max(abs(total), 1e-300):
-        raise QuadratureFailure(
+        raise RuntimeError(
             f"adjacent expectation at ({a_xy}, {a_yz}): error {err:.3g} vs value {total:.3g}")
     return float(total)
 

@@ -36,10 +36,6 @@ _TWO_20_BITS, _TWO_M12_BITS = np.uint64(0x4130_0000_0000_0000), np.uint64(0x3F30
 _ONE_MINUS_ULP = 1.0 - 2.0 ** -53
 
 
-class SelfLoop(ValueError):
-    """Edge uniforms are only defined for distinct endpoints."""
-
-
 def absorb(h, column, out, tmp):
     """One absorption step of the hash: out <- splitmix64(h ^ column).
 
@@ -184,12 +180,12 @@ def uniform_for_edge(seed: int, x, y) -> float:
     coordinates before hashing, so uniform_for_edge(s, x, y) equals
     uniform_for_edge(s, y, x) bit for bit.  The key columns (lower
     endpoint, then upper) are the ones the box generator hashes, so this
-    re-decides any generated pair.
+    re-decides any generated pair.  Equal endpoints raise ValueError.
     """
     xa = tuple(np.asarray(x, dtype=np.int64).reshape(-1).tolist())
     ya = tuple(np.asarray(y, dtype=np.int64).reshape(-1).tolist())
     if xa == ya:
-        raise SelfLoop(f"edge endpoints coincide: {xa}")
+        raise ValueError(f"edge endpoints coincide: {xa}")
     lo, hi = (xa, ya) if xa < ya else (ya, xa)
     return float(keyed_uniforms(seed, TAG_EDGE, *lo, *hi))
 

@@ -51,6 +51,17 @@ def test_runtime_error_exit_code(tmp_path):
     assert code == 3
 
 
+def test_a_realization_of_another_format_version_is_a_parse_error(tmp_path, capsys):
+    real = tmp_path / "v2.txt"
+    real.write_text("#sfp-box v2\nd=1 alpha=1.5 lambda=1 tau=2.5 model=sfp L=4 seed=0\n")
+    sites = tmp_path / "sites.txt"
+    sites.write_text("s 0 0\ns 1 3\n")
+    code, _ = run_cli("hierarchy", "check", "--realization", str(real), "--hierarchy", str(sites))
+    assert code == 3
+    assert capsys.readouterr().err == ("error: ParseError: line 1: expected '#sfp-box v1', "
+                                       "got '#sfp-box v2'\n")
+
+
 def test_generate_roundtrips(tmp_path):
     out = tmp_path / "box.txt"
     code, _ = run_cli("generate", "--dim", "1", "--alpha", "1.5", "--tau", "2.5",
@@ -73,9 +84,10 @@ def test_generate_file_is_the_same_at_any_thread_count(tmp_path):
     assert all((tmp_path / f"t{t}.txt").read_bytes() == first for t in ("2", "3"))
 
 
-def test_generate_without_out_is_usage_error_before_generating():
-    # An oversized box would raise BoxTooLarge (exit 3) if generated first.
+def test_generate_without_out_is_usage_error_before_generating(capsys):
+    # An oversized box would fail its pair budget if generated first.
     assert main(["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "100000"]) == 1
+    assert capsys.readouterr().err == "usage error: generate requires --out FILE\n"
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -113,9 +125,10 @@ def test_out_of_range_flag_is_usage_error(argv, flag, tmp_path, capsys):
 
 @pytest.mark.parametrize("model", ["lrp", "sfpnn"])
 def test_bridge_with_another_model_is_usage_error(model, capsys):
-    # Bridge, coupling and --compare-lrp are defined for SFP only; each is
-    # rejected before anything is generated or simulated.
+    # Adjacent, bridge, coupling and --compare-lrp are defined for SFP only;
+    # each is rejected before anything is generated or simulated.
     for argv, command in [
+            (["adjacent", *_MODEL, "--rxy", "20", "--ryz", "4"], "adjacent"),
             (["bridge", *_MODEL, "--beta", "0.5", "--replicates", "10"], "bridge"),
             (["coupling", *_MODEL, "--side", "64", "--replicates", "2"], "coupling"),
             (["distances", *_MODEL, "--side", "256", "--n-list", "16,32",
@@ -247,11 +260,14 @@ def test_any_other_exception_is_runtime_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: ZeroDivisionError: division by zero\n"
 
 
-def test_generate_honours_a_small_pair_budget(tmp_path):
+def test_generate_honours_a_small_pair_budget(tmp_path, capsys):
     # 16 * 15 / 2 = 120 pairs: a budget of 119 is over, 120 is not.
+    out = tmp_path / "box.txt"
     args = ["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "16",
-            "--out", str(tmp_path / "box.txt"), "--pair-budget"]
-    assert main(args + ["119"]) == 3
+            "--out", str(out), "--pair-budget"]
+    assert main(args + ["119"]) == 1 and not out.exists()
+    assert capsys.readouterr().err == ("usage error: more than 119 pairs to decide; reduce the "
+                                       "box, lower the cutoff, or raise the pair budget\n")
     assert main(args + ["120"]) == 0
 
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from sfp import experiments
-from sfp.experiments import (ExperimentConfig, FitUndefined, KTooLarge, _pareto_into,
+from sfp.experiments import (ExperimentConfig, FitUndefined, _pareto_into,
                              _path_estimates, _replicate_states, hill_estimator, loglog_slope,
                              run_adjacent_mc,
                              run_bridge_experiment, run_coupling_check,
                              run_degree_experiment, run_distance_experiment,
                              run_fkg_check)
-from sfp.graph import BoxSpec
+from sfp.graph import BoxRealization, BoxSpec
 from sfp.moments import adjacent_expectation_exact
 from sfp.params import ModelKind, ParameterError, validate_params
 from sfp.randomness import experiment_uniforms, pareto_from_uniform
@@ -41,9 +41,9 @@ class TestHill:
         assert hill_estimator(x, 1000).mean == hill_estimator(2.0 * x, 1000).mean
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ValueError, match=r"^need 1 <= k < n, got k=99, n=99$"):
             hill_estimator(np.arange(1.0, 100.0), 99)
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ValueError, match=r"^need 1 <= k < n, got k=0, n=99$"):
             hill_estimator(np.arange(1.0, 100.0), 0)
 
 
@@ -134,12 +134,15 @@ class TestFkg:
         for kind in (ModelKind.SFP, ModelKind.LRP):
             cfg = ExperimentConfig(params=replace(P, kind=kind), seed=2, replicates=400_000)
             cut, p_path, se_path, *_ = run_fkg_check(cfg, [(0,), (22,), (27,)]).rows[0]
-            # Adjacent is the two-edge case of the same path kernel, bit for bit.
-            adjacent = run_adjacent_mc(cfg, 22.0, 5.0, sweep_ryz=())
-            assert adjacent.rows[0][3:5] == (p_path, se_path)
             if kind is ModelKind.SFP:
+                # Adjacent is the two-edge case of the same path kernel, bit for bit.
+                adjacent = run_adjacent_mc(cfg, 22.0, 5.0, sweep_ryz=())
+                assert adjacent.rows[0][3:5] == (p_path, se_path)
                 exact = adjacent_expectation_exact(P, 22.0, 5.0)
                 assert exact.lower - 3 * se_path <= p_path <= exact.upper + 3 * se_path
+            else:  # adjacent runs SFP only
+                path = _path_estimates(cfg, 0, [22.0, 5.0])[0][0]
+                assert (path.mean, path.stderr) == (p_path, se_path)
 
     def test_path_too_long(self):
         cfg = ExperimentConfig(params=P, replicates=10)
@@ -183,17 +186,11 @@ class TestSfpnn:
         assert _body_but_model(nn) == _body_but_model(sfp)
 
     def test_adjacent_differs_from_sfp_only_at_a_unit_edge(self):
-        # lambda < 1 lets the closed-form sandwich take r_yz < 1 <= r_xy.
-        params = replace(P, lambda_=0.5)
-
-        def bodies(r_xy):
-            return [_body_but_model(run_adjacent_mc(ExperimentConfig(params=p, replicates=20_000),
-                                                    r_xy, 0.8, sweep_ryz=()))
-                    for p in (replace(params, kind=ModelKind.SFP_NN), params)]
-        nn, sfp = bodies(1.0)
-        assert nn != sfp
-        nn, sfp = bodies(4.0)
-        assert nn == sfp
+        # It does not run at all: the sandwich and the decay target are SFP's.
+        # test_unit_edge_opens_surely covers the kernel's unit edge.
+        cfg = ExperimentConfig(params=replace(self.NN, lambda_=0.5), replicates=20_000)
+        with pytest.raises(ParameterError, match="^adjacent supports only --model sfp, got sfpnn$"):
+            run_adjacent_mc(cfg, 1.0, 0.8, sweep_ryz=())
 
 
 def test_tile_weights_equal_the_pareto_oracle_bit_for_bit():
@@ -336,6 +333,32 @@ class TestDistances:
         cfg = ExperimentConfig(params=P, spec=BoxSpec(d=1, side=64), seed=0)
         with pytest.raises(ValueError):
             run_distance_experiment(cfg, n_list=[64])
+
+    def test_default_separations_are_16_to_1024(self):
+        p = validate_params(1, 1.5, 5.0, 3.5)
+        rep = run_distance_experiment(ExperimentConfig(params=p, spec=BoxSpec(d=1, side=1100)),
+                                      n_sources=4)
+        assert rep.config["n_list"] == "16,32,64,128,256,512,1024"
+        assert [row[1] for row in rep.rows] == [16, 32, 64, 128, 256, 512, 1024]
+
+    def test_two_separations_leave_the_polylog_fit_unavailable(self):
+        p = validate_params(1, 1.5, 5.0, 3.5)
+        rep = run_distance_experiment(ExperimentConfig(params=p, spec=BoxSpec(d=1, side=64)),
+                                      n_list=[16, 32])
+        assert len(rep.rows) == 2
+        assert rep.flags == ["polylog-exponent-estimate unavailable"]
+
+    def test_no_source_row_in_the_largest_cluster_is_a_runtime_error(self, monkeypatch):
+        lrp = replace(P, kind=ModelKind.LRP)
+        spec = BoxSpec(d=1, side=64)
+        # The largest cluster is the path 20 - 21 - ... - 63; a source for
+        # N = 48 must lie in rows 0..15.
+        edges = np.column_stack((np.arange(20, 63), np.arange(21, 64))).astype(np.int64)
+        box = BoxRealization(spec=spec, params=lrp, seed=0, weights=None, edges=edges)
+        monkeypatch.setattr(experiments, "generate_box", lambda *args, **kwargs: box)
+        with pytest.raises(RuntimeError, match="^no largest-cluster vertex leaves room for "
+                                               "the largest separation$"):
+            run_distance_experiment(ExperimentConfig(params=lrp, spec=spec), n_list=[16, 32, 48])
 
 
 def test_report_csv_shape():

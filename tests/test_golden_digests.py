@@ -39,8 +39,8 @@ LRP pairs were decided through unit weights and forced pairs through
 an infinite scale.
 
 MC_DIGESTS pins sha256 of the report bodies of the three Monte-Carlo
-kernels: adjacent and fkg for SFP and LRP at replicate counts on both
-sides of the 2^16 chunk edge and across several chunks, and bridge in
+kernels: adjacent for SFP and fkg for SFP and LRP at replicate counts on
+both sides of the 2^16 chunk edge and across several chunks, and bridge in
 d=1 and in d=2 (4225 cube vertices per replicate, so only a few rows
 per tile) on both sides of its 2^14 chunk edge.  Each body is checked at
 one and two threads.  They were generated with whole-chunk kernels,
@@ -433,10 +433,11 @@ def test_golden_extra_box(name):
 
 _MC = ["--alpha", "1.5", "--tau", "2.5"]
 MC_ARGV = {}
+for _n in (65535, 65537, 200003):
+    MC_ARGV[f"adjacent-sfp-{_n}"] = ["adjacent", *_MC, "--model", "sfp", "--rxy", "21.5",
+                                     "--ryz", "4.6", "--seed", "11", "--replicates", str(_n)]
 for _m in ("sfp", "lrp"):
     for _n in (65535, 65537, 200003):
-        MC_ARGV[f"adjacent-{_m}-{_n}"] = ["adjacent", *_MC, "--model", _m, "--rxy", "21.5",
-                                          "--ryz", "4.6", "--seed", "11", "--replicates", str(_n)]
         MC_ARGV[f"fkg-{_m}-{_n}"] = ["fkg", *_MC, "--model", _m, "--path", "0;17;-5;30;12",
                                      "--seed", "12", "--replicates", str(_n)]
 for _n in (16383, 16385, 50001):
@@ -453,11 +454,8 @@ MC_DIGESTS = {
     "fkg-sfp-65537": "3df0422964a90878a616627c8d72e95271aff9c015704b2453e9f313c71ecd30",
     "adjacent-sfp-200003": "0a242d4f038dbb09ea7e3584a164d31b7d4518e249e3cd217c5f95105192e46c",
     "fkg-sfp-200003": "d688013d58fc0be2a4ded6ca55d30c3cbb4249549be66b29f60cd183bdb35196",
-    "adjacent-lrp-65535": "a2cae4bfeceb0e172f2e426aa7bdbb7c2ae9aab4cdcb4fceaddf2e2810b3d349",
     "fkg-lrp-65535": "773edab36df1716feefaf930298fc34622b98a61a3baef05a35e226c4b5d159d",
-    "adjacent-lrp-65537": "b8af135c2e7b909b3a698036daadafadd9265e0e61a72d665fd017f19167efdc",
     "fkg-lrp-65537": "97a2c6e52fbb4f08e50a29095dcf1adc8e44169ca7169437d20083d2f9bf66ce",
-    "adjacent-lrp-200003": "5e33a79bcb085f55741515d8e2758bc3ed597ab3e03bc6299bd107576aa177ea",
     "fkg-lrp-200003": "d1ae5b30558cb7163b0272948248b337ecbea913122f70672729e5b0a2cba177",
     "bridge-d1-16383": "be3b051fb7bb77a9ed67ed70fa33c2acbc868e2b819efefce296f61da1f41472",
     "bridge-d2-16383": "7fb5acda4bbcd845ccb1fcf92e3b0bcd72e2299166f74f3ac7c5495a6f76223b",

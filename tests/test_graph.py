@@ -13,10 +13,9 @@ from scipy import special
 
 from sfp import graph
 from sfp.experiments import ExperimentConfig, run_coupling_check, run_degree_experiment
-from sfp.graph import (BoxRealization, BoxSpec, BoxTooLarge, FormatVersionMismatch,
-                       ParseError, VertexOutOfBox, clusters, coupled_pair, degree_sequence,
-                       distances_from, generate_box, load_realization,
-                       save_realization)
+from sfp.graph import (BoxRealization, BoxSpec, ParseError, VertexOutOfBox, clusters,
+                       coupled_pair, degree_sequence, distances_from, generate_box,
+                       load_realization, save_realization)
 from sfp.params import ModelKind, ParameterError, validate_params
 from sfp.randomness import derive_seed
 
@@ -284,16 +283,22 @@ def test_a_child_that_sends_no_result_is_a_runtime_error(failure, monkeypatch):
     _assert_no_child_left()
 
 
+def _over_budget(budget):
+    return pytest.raises(ParameterError, match=rf"^more than {budget} pairs to decide; "
+                                               r"reduce the box, lower the cutoff, or raise "
+                                               r"the pair budget$")
+
+
 def test_pair_budget_enforced():
-    with pytest.raises(BoxTooLarge):
+    with _over_budget(10_000):
         generate_box(P, 0, BoxSpec(d=1, side=10_000), pair_budget=10_000)
     # The budget bounds the pairs decided, inclusively, with and without a cutoff.
     spec = BoxSpec(d=1, side=10)
     generate_box(P, 0, spec, pair_budget=45)  # 10 * 9 / 2 pairs
-    with pytest.raises(BoxTooLarge):
+    with _over_budget(44):
         generate_box(P, 0, spec, pair_budget=44)
     generate_box(P, 0, spec, cutoff=3, pair_budget=24)  # 9 + 8 + 7 pairs
-    with pytest.raises(BoxTooLarge):
+    with _over_budget(23):
         generate_box(P, 0, spec, cutoff=3, pair_budget=23)
 
 
@@ -332,7 +337,7 @@ def test_pair_budget_checked_before_enumerating_offsets(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("offsets enumerated for a box over budget")
     monkeypatch.setattr(graph, "_offset_runs", fail)
-    with pytest.raises(BoxTooLarge):
+    with _over_budget(2 ** 32):
         generate_box(validate_params(2, 3.0, 1.0, 2.5), 0, BoxSpec(d=2, side=1000))
 
 
@@ -345,7 +350,7 @@ def test_pair_budget_stops_enumeration_with_cutoff(monkeypatch):
             produced.append(run)
             yield run
     monkeypatch.setattr(graph, "_offset_runs", counting)
-    with pytest.raises(BoxTooLarge):
+    with _over_budget(10 ** 6):
         generate_box(validate_params(2, 3.0, 1.0, 2.5), 0, BoxSpec(d=2, side=1000),
                      cutoff=500.0, pair_budget=10 ** 6)
     # The first run, (0, 1) .. (0, 500), holds 1000 * (999 + ... + 500) pairs:
@@ -685,8 +690,10 @@ def test_save_load_roundtrip_truncated_with_origin(tmp_path):
 def test_load_rejects_wrong_version(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("#sfp-box v2\nd=1 alpha=1 lambda=1 tau=2 model=sfp L=4 seed=0\n")
-    with pytest.raises(FormatVersionMismatch):
+    with pytest.raises(ParseError,
+                       match="^line 1: expected '#sfp-box v1', got '#sfp-box v2'$") as exc:
         load_realization(path)
+    assert exc.value.line_number == 1
 
 
 def test_load_reports_line_of_parse_error(tmp_path):

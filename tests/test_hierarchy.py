@@ -1,8 +1,7 @@
 import pytest
 
-from sfp.graph import BoxSpec, generate_box
-from sfp.hierarchy import (Hierarchy, InvalidHierarchy, PathEndpointMismatch,
-                           SiteOutOfBox, check_gap_paths_condition, decompose_paths,
+from sfp.graph import BoxSpec, VertexOutOfBox, generate_box
+from sfp.hierarchy import (Hierarchy, check_gap_paths_condition, decompose_paths,
                            validate_hierarchy)
 from sfp.params import validate_params
 from sfp.verify import forced_realization, toy_hierarchy
@@ -34,6 +33,14 @@ class TestValidate:
                                forced_realization(h.required_edges()))
         assert v is not None and v.condition == 2
         assert "0011" in v.witness
+
+    def test_start_chain_mutation_is_condition_2(self):
+        h = toy_hierarchy()
+        sites = dict(h.sites)
+        sites["1100"] = (0, -6)
+        v = validate_hierarchy(Hierarchy(depth=4, sites=sites),
+                               forced_realization(h.required_edges()))
+        assert str(v) == "condition 2 violated: z_1100 != z_110"
 
     def test_closed_edge_is_condition_3(self):
         h = toy_hierarchy()
@@ -72,7 +79,8 @@ class TestValidate:
         h = toy_hierarchy()
         # An edge-free box {0..3}^2, which leaves out sites of the toy hierarchy.
         empty = generate_box(validate_params(2, 3.0, 1e-300, 2.5), 0, BoxSpec(d=2, side=4))
-        with pytest.raises(SiteOutOfBox):
+        with pytest.raises(VertexOutOfBox, match=r"^site z_0 = \(-5, -5\): coordinates "
+                                                r"\[-5, -5\] outside box$"):
             validate_hierarchy(h, empty)
 
 
@@ -130,7 +138,7 @@ class TestDecompose:
         sites = dict(h.sites)
         sites["1001"] = (-5, -3)
         sites["1010"] = (-2, 1)
-        with pytest.raises(InvalidHierarchy):
+        with pytest.raises(ValueError, match="^required edges are not distinct \\(condition 4\\)$"):
             decompose_paths(Hierarchy(depth=4, sites=sites))
 
 
@@ -188,6 +196,7 @@ class TestGapPaths:
         h = Hierarchy(depth=2, sites={
             "0": (0, 0), "1": (10, 0),
             "00": (0, 0), "01": (4, 2), "10": (6, -2), "11": (10, 0)})
-        with pytest.raises(PathEndpointMismatch):
+        with pytest.raises(ValueError, match=r"^gap path for sigma = 0 must run from z_00 = "
+                                             r"\(0, 0\) to z_01 = \(4, 2\)$"):
             check_gap_paths_condition(h, {"0": [(0, 0), (3, 3)],
                                           "1": [(6, -2), (10, 0)]})

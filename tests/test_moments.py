@@ -187,6 +187,14 @@ class TestAdjacentExpectation:
         assert q(P, 30.0, 5.0) < q(P, 20.0, 5.0)
         assert q(P, 20.0, 6.0) < q(P, 20.0, 5.0)
 
+    def test_quadrature_error_above_tolerance_is_a_runtime_error(self, monkeypatch):
+        from scipy import integrate
+        # Three pieces (kinks at 4 and 20), each reporting an error equal to its value.
+        monkeypatch.setattr(integrate, "quad", lambda f, a, b, **kwargs: (1.0, 1.0))
+        with pytest.raises(RuntimeError, match=r"^adjacent expectation at \(20\.0, 4\.0\): "
+                                               r"error 3 vs value 3$"):
+            adjacent_expectation_quadrature(P, 20.0, 4.0)
+
     def test_exact_requires_tau_in_2_3(self):
         with pytest.raises(ParameterError, match="closed form requires tau in"):
             adjacent_expectation_exact(validate_params(1, 1.5, 1.0, 3.5), 10.0, 5.0)

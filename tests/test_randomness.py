@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from sfp.params import ParameterError
-from sfp.randomness import (TAG_EDGE, SelfLoop, derive_seed,
+from sfp.randomness import (TAG_EDGE, derive_seed,
                             experiment_uniforms, keyed_uniforms, keyed_words,
                             pareto_from_uniform, uniform_for_edge,
                             unit_from_word, unit_from_word_inplace, unit_lower_bound,
@@ -43,7 +43,7 @@ def test_edge_uniform_symmetric_and_deterministic():
 
 
 def test_self_loop_rejected():
-    with pytest.raises(SelfLoop):
+    with pytest.raises(ValueError, match=r"^edge endpoints coincide: \(3, 4\)$"):
         uniform_for_edge(0, (3, 4), (3, 4))
 
 
