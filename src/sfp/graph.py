@@ -39,8 +39,9 @@ from .params import MAX_WORKERS, ModelKind, ModelParams, ParameterError
 from .randomness import (TAG_EDGE, absorb, keyed_words, unit_from_word,
                          unit_lower_bound, vertex_weights)
 
-# Each scipy subpackage is imported by the function that uses it, so a
-# command that never builds a CSR loads none; the truncation bias uses
+# scipy is imported only inside `BoxRealization.adjacency` and
+# `distances_from`, so a command that runs no BFS loads none of it:
+# clusters come from the edge array and the truncation bias from
 # numpy's FFT.
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -142,8 +143,8 @@ class BoxRealization:
         Row v holds the neighbours of v in increasing order, each with
         value 1.0.  The values are float64, the dtype scipy.sparse.csgraph
         works in, so its traversals take the matrix as it is instead of
-        converting it on every call.  `clusters` and `distances_from`
-        read this one matrix; treat it as immutable.
+        converting it on every call.  Only `distances_from` reads it;
+        treat it as immutable.
         """
         if self._adjacency is None:
             from scipy.sparse import csr_matrix
@@ -686,23 +687,36 @@ class Clusters:
 
 
 def clusters(r: BoxRealization) -> Clusters:
-    """The open clusters of `r`: scipy's connected components of its cached CSR.
+    """The open clusters of `r`, by hook-and-jump over its edge array.
 
-    Reads the matrix `BoxRealization.adjacency` builds once per
-    realization, as `distances_from` does; an edge-free box
-    has one singleton cluster per vertex, the largest labelled 0.
+    A Shiloach-Vishkin style pass that builds no matrix and loads no
+    scipy: each round gathers the roots of both ends of the edges still
+    split, drops the edges whose roots agree, hooks each larger root
+    onto the smallest root it meets, then jumps pointers
+    (parent = parent[parent]) until every vertex points at its root.
+    Pointers only ever go down and stay inside a cluster, so the
+    smallest vertex of a cluster is never hooked and ends as the root
+    of all of it.  An edge-free box has one singleton cluster per
+    vertex, the largest labelled 0.
     """
-    from scipy.sparse.csgraph import connected_components
     n = r.n_vertices
-    ncomp, comp = connected_components(r.adjacency(), directed=False)
-    roots = np.full(ncomp, n, dtype=np.int64)
-    np.minimum.at(roots, comp, np.arange(n, dtype=np.int64))
-    counts = np.bincount(comp, minlength=ncomp)
-    labels = roots[comp]
-    biggest = counts.max()
-    largest = int(roots[counts == biggest].min())
-    sizes = {int(root): int(cnt) for root, cnt in zip(roots, counts)}
-    return Clusters(labels=labels, largest=largest, sizes=sizes)
+    parent = np.arange(n, dtype=np.int64)
+    lo, hi = r.edges[:, 0], r.edges[:, 1]
+    while len(lo):
+        a, b = parent[lo], parent[hi]
+        split = a != b
+        lo, hi, a, b = lo[split], hi[split], a[split], b[split]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    is_root = parent == np.arange(n)
+    roots, counts = np.flatnonzero(is_root), np.bincount(parent, minlength=n)[is_root]
+    largest = int(roots[np.argmax(counts)])
+    return Clusters(labels=parent, largest=largest,
+                    sizes=dict(zip(roots.tolist(), counts.tolist())))
 
 
 def distances_from(r: BoxRealization, source: int) -> np.ndarray:

@@ -94,8 +94,9 @@ def test_generated_edges_equal_per_pair_oracle(case):
         r = generate_box(params, seed, spec, cutoff=cutoff, _weights_override=weights)
     want = _oracle_edges(params, seed, spec, cutoff, weights)
     assert np.array_equal(r.edges, want)
-    # Degrees come from the edges alone, without building the CSR.
+    # Degrees and clusters come from the edges alone, without building the CSR.
     deg = r.degrees()
+    graph.clusters(r)
     assert r._adjacency is None
     assert deg.dtype == np.int64 and np.array_equal(deg, np.diff(r.adjacency().indptr))
 

@@ -24,7 +24,7 @@ P = validate_params(1, 1.5, 1.0, 2.5)
 
 def _line_box(edges, side):
     """The d=1 box {0, ..., side-1} whose open edges are exactly `edges`."""
-    flat = np.unique(np.sort(np.array(edges, dtype=np.int64), axis=1), axis=0)
+    flat = np.unique(np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1), axis=0)
     return BoxRealization(spec=BoxSpec(d=1, side=side), params=P, seed=0, weights=None,
                           edges=flat)
 
@@ -496,6 +496,82 @@ def test_clusters_two_components():
     assert cl.labels.tolist() == [0, 0, 2, 2]
 
 
+def _scipy_clusters(r):
+    """scipy's connected components of the CSR, each labelled by its smallest
+    vertex: the reference for clusters()."""
+    from scipy.sparse.csgraph import connected_components
+    n = r.n_vertices
+    ncomp, comp = connected_components(r.adjacency(), directed=False)
+    roots = np.full(ncomp, n, dtype=np.int64)
+    np.minimum.at(roots, comp, np.arange(n, dtype=np.int64))
+    counts = np.bincount(comp, minlength=ncomp)
+    largest = int(roots[counts == counts.max()].min())
+    return roots[comp], largest, {int(root): int(cnt) for root, cnt in zip(roots, counts)}
+
+
+def _assert_clusters_match_scipy(r):
+    cl = clusters(r)
+    assert r._adjacency is None  # no CSR built, so none cached
+    labels, largest, sizes = _scipy_clusters(r)
+    assert _bits(cl.labels) == _bits(labels)
+    assert cl.largest == largest
+    assert list(cl.sizes.items()) == list(sizes.items())
+
+
+@st.composite
+def cluster_boxes(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    spec = BoxSpec(d=d, side=draw(st.integers(2, BFS_MAX_SIDE[d])))
+    cutoff = draw(st.none() | st.floats(1.0, spec.diameter + 1.0))
+    params = validate_params(d, draw(st.sampled_from([d + 0.5, d + 2.0])),
+                             draw(st.sampled_from([1e-300, 0.3, 1.0, 50.0])), 2.5,
+                             draw(st.sampled_from(list(ModelKind))))
+    return generate_box(params, draw(st.integers(0, 2 ** 64 - 1)), spec, cutoff=cutoff)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cluster_boxes())
+def test_clusters_equal_scipy_components(r):
+    _assert_clusters_match_scipy(r)
+
+
+def _relabelled(edges, n, seed):
+    """`edges` with its n vertices renamed by a random permutation."""
+    return np.random.default_rng(seed).permutation(n)[np.asarray(edges)]
+
+
+def _adversarial_graphs():
+    """{name: (edges, n)}: graphs whose labelling makes hook-and-jump work hardest."""
+    n, k = 20_000, 141  # a path's and a k x k grid's vertex counts
+    path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    v = np.arange(k * k).reshape(k, k)
+    grid = np.concatenate([np.stack([v[:, :-1].ravel(), v[:, 1:].ravel()], axis=1),
+                           np.stack([v[:-1, :].ravel(), v[1:, :].ravel()], axis=1)])
+    zigzag = np.empty(n, dtype=np.int64)  # visits 0, n-1, 1, n-2, 2, ...
+    zigzag[0::2], zigzag[1::2] = np.arange(n // 2), np.arange(n - 1, n // 2 - 1, -1)
+    child = np.arange(1, n)  # heap-ordered binary tree, labels reversed: root n-1
+    return {
+        "path": (_relabelled(path, n, 1), n),
+        "grid": (_relabelled(grid, k * k, 2), k * k),
+        "zigzag-path": (np.stack([zigzag[:-1], zigzag[1:]], axis=1), n),
+        "reversed-tree": (n - 1 - np.stack([(child - 1) // 2, child], axis=1), n),
+        "star-on-last": (np.stack([np.arange(n - 1), np.full(n - 1, n - 1)], axis=1), n),
+        "tied-largest": ([(1, 9), (5, 9), (2, 3), (3, 4)], 10),  # root 1 wins the tie
+        "last-edge": ([(n - 2, n - 1)], n),
+        "edge-free": ([], 49),
+    }
+
+
+ADVERSARIAL_GRAPHS = _adversarial_graphs()
+
+
+@pytest.mark.parametrize("name", list(ADVERSARIAL_GRAPHS))
+def test_clusters_equal_scipy_on_adversarial_graphs(name):
+    r = _line_box(*ADVERSARIAL_GRAPHS[name])
+    _assert_clusters_match_scipy(r)
+
+
 def test_graph_distance_trivial_cases():
     r = _line_box([(0, 1)], side=4)
     dist = distances_from(r, 0)
@@ -877,7 +953,7 @@ def test_graph_import_does_not_load_moments():
 _IMPORT_BUDGET = """
 import os, sys
 from sfp import cli
-from sfp.graph import save_realization
+from sfp.graph import clusters, load_realization, save_realization
 from sfp.verify import forced_realization, toy_hierarchy
 
 def scipy_packages():
@@ -906,6 +982,24 @@ for argv in (['adjacent', *model, '--rxy', '20', '--ryz', '4', '--replicates', '
              ['generate', *model, '--dim', '2', '--side', '32', '--trunc', '3', '--out', box]):
     assert cli.main(argv) in (0, 2), argv
     assert not scipy_packages(), (argv[0], scipy_packages())
+
+# The box generate wrote, reloaded and clustered from its edge array.
+r = load_realization(box)
+for query in (clusters, lambda r: r.degrees(), lambda r: r.has_edges([(0, 1), (0, 32)])):
+    query(r)
+    assert not scipy_packages(), (query, scipy_packages())
+
+# A distances box whose largest cluster is tiny stops before any BFS;
+# one with a cluster to measure loads the traversal.
+report = os.path.join(sys.argv[1], 'distances.csv')
+distances = ['distances', *model, '--side', '256', '--n-list', '4,8', '--sources', '4',
+             '--out', report]
+assert cli.main([*distances, '--lambda', '1e-300']) == 0
+with open(report) as fh:
+    assert '#flag LargestClusterTiny' in fh.read()
+assert not scipy_packages(), ('distances tiny', scipy_packages())
+assert cli.main(distances) == 0
+assert 'scipy.sparse.csgraph' in sys.modules, scipy_packages()
 """
 
 
