@@ -38,44 +38,26 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _at_least(low, kind=int):
-    """argparse type: a `kind` number no smaller than `low`, else a usage error."""
+def _checked(kind, ok, what):
+    """argparse type: a `kind` value for which `ok` holds, else a usage error."""
     def parse(text):
         value = kind(text)
-        if not value >= low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {what}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its "invalid" message
     return parse
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite float, else a usage error."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+def _at_least(low, kind=int):
+    return _checked(kind, lambda v: v >= low, f"be at least {low}")
 
 
-def _int64_float(text: str) -> float:
-    """argparse type: a finite float whose nearest integer fits in int64."""
-    value = _finite(text)
-    if not -2.0 ** 63 <= value < 2.0 ** 63:
-        raise argparse.ArgumentTypeError(f"must round into int64, got {text}")
-    return value
-
-
-def _u64(text: str) -> int:
-    """argparse type: an integer in [0, 2^64), the seeds the 64-bit hash keys take."""
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {text}")
-    return value
-
-
-# argparse names the type in its "invalid" message
-_finite.__name__ = _int64_float.__name__ = "float"
-_u64.__name__ = "int"
+_finite = _checked(float, math.isfinite, "be finite")
+# A finite float whose nearest integer fits in int64.
+_int64_float = _checked(_finite, lambda v: -2.0 ** 63 <= v < 2.0 ** 63, "round into int64")
+# The seeds the 64-bit hash keys take.
+_u64 = _checked(int, lambda v: 0 <= v < 2 ** 64, "be in [0, 2^64)")
 
 
 def _int_list(text: str) -> list:
@@ -98,7 +80,10 @@ def _build_parser(required: bool = True) -> _Parser:
 
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=_u64, default=0)
-    common.add_argument("--threads", type=_at_least(0), default=1,
+    # Checked here, not by ExperimentConfig: `verify` runs two criteria first.
+    common.add_argument("--threads", default=1,
+                        type=_checked(_at_least(0), lambda v: v <= MAX_WORKERS,
+                                      f"be in [0, {MAX_WORKERS}]"),
                         help="worker cap for parallel sections (0 = auto)")
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--config", type=str, default=None,
@@ -121,7 +106,7 @@ def _build_parser(required: bool = True) -> _Parser:
                        help="derived exponents and phase-diagram regime")
 
     p = sub.add_parser("generate", parents=[box], help="sample one realization")
-    p.add_argument("--pair-budget", type=int, default=None)
+    p.add_argument("--pair-budget", type=_at_least(1), default=None)
 
     p = sub.add_parser("degrees", parents=[box], help="degree-tail experiment")
     p.add_argument("--replicates", type=_at_least(1), default=1)
@@ -168,7 +153,8 @@ def _build_parser(required: bool = True) -> _Parser:
     p.add_argument("--dim", type=_at_least(1), default=1)
     p.add_argument("--alpha", type=float, required=required)
     p.add_argument("--dist", type=_int64_float, required=required)
-    p.add_argument("--radius", type=_finite, default=None,
+    p.add_argument("--radius", type=_checked(_finite, lambda v: v > 0, "be positive"),
+                   default=None,
                    help="truncation ball radius (default 1e4 for d=1, 200 for d=2, 50 above)")
 
     hier = sub.add_parser("hierarchy", help="hierarchy tools")
@@ -280,8 +266,6 @@ def _cmd_generate(args) -> int:
     from .graph import DEFAULT_PAIR_BUDGET, generate_box, save_realization
     if not args.out:
         raise ParameterError("generate requires --out FILE")
-    if args.pair_budget is not None and args.pair_budget < 1:
-        raise ParameterError(f"--pair-budget must be at least 1, got {args.pair_budget}")
     cfg = _experiment_config(args)
     budget = DEFAULT_PAIR_BUDGET if args.pair_budget is None else args.pair_budget
     r = generate_box(cfg.params, cfg.seed, cfg.spec, args.trunc, pair_budget=budget,
@@ -371,8 +355,6 @@ def _cmd_moments(args) -> int:
         radius = args.radius
         if radius is None:
             radius = {1: 1e4, 2: 200.0}.get(args.dim, 50.0)
-        elif not radius > 0:
-            raise ParameterError(f"--radius must be positive, got {radius}")
         u = np.zeros(args.dim, dtype=np.int64)
         v = np.zeros(args.dim, dtype=np.int64)
         v[0] = int(round(args.dist))
@@ -459,10 +441,6 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
-        # ExperimentConfig's check and message, made here because `verify`
-        # runs two criteria before it builds its first ExperimentConfig.
-        if args.threads > MAX_WORKERS:
-            raise ParameterError(f"threads must be in [0, {MAX_WORKERS}], got {args.threads}")
         return _DISPATCH[args.command](args)
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -57,7 +57,8 @@ _BRIDGE_POINTS = 1 << 20
 
 
 class FitUndefined(ValueError):
-    """The log-log fit has no value: too few points, a point <= 0, or all x equal."""
+    """A fit has no value: a log-log fit with too few points, a point <= 0 or all
+    x equal, or a Hill estimate over a tail of equal samples."""
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,8 @@ def hill_estimator(samples, k: int) -> EstimateWithCI:
 
     Inverse of the mean log-excess over the (k+1)-th largest sample;
     stderr is estimate / sqrt(k).  Scale-invariant.  Raises ValueError
-    unless 1 <= k < n, for a sample <= 0, and when the log-excesses
-    vanish (constant samples).
+    unless 1 <= k < n and for a sample <= 0; raises FitUndefined when the
+    log-excesses vanish (constant samples).
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = len(x)
@@ -225,7 +226,7 @@ def hill_estimator(samples, k: int) -> EstimateWithCI:
     threshold = x[n - k - 1]
     mean_excess = float(np.mean(np.log(top / threshold)))
     if mean_excess <= 0:
-        raise ValueError("zero log-excess: samples constant over the tail")
+        raise FitUndefined("zero log-excess: samples constant over the tail")
     est = 1.0 / mean_excess
     return EstimateWithCI(mean=est, stderr=est / math.sqrt(k), n=k)
 
@@ -647,13 +648,17 @@ def run_degree_experiment(cfg: ExperimentConfig, margin: int = 0,
     positive = np.sort(degrees[degrees > 0]).astype(np.float64)
     n_pos = len(positive)
     k = hill_k if hill_k is not None else max(10, n // 50)
-    if n < 1000 or n_pos < 2 * k:
-        return ExperimentReport(
-            name="degrees", config=config, columns=columns, rows=[], verdicts=[],
-            flags=[f"InsufficientTail n={n} positive={n_pos}"],
-            wallclock=time.monotonic() - t0)
 
-    hill = hill_estimator(positive, k)
+    def no_rows(flag: str) -> ExperimentReport:
+        return ExperimentReport(name="degrees", config=config, columns=columns, rows=[],
+                                verdicts=[], flags=[flag], wallclock=time.monotonic() - t0)
+
+    if n < 1000 or n_pos < 2 * k:
+        return no_rows(f"InsufficientTail n={n} positive={n_pos}")
+    try:
+        hill = hill_estimator(positive, k)
+    except FitUndefined as exc:  # the top k degrees all equal the threshold
+        return no_rows(f"hill-vs-gamma skipped: {exc}")
     threshold = float(positive[n_pos - k - 1])
 
     # Survival regression over the same tail range.

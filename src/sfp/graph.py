@@ -553,7 +553,8 @@ def _lag_weight_sums(weights_grid: np.ndarray):
     F = np.fft.rfft(weights_grid, n=padded[-1], axis=-1)
     for ax in range(d - 1):
         F = np.fft.fft(F, n=padded[ax], axis=ax)
-    F = F * np.conj(F)  # as pinned: above 256 KiB numpy computes conj(F) * F
+    # One ufunc call, so numpy's temporary elision cannot turn it into conj(F) * F.
+    F = np.multiply(F, np.conj(F), out=F)
     for ax in range(d - 1):
         F = np.fft.ifft(F, axis=ax, norm="forward")
     corr = np.fft.irfft(F, n=padded[-1], axis=-1, norm="forward")
@@ -937,12 +938,12 @@ def load_realization(path) -> BoxRealization:
     Records may come in any order and their fields may be separated by
     any whitespace; blank lines are skipped.  Rejects, with the offending
     line number: a header other than FORMAT_HEADER, bytes that are not
-    UTF-8, unknown metadata keys, malformed records, coordinates outside
-    the box, weights that are not finite or below 1, a second weight for
-    a vertex, self-loops, edges whose lower endpoint (in flat order) is
-    not written first, and duplicate edges.  Missing weights, and for
-    sfpnn a missing nearest-neighbour edge, are reported at the line
-    after the last.
+    UTF-8, unknown metadata keys, a seed outside [0, 2^64), malformed
+    records, coordinates outside the box, weights that are not finite or
+    below 1, a second weight for a vertex, self-loops, edges whose lower
+    endpoint (in flat order) is not written first, and duplicate edges.
+    Missing weights, and for sfpnn a missing nearest-neighbour edge, are
+    reported at the line after the last.
 
     A file in the layout `save_realization` writes is parsed by two
     numpy passes (`_scan_layout`); any other file, hand-edited or
@@ -975,6 +976,8 @@ def load_realization(path) -> BoxRealization:
                              lambda_=float(meta["lambda"]),
                              tau=float(meta["tau"]), kind=kind)
         seed = int(meta["seed"])
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {meta['seed']}")
         origin = tuple(int(c) for c in meta["origin"].split(",")) if "origin" in meta else None
         spec = BoxSpec(d=d, side=side, origin=origin)
         if spec.vertex_count >= 2 ** 63 or not all(-2 ** 63 <= c <= 2 ** 63 - side

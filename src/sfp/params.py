@@ -89,9 +89,10 @@ def validate_params(d, alpha, lambda_, tau, kind=ModelKind.SFP) -> ModelParams:
 class DerivedExponents:
     """The six exponents derived from (d, alpha, tau).
 
-    Delta-family values are only meaningful for alpha* < 2d; beyond that
-    they are reported as +inf rather than raising, so that parameter
-    sweeps never abort.
+    Delta-family values are only meaningful for 0 < alpha* < 2d; outside
+    that they are reported rather than raised, so that parameter sweeps
+    never abort: +inf for alpha* >= 2d, and nan for alpha* <= 0, which
+    only alpha2 reaches (when gamma <= 1).
     """
 
     gamma: float
@@ -103,9 +104,11 @@ class DerivedExponents:
 
 
 def _delta_of(alpha_star: float, d: int) -> float:
-    # log 2 / log(2d/alpha*); +inf sentinel once alpha* >= 2d.
+    # log 2 / log(2d/alpha*); +inf sentinel once alpha* >= 2d, nan for alpha* <= 0.
     if alpha_star >= 2 * d:
         return math.inf
+    if alpha_star <= 0:
+        return math.nan
     return math.log(2.0) / math.log(2.0 * d / alpha_star)
 
 

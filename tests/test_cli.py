@@ -96,7 +96,7 @@ def test_generate_rejects_pair_budget_below_one(tmp_path, capsys, budget):
     code = main(["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "16",
                  "--pair-budget", budget, "--out", str(out)])
     assert code == 1 and not out.exists()
-    assert f"--pair-budget must be at least 1, got {budget}" in capsys.readouterr().err
+    assert f"argument --pair-budget: must be at least 1, got {budget}" in capsys.readouterr().err
 
 
 _MODEL = ["--alpha", "1.5", "--tau", "2.5"]
@@ -223,7 +223,8 @@ def test_a_worker_count_above_the_cap_is_usage_error(command, monkeypatch, tmp_p
     monkeypatch.setattr("os.fork", no_fork)
     argv = [str(tmp_path / a) if a == "box.txt" else a for a in command]
     assert main(argv[:1] + _MODEL + argv[1:] + ["--threads", "100000"]) == 1
-    assert capsys.readouterr().err == "usage error: threads must be in [0, 256], got 100000\n"
+    assert capsys.readouterr().err == ("usage error: argument --threads: must be in [0, 256], "
+                                       "got 100000\n")
     assert not (tmp_path / "box.txt").exists()
 
 
@@ -234,7 +235,8 @@ def test_verify_checks_the_worker_cap_before_any_criterion(monkeypatch, tmp_path
     monkeypatch.setattr("sfp.verify.criterion_exponent_identities", fail)
     out = tmp_path / "verify.csv"
     assert main(["verify", "--quick", "--threads", "300", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "usage error: threads must be in [0, 256], got 300\n"
+    assert capsys.readouterr().err == ("usage error: argument --threads: must be in [0, 256], "
+                                       "got 300\n")
     assert not out.exists()
 
 
@@ -339,6 +341,44 @@ def test_config_file_rejects_a_malformed_line(tmp_path, capsys, text, message):
     code, _ = run_cli("exponents", "--config", str(cfg))
     assert code == 1
     assert f"{cfg}:2: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, argv, message", [
+    ("threads = 300", ["exponents", *_MODEL], "argument --threads: must be in [0, 256], got 300"),
+    ("pair_budget = 0", ["generate", *_MODEL, "--side", "16", "--out", "box.txt"],
+     "argument --pair-budget: must be at least 1, got 0"),
+    ("radius = -4", ["moments", "convolution", "--alpha", "1.5", "--dist", "5"],
+     "argument --radius: must be positive, got -4"),
+    ("radius = 0", ["moments", "convolution", "--alpha", "1.5", "--dist", "5"],
+     "argument --radius: must be positive, got 0"),
+], ids=["threads", "pair-budget", "radius", "radius-zero"])
+def test_config_file_reports_an_out_of_range_value_at_its_line(tmp_path, capsys, entry, argv,
+                                                               message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(entry + "\n")
+    argv = [str(tmp_path / a) if a == "box.txt" else a for a in argv]
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"usage error: {cfg}:1: {message}\n"
+    assert not (tmp_path / "box.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "1.5", "--tau", "2.5", "--dim", "3"],
+                                  ["--alpha", "1", "--tau", "2", "--dim", "1"]],
+                         ids=["alpha2-negative", "alpha2-zero"])
+def test_exponents_report_delta2_as_nan_where_alpha2_is_not_positive(argv):
+    code, out = run_cli("exponents", *argv)
+    assert code == 0
+    assert out.strip().splitlines()[-1].split(",")[9] == "nan"  # the delta2 column
+
+
+def test_degrees_on_a_constant_tail_flags_the_skipped_verdict():
+    # Nearest-neighbour edges only: every interior degree is 2.
+    code, out = run_cli("degrees", "--alpha", "20", "--tau", "2.5", "--side", "2000",
+                        "--model", "sfpnn", "--lambda", "1e-9", "--trunc", "5")
+    assert code == 0
+    assert "#flag hill-vs-gamma skipped: zero log-excess: samples constant over the tail\n" in out
+    assert [line for line in out.splitlines() if not line.startswith("#")] == [
+        "estimator,estimate,stderr,k,threshold"]
 
 
 def test_moments_adjacent_row_with_oracle():

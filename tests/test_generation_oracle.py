@@ -179,11 +179,7 @@ def test_lag_weight_sums_equal_scipy_fft(d, side):
     corr, padded = _lag_weight_sums(grid)
     assert padded == [fft.next_fast_len(2 * side - 1)] * d
     F = fft.rfftn(grid, s=padded)
-    # Outside the assert, as in `_lag_weight_sums`: above 256 KiB numpy
-    # reuses the temporary conj(F) and computes conj(F) * F, whose last
-    # bits can differ from F * conj(F), and the assert's rewriting keeps
-    # that temporary alive.
-    ref = fft.irfftn(F * np.conj(F), s=padded)
+    ref = fft.irfftn(np.multiply(F, np.conj(F), out=F), s=padded)
     assert np.array_equal(corr, ref)
 
 

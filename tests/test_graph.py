@@ -872,7 +872,12 @@ def test_load_rejects_malformed_records(tmp_path, line, text, expect_line):
     ([_VALID_FILE[0], _VALID_FILE[1] + " seed", *_VALID_FILE[2:]], "bad metadata token 'seed'"),
     ([_VALID_FILE[0], _VALID_FILE[1].replace(" seed=0", ""), *_VALID_FILE[2:]],
      "missing metadata key seed"),
-], ids=["no-metadata-line", "token-without-equals", "missing-key"])
+    ([_VALID_FILE[0], _VALID_FILE[1].replace("seed=0", "seed=-1"), *_VALID_FILE[2:]],
+     r"seed must be in \[0, 2\^64\), got -1"),
+    ([_VALID_FILE[0], _VALID_FILE[1].replace("seed=0", f"seed={2 ** 64}"), *_VALID_FILE[2:]],
+     r"seed must be in \[0, 2\^64\), got 18446744073709551616"),
+], ids=["no-metadata-line", "token-without-equals", "missing-key", "seed-negative",
+        "seed-2^64"])
 def test_load_rejects_a_bad_metadata_line(tmp_path, lines, message):
     path = tmp_path / "box.txt"
     path.write_text("\n".join(lines) + "\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, getcontext
 
@@ -40,18 +41,24 @@ def _decimal_exponents(d, alpha, tau):
     ln2 = Decimal(2).ln()
 
     def delta(x):
-        return ln2 / (2 * dd / x).ln() if x < 2 * dd else None
+        if x >= 2 * dd:
+            return math.inf
+        if x <= 0:
+            return math.nan
+        return ln2 / (2 * dd / x).ln()
 
     return gamma, alpha1, alpha2, delta(a), delta(alpha1), delta(alpha2)
 
 
-@pytest.mark.parametrize("d,alpha,tau", [
-    (1, 1.5, 2.5),
-    (1, 1.5, 3.5),
-    (1, 1.8, 2.8),
-    (2, 2.5, 4.0),
-    (3, 4.0, 2.75),
-])
+_ORACLE_POINTS = [(1, 1.5, 2.5), (1, 1.5, 3.5), (1, 1.8, 2.8), (2, 2.5, 4.0), (3, 4.0, 2.75)]
+# A grid over the whole phase diagram: on 88 of its points alpha2 <= 0.
+_ORACLE_GRID = [p for p in itertools.product((1, 2, 3),
+                                             (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0),
+                                             (1.25, 1.5, 2.0, 2.5, 3.0, 4.0))
+                if p not in _ORACLE_POINTS]
+
+
+@pytest.mark.parametrize("d,alpha,tau", _ORACLE_POINTS + _ORACLE_GRID)
 def test_derived_exponents_match_decimal_oracle(d, alpha, tau):
     ex = derived_exponents(validate_params(d, alpha, 1.0, tau))
     g, a1, a2, dl, d1, d2 = _decimal_exponents(d, alpha, tau)
@@ -59,10 +66,8 @@ def test_derived_exponents_match_decimal_oracle(d, alpha, tau):
     assert math.isclose(ex.alpha1, float(a1), rel_tol=1e-12)
     assert math.isclose(ex.alpha2, float(a2), rel_tol=1e-12)
     for got, want in ((ex.delta, dl), (ex.delta1, d1), (ex.delta2, d2)):
-        if want is None:
-            assert got == math.inf
-        else:
-            assert math.isclose(got, float(want), rel_tol=1e-12)
+        want = float(want)
+        assert math.isnan(got) if math.isnan(want) else math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_reference_point_values():
