@@ -684,20 +684,22 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
                             compare_lrp: bool = False) -> ExperimentReport:
     """Graph distance against Euclidean distance at dyadic separations.
 
-    From each of `n_sources` sources in the largest cluster, one BFS
-    yields D(s, s + N e1) for every N at once; pairs with the target
-    outside the largest cluster are excluded and counted.  Reports the
-    median D per N, verdicts that the medians are nondecreasing and that
-    median D / N is decreasing, and (informational) the fitted exponent
-    of log D against log log N with the loose band [Delta1 - 1,
-    Delta2 + 1].  With compare_lrp=True, a coupled LRP realization is
-    measured on the same pairs and the median domination at every N is
-    an exact verdict; the coupling is SFP's, so other model kinds raise
-    ParameterError.
+    One multi-source BFS per realization yields D(s, s + N e1) for each
+    of `n_sources` sources in the largest cluster and every N at once;
+    pairs with the target outside the largest cluster are excluded and
+    counted.  Reports the median D per N, verdicts that the medians are
+    nondecreasing and that median D / N is decreasing, and
+    (informational) the fitted exponent of log D against log log N with
+    the loose band [Delta1 - 1, Delta2 + 1].  With compare_lrp=True, a
+    coupled LRP realization is measured on the same pairs and the median
+    domination at every N is an exact verdict; the coupling is SFP's, so
+    other model kinds raise ParameterError, as does `n_sources` < 1.
     """
     t0 = time.monotonic()
     if cfg.spec is None:
         raise ParameterError("distance experiment needs a box spec")
+    if not n_sources >= 1:
+        raise ParameterError(f"need at least one source, got {n_sources}")
     spec = cfg.spec
     if n_list is None:
         n_list = [2 ** k for k in range(4, 11)]
@@ -745,10 +747,13 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
 
     # Row i, column j: the pair (sources[i], sources[i] + n_list[j] e1).  A
     # pair counts when its target is in the largest cluster and reached.
+    # The BFS is sent each other target's own source (hop 0), so it never
+    # waits for a target the count drops.
     targets = sources[:, None] + np.array(n_list) * stride
+    wanted = np.where(mask[targets], targets, sources[:, None])
     medians, rows = {}, []
     for name, real in reals:
-        hops = np.stack([distances_from(real, int(s))[t] for s, t in zip(sources, targets)])
+        hops = distances_from(real, sources, wanted)
         ok = mask[targets] & (hops >= 0)
         excluded = int(np.count_nonzero(~ok))
         medians[name] = [float(np.median(col[keep])) if keep.any() else math.nan

@@ -18,7 +18,11 @@ the realization records the union-bound bias
 sum_{|x-y|>R} min(1, lambda W_x W_y |x-y|^-alpha) for the pairs it never
 looked at (computed exactly via FFT lag sums plus a saturation
 correction for the rare pairs whose bound clips at 1).  `coupled_pair`
-is two `generate_box` calls, one per model kind, on the same seed.
+generates the SFP box of a seed and decides the LRP box of the same
+seed among its edges only, by the same rule.
+
+Clusters come from the edge array, and hop counts from a bit-parallel
+multi-source BFS over cached CSR arrays: the module uses numpy alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import pickle
 import signal
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,13 +41,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .params import MAX_WORKERS, ModelKind, ModelParams, ParameterError
 from .randomness import (TAG_EDGE, absorb, keyed_words, unit_from_word,
                          unit_lower_bound, vertex_weights)
-
-# scipy is imported only inside `BoxRealization.adjacency` and
-# `distances_from`, so a command that runs no BFS loads none of it:
-# clusters come from the edge array and the truncation bias from
-# numpy's FFT.
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 DEFAULT_PAIR_BUDGET = 2 ** 32
 
@@ -127,7 +123,7 @@ class BoxRealization:
     edges: np.ndarray
     trunc: float | None = None
     trunc_bias: float | None = None
-    _adjacency: csr_matrix | None = field(default=None, repr=False, compare=False)
+    _adjacency: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -137,26 +133,25 @@ class BoxRealization:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> csr_matrix:
-        """The graph as a symmetric n x n CSR matrix, built on first use and cached.
+    def adjacency(self) -> tuple:
+        """The symmetric CSR arrays (indptr, indices), int64, built on first use and cached.
 
-        Row v holds the neighbours of v in increasing order, each with
-        value 1.0.  The values are float64, the dtype scipy.sparse.csgraph
-        works in, so its traversals take the matrix as it is instead of
-        converting it on every call.  Only `distances_from` reads it;
-        treat it as immutable.
+        The neighbours of v are indices[indptr[v]:indptr[v + 1]], in
+        increasing order.  The edges are canonical, so the reversed pairs
+        list each row's lower neighbours in increasing order and the
+        forward pairs its higher ones: a stable sort of the doubled edge
+        list by row leaves every row sorted.  Only `distances_from` reads
+        the arrays; treat them as immutable.
         """
         if self._adjacency is None:
-            from scipy.sparse import csr_matrix
-            # The edges are canonical, so the reversed pairs list each
-            # row's lower neighbours in increasing order and the forward
-            # pairs its higher ones; the COO -> CSR conversion is a stable
-            # counting sort, so every row comes out sorted and scipy's
-            # canonical-format check finds nothing left to sort.
             lo, hi = self.edges[:, 0], self.edges[:, 1]
             rows, cols = np.concatenate([hi, lo]), np.concatenate([lo, hi])
-            n = self.n_vertices
-            self._adjacency = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+            indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.n_vertices), out=indptr[1:])
+            indices = cols[np.argsort(rows, kind="stable")]
+            for a in (indptr, indices):
+                a.setflags(write=False)
+            self._adjacency = indptr, indices
         return self._adjacency
 
     def degrees(self) -> np.ndarray:
@@ -217,7 +212,8 @@ def _offset_runs(d: int, side: int, cutoff: float | None):
 
 def _generate(params: ModelParams, seed: int, spec: BoxSpec,
               cutoff: float | None, pair_budget: int,
-              weights_override: np.ndarray | None = None, workers: int = 1) -> BoxRealization:
+              weights_override: np.ndarray | None = None, workers: int = 1,
+              candidates: np.ndarray | None = None) -> BoxRealization:
     if spec.d != params.d:
         raise ValueError(f"spec dimension {spec.d} != params dimension {params.d}")
     if not 1 <= workers <= MAX_WORKERS:
@@ -254,7 +250,10 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
     # LRP is decided, and its bias summed, with unit weights; the
     # realization still records no weights for it.
     unit = np.ones(n, dtype=np.float64) if weights is None else weights
-    edges = _open_pairs(params, seed, spec, runs, unit, workers)
+    if candidates is None:
+        edges = _open_pairs(params, seed, spec, runs, unit, workers)
+    else:
+        edges = _open_candidates(params, seed, spec, candidates)
 
     bias = None
     if cutoff is not None:
@@ -302,7 +301,7 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
 
     Every pair of every model kind is decided by one rule: with
     t = lambda W_x W_y r^-alpha, it is open iff its uniform u satisfies
-    u < min(t, 1) and u < -expm1(-t).  LRP passes unit weights.  For
+    u < min(t, 1) and u < -expm1(-t) (`_opened`).  LRP passes unit weights.  For
     SFP_NN a nearest-neighbour row gets the scale inf, so t = inf and
     u < 1 holds for every uniform: those pairs are forced open.  The
     decisions are those of `uniform_for_edge` and `weight_for_vertex`,
@@ -363,8 +362,7 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
 
         def settle():
             w, t, lo, hi = map(np.concatenate, zip(*held))
-            u = unit_from_word(w)
-            opened = (u < np.minimum(t, 1.0)) & (u < -np.expm1(-t))
+            opened = _opened(unit_from_word(w), t)
             eis.append(lo[opened])
             ejs.append(hi[opened])
             held.clear()
@@ -427,6 +425,31 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
         edges = np.stack([ei[order], ej[order]], axis=1)
     else:
         edges = np.empty((0, 2), dtype=np.int64)
+    edges.setflags(write=False)
+    return edges
+
+
+def _opened(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Which pairs are open: u < min(t, 1) and u < -expm1(-t), u the pair's uniform."""
+    return (u < np.minimum(t, 1.0)) & (u < -np.expm1(-t))
+
+
+def _open_candidates(params: ModelParams, seed: int, spec: BoxSpec,
+                     candidates: np.ndarray) -> np.ndarray:
+    """The LRP-open rows of `candidates`, canonical pairs that hold every LRP edge.
+
+    Each pair is decided as `_open_pairs` decides it with unit weights:
+    its uniform from the keyed words of its endpoints' coordinates, lower
+    first, and t = lambda r2^(-alpha/2) in Python floats, once per
+    distinct squared distance r2.  So the result is the LRP box's edge
+    array bit for bit whenever `candidates` contains it, as the SFP
+    edges of the same seed and cutoff do.
+    """
+    ends = spec.coords_of(candidates)  # (E, 2, d)
+    u = unit_from_word(keyed_words(seed, TAG_EDGE, *ends[:, 0].T, *ends[:, 1].T))
+    r2 = np.sum((ends[:, 1] - ends[:, 0]) ** 2, axis=-1)
+    t = params.lambda_ * _powers({}, r2, lambda v: float(v) ** (-params.alpha / 2.0))
+    edges = candidates[_opened(u, t)]
     edges.setflags(write=False)
     return edges
 
@@ -516,11 +539,15 @@ def coupled_pair(params: ModelParams, seed: int, spec: BoxSpec,
     """The (SFP, LRP) pair built from the same keyed uniforms.
 
     Edge-by-edge domination holds by construction: W >= 1 makes every
-    LRP-open uniform also SFP-open.  The boxes are built one after the
-    other, each by all `workers`.
+    LRP-open uniform also SFP-open.  So the SFP box is generated by all
+    `workers`, and LRP is decided only on its edges (`_open_candidates`):
+    the same box as `generate_box` gives for LRP, bit for bit, bias
+    included, without hashing every pair a second time.
     """
-    return tuple(generate_box(replace(params, kind=kind), seed, spec, cutoff, workers=workers)
-                 for kind in (ModelKind.SFP, ModelKind.LRP))
+    sfp = generate_box(replace(params, kind=ModelKind.SFP), seed, spec, cutoff, workers=workers)
+    lrp = _generate(replace(params, kind=ModelKind.LRP), seed, spec, cutoff, DEFAULT_PAIR_BUDGET,
+                    workers=workers, candidates=sfp.edges)
+    return sfp, lrp
 
 
 # ---------------------------------------------------------------------------
@@ -690,10 +717,10 @@ class Clusters:
 def clusters(r: BoxRealization) -> Clusters:
     """The open clusters of `r`, by hook-and-jump over its edge array.
 
-    A Shiloach-Vishkin style pass that builds no matrix and loads no
-    scipy: each round gathers the roots of both ends of the edges still
-    split, drops the edges whose roots agree, hooks each larger root
-    onto the smallest root it meets, then jumps pointers
+    A Shiloach-Vishkin style pass that builds no CSR arrays: each round
+    gathers the roots of both ends of the edges still split, drops the
+    edges whose roots agree, hooks each larger root onto the smallest
+    root it meets, then jumps pointers
     (parent = parent[parent]) until every vertex points at its root.
     Pointers only ever go down and stay inside a cluster, so the
     smallest vertex of a cluster is never hooked and ends as the root
@@ -720,34 +747,124 @@ def clusters(r: BoxRealization) -> Clusters:
                     sizes=dict(zip(roots.tolist(), counts.tolist())))
 
 
-def distances_from(r: BoxRealization, source: int) -> np.ndarray:
-    """Hop counts from flat vertex `source` to every vertex, as int64 (-1 unreachable).
+# Sources per traversal: four 64-bit words per vertex, so the bit arrays
+# of a traversal stay O(n) whatever the number of sources.
+_BFS_BATCH = 256
+# Arcs per pull chunk: a chunk's gathered frontier words, at most 2 MiB,
+# stay in L2 while they are reduced.
+_PULL_ARCS = 1 << 16
+# A level pushes while its frontier's arcs are under 1/_PUSH_SHARE of
+# all arcs: a pushed arc (ufunc.at) costs 1.4-2.3 times a pulled one.  Of
+# 2, 3, 4, 6, 8 and 16, 4 was fastest on both a shallow d=1 box and a
+# 611-level d=2 box, on a 2-core Xeon.
+_PUSH_SHARE = 4
 
-    One breadth-first traversal in scipy's C code over the cached CSR
-    (`BoxRealization.adjacency`); the matrix is symmetric, so the
-    directed traversal is the undirected one without the transpose
-    scipy would build for it.  The traversal lists the reached vertices
-    level by level, and the queue positions of their predecessors never
-    decrease along that order.  So level l + 1 is the slice of vertices
-    whose predecessors lie in level l, and one searchsorted per level
-    finds where it ends.  Raises VertexOutOfBox for a source outside
-    [0, n).
+
+def distances_from(r: BoxRealization, sources, targets=None) -> np.ndarray:
+    """Hop counts from each flat vertex of `sources`, as a (k, m) int64 array (-1 unreachable).
+
+    Row i holds the hops from sources[i] to the flat vertices targets[i]
+    of a (k, m) `targets` array; with targets None, every vertex is a
+    target of every source (m = n).  Sources may repeat.  Raises
+    VertexOutOfBox for a source or target outside [0, n).
+
+    A bit-parallel multi-source BFS (Then et al., "The More the Merrier:
+    Efficient Multi-Source Graph Traversal", PVLDB 2014) over the cached
+    CSR arrays (`BoxRealization.adjacency`): each source owns one bit of
+    a vertex's uint64 words, so one pass per level advances every source.
+    Sources are traversed _BFS_BATCH at a time, and a batch stops once
+    it has reached all its targets, so it runs only as many levels as
+    the farthest one needs.  A level pushes from a small frontier and
+    pulls into every vertex otherwise, as a direction-optimizing BFS
+    does (Beamer et al., SC 2012).  A batch costs up to levels x arcs x
+    words, against sources x arcs for one search per source, so it pays
+    off when the targets are few levels away, as in the polylogarithmic
+    regime, and loses to one compiled search per source when many
+    sources have targets hundreds of levels away.
     """
-    from scipy.sparse.csgraph import breadth_first_order
     n = r.n_vertices
-    if not 0 <= source < n:
-        raise VertexOutOfBox(f"source {source} outside the box's flat indices [0, {n})")
-    order, pred = breadth_first_order(r.adjacency(), int(source), directed=True,
-                                      return_predecessors=True)
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(len(order))
-    pred_pos = pos[pred[order[1:]]]
-    ends = [1]
-    while ends[-1] < len(order):
-        ends.append(1 + int(np.searchsorted(pred_pos, ends[-1])))
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[order] = np.repeat(np.arange(len(ends), dtype=np.int64), np.diff(ends, prepend=0))
-    return dist
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    if targets is None:
+        targets = np.broadcast_to(np.arange(n), (len(sources), n))
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.ndim != 2 or len(targets) != len(sources):
+        raise ValueError(f"targets must have shape ({len(sources)}, m), got {targets.shape}")
+    for what, v in (("source", sources), ("target", targets)):
+        outside = v[(v < 0) | (v >= n)]
+        if len(outside):
+            raise VertexOutOfBox(f"{what} {outside[0]} outside the box's flat indices [0, {n})")
+    indptr, indices = r.adjacency()
+    plan = _pull_plan(indptr)
+    out = np.full(targets.shape, -1, dtype=np.int64)
+    for b in range(0, len(sources), _BFS_BATCH):
+        batch = slice(b, b + _BFS_BATCH)
+        _bfs_batch(indptr, indices, plan, sources[batch], targets[batch], out[batch])
+    return out
+
+
+def _pull_plan(indptr: np.ndarray) -> list:
+    """The pull of one BFS level, cut into chunks of about _PULL_ARCS arcs.
+
+    A chunk (rows, start, stop, offsets) covers the arcs
+    indices[start:stop] of the vertices `rows`, whose arcs begin at
+    `offsets` in it.  Vertices without arcs are left out, since reduceat
+    would give them the word at their offset instead of 0.
+    """
+    rows = np.flatnonzero(np.diff(indptr))
+    begins = indptr[rows]
+    # A chunk starts at the vertex holding each multiple of _PULL_ARCS.
+    arcs = np.arange(0, indptr[-1], _PULL_ARCS)
+    cuts = np.unique(np.searchsorted(begins, arcs, side="right") - 1)
+    bounds = np.append(cuts, len(rows))
+    return [(rows[a:z], begins[a], indptr[rows[z - 1] + 1], begins[a:z] - begins[a])
+            for a, z in zip(bounds[:-1], bounds[1:])]
+
+
+def _bfs_batch(indptr, indices, plan, sources, targets, out) -> None:
+    """Write into `out` the hops from at most 64 * 4 sources to their targets.
+
+    `front`, `unseen` and `nxt` hold, per vertex, one bit per source: on
+    the current level, not yet reached, and on the next level; `active`
+    lists the vertices whose front words are nonzero.  A level ORs into
+    each vertex the frontier words of its neighbours and keeps the bits
+    not seen before.  While the frontier's arcs are under 1/_PUSH_SHARE
+    of all arcs, the frontier pushes its words along them (ufunc.at);
+    otherwise every vertex pulls over the `plan`, so a deep search whose
+    frontier is a thin shell does not gather every arc on every level.
+    The (source, target) pairs still unreached are held as flat arrays
+    and checked against the new bits after each level.
+    """
+    col = np.arange(len(sources))
+    word = col >> 6
+    bit = np.left_shift(np.uint64(1), (col & 63).astype(np.uint64))
+    front = np.zeros((len(indptr) - 1, -(-len(sources) // 64)), dtype=np.uint64)
+    np.bitwise_or.at(front, (sources, word), bit)
+    unseen, nxt = ~front, np.empty_like(front)
+    out[targets == sources[:, None]] = 0
+    pi, pj = np.nonzero(out < 0)
+    pt = targets[pi, pj]
+    active, level = np.unique(sources), 0
+    while len(pi):
+        level += 1
+        nxt.fill(0)
+        lo = indptr[active]
+        deg = indptr[active + 1] - lo
+        if deg.sum() * _PUSH_SHARE < len(indices):
+            arcs = np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+            np.bitwise_or.at(nxt, indices[arcs], np.repeat(front[active], deg, axis=0))
+        else:
+            for rows, start, stop, offsets in plan:
+                nxt[rows] = np.bitwise_or.reduceat(front.take(indices[start:stop], axis=0),
+                                                   offsets, axis=0)
+        np.bitwise_and(nxt, unseen, out=nxt)
+        active = np.flatnonzero(nxt.any(axis=1))
+        if not len(active):
+            break
+        np.bitwise_xor(unseen, nxt, out=unseen)
+        hit = (nxt[pt, word[pi]] & bit[pi]) != 0
+        out[pi[hit], pj[hit]] = level
+        pi, pj, pt = pi[~hit], pj[~hit], pt[~hit]
+        front, nxt = nxt, front
 
 
 def _check_margin(side: int, margin: int) -> None:

@@ -329,6 +329,19 @@ class TestDistances:
                                       compare_lrp=True)
         assert rep.verdict("coupled-median-domination").passed
 
+    @pytest.mark.parametrize("n_sources", [0, -2])
+    def test_fewer_than_one_source_is_refused_before_any_box(self, monkeypatch, n_sources):
+        # 0 divided by zero and -2 measured every candidate but the last two.
+        def no_box(*args, **kwargs):
+            raise AssertionError("a box was generated")
+        monkeypatch.setattr(experiments, "generate_box", no_box)
+        monkeypatch.setattr(experiments, "coupled_pair", no_box)
+        cfg = ExperimentConfig(params=P, spec=BoxSpec(d=1, side=256), seed=0)
+        for compare_lrp in (False, True):
+            with pytest.raises(ParameterError, match=f"need at least one source, got {n_sources}"):
+                run_distance_experiment(cfg, n_list=[16, 32], n_sources=n_sources,
+                                        compare_lrp=compare_lrp)
+
     def test_separation_must_fit(self):
         cfg = ExperimentConfig(params=P, spec=BoxSpec(d=1, side=64), seed=0)
         with pytest.raises(ValueError):

@@ -29,7 +29,8 @@ reports (the CSV minus its #wallclock and #threads lines, as the
 benchmark compares them): a coupled SFP/LRP pair, a truncated sfpnn box
 with paths of up to ~80 hops, and a d=2 box.  Each is checked at one and
 two threads.  They were generated with the numpy level-by-level BFS,
-before BFS moved to scipy's traversal.
+and held unchanged through scipy's traversal and the bit-parallel
+multi-source BFS that replaced it.
 
 EXTRA_DIGESTS pins the edges, and for truncated boxes the bias bits, of
 boxes the matrix above leaves out: d=3 LRP and sfpnn boxes, full and

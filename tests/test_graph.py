@@ -68,13 +68,47 @@ def test_complete_graph_at_huge_intensity():
 
 
 def test_lrp_edges_subset_of_sfp_every_seed():
+    # coupled_pair decides LRP among the SFP edges, so the LRP box here is
+    # generated on its own, every pair decided.
+    from dataclasses import replace
     spec = BoxSpec(d=1, side=64)
     for seed in range(20):
-        sfp, lrp = coupled_pair(P, seed, spec)
+        sfp = generate_box(P, seed, spec)
+        lrp = generate_box(replace(P, kind=ModelKind.LRP), seed, spec)
         nv = spec.vertex_count
         sfp_keys = set((sfp.edges[:, 0] * nv + sfp.edges[:, 1]).tolist())
         lrp_keys = set((lrp.edges[:, 0] * nv + lrp.edges[:, 1]).tolist())
         assert lrp_keys <= sfp_keys
+
+
+@st.composite
+def coupled_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    side = draw(st.integers(2, {1: 200, 2: 16, 3: 6}[d]))
+    origin = draw(st.none() | st.tuples(*[st.integers(-100, 100)] * d))
+    spec = BoxSpec(d=d, side=side, origin=origin)
+    cutoff = draw(st.none() | st.floats(1.0, spec.diameter + 1.0))
+    params = validate_params(d, draw(st.sampled_from([d + 0.5, d + 2.0])),
+                             draw(st.sampled_from([0.05, 0.5, 2.0, 50.0])),
+                             draw(st.sampled_from([2.5, 3.5])),
+                             draw(st.sampled_from(list(ModelKind))))
+    return params, draw(st.integers(0, 2 ** 64 - 1)), spec, cutoff
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(coupled_cases())
+def test_coupled_lrp_equals_the_lrp_box(case):
+    # The coupled LRP box is decided among the SFP edges only; it must be
+    # the box generate_box decides pair by pair, bias included.
+    from dataclasses import replace
+    params, seed, spec, cutoff = case
+    sfp, lrp = coupled_pair(params, seed, spec, cutoff)
+    want = generate_box(replace(params, kind=ModelKind.LRP), seed, spec, cutoff)
+    assert sfp.params.kind is ModelKind.SFP and lrp.params == want.params
+    assert _bits(lrp.edges) == _bits(want.edges) and not lrp.edges.flags.writeable
+    assert lrp.weights is None and lrp.trunc == want.trunc
+    assert repr(lrp.trunc_bias) == repr(want.trunc_bias)
 
 
 def test_forced_unit_weights_reproduce_lrp():
@@ -499,9 +533,12 @@ def test_clusters_two_components():
 def _scipy_clusters(r):
     """scipy's connected components of the CSR, each labelled by its smallest
     vertex: the reference for clusters()."""
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
     n = r.n_vertices
-    ncomp, comp = connected_components(r.adjacency(), directed=False)
+    indptr, indices = r.adjacency()
+    matrix = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    ncomp, comp = connected_components(matrix, directed=False)
     roots = np.full(ncomp, n, dtype=np.int64)
     np.minimum.at(roots, comp, np.arange(n, dtype=np.int64))
     counts = np.bincount(comp, minlength=ncomp)
@@ -574,43 +611,46 @@ def test_clusters_equal_scipy_on_adversarial_graphs(name):
 
 def test_graph_distance_trivial_cases():
     r = _line_box([(0, 1)], side=4)
-    dist = distances_from(r, 0)
-    assert dist.tolist() == [0, 1, -1, -1]
+    dist = distances_from(r, [0])
+    assert dist.tolist() == [[0, 1, -1, -1]]
 
 
 def test_graph_distance_cycle():
     r = _line_box([(0, 1), (1, 2), (2, 3), (0, 3)], side=4)
-    assert distances_from(r, 0)[2] == 2
+    assert distances_from(r, [0], [[2]]).tolist() == [[2]]
 
 
 def test_graph_distance_symmetry_and_triangle():
     r = generate_box(P, 21, BoxSpec(d=1, side=120))
     cl = clusters(r)
     verts = np.nonzero(cl.largest_mask())[0][:6]
-    d = {}
-    for a in verts:
-        dist = distances_from(r, int(a))
-        for b in verts:
-            d[a, b] = int(dist[b])
-    for a in verts:
-        for b in verts:
-            assert d[a, b] == d[b, a] >= 0
-            for c in verts:
-                assert d[a, c] <= d[a, b] + d[b, c]
+    d = distances_from(r, verts, np.tile(verts, (len(verts), 1)))
+    assert np.array_equal(d, d.T) and np.all(d >= 0)
+    assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :])
 
 
 def test_graph_distance_rejects_outside_vertex():
     r = generate_box(P, 0, BoxSpec(d=1, side=10))
     with pytest.raises(VertexOutOfBox):
-        distances_from(r, int(r.spec.flat_of([10])))
+        distances_from(r, [int(r.spec.flat_of([10]))])
 
 
 @pytest.mark.parametrize("source", [-1, 10, 11])
 def test_graph_distance_rejects_flat_source_outside_box(source):
-    # A negative index would otherwise wrap around to the last vertices.
+    # A negative index would otherwise wrap around to the last vertices;
+    # so would a target's.
     r = generate_box(validate_params(1, 1.5, 1e6, 2.5), 0, BoxSpec(d=1, side=10))
-    with pytest.raises(VertexOutOfBox):
-        distances_from(r, source)
+    with pytest.raises(VertexOutOfBox, match="source"):
+        distances_from(r, [3, source])
+    with pytest.raises(VertexOutOfBox, match="target"):
+        distances_from(r, [3, 4], [[0, 9], [source, 5]])
+
+
+def test_graph_distance_rejects_targets_of_another_shape():
+    r = _line_box([(0, 1)], side=4)
+    for targets in ([1, 2], [[1], [2]], [[[1]]]):
+        with pytest.raises(ValueError, match="targets must have shape"):
+            distances_from(r, [0], targets)
 
 
 def _deque_bfs(r, source):
@@ -631,6 +671,15 @@ def _deque_bfs(r, source):
     return np.array(dist, dtype=np.int64)
 
 
+def _oracle_hops(r, sources, targets=None):
+    """Hops from each source by _deque_bfs, to `targets` (a (k, m) array) or to all."""
+    rows = [_deque_bfs(r, int(s)) for s in sources]
+    if targets is None:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), r.n_vertices)
+    return np.array([row[t] for row, t in zip(rows, np.asarray(targets))],
+                    dtype=np.int64).reshape(np.shape(targets))
+
+
 def _lexsort_adjacency(r):
     """CSR arrays by an explicit (row, column) lexsort: the reference for adjacency()."""
     src = np.concatenate([r.edges[:, 0], r.edges[:, 1]])
@@ -645,9 +694,9 @@ def _bits(a):
     return a.dtype.str, a.shape, a.tobytes()
 
 
-def _assert_bfs_matches_oracle(r, sources):
-    for s in sources:
-        assert _bits(distances_from(r, int(s))) == _bits(_deque_bfs(r, int(s)))
+def _assert_bfs_matches_oracle(r, sources, targets=None):
+    got = distances_from(r, sources, targets)
+    assert _bits(got) == _bits(_oracle_hops(r, sources, targets))
 
 
 BFS_MAX_SIDE = {1: 300, 2: 16, 3: 6}
@@ -663,40 +712,122 @@ def bfs_boxes(draw):
                              draw(st.sampled_from([2.5, 3.5])),
                              draw(st.sampled_from(list(ModelKind))))
     r = generate_box(params, draw(st.integers(0, 2 ** 64 - 1)), spec, cutoff=cutoff)
-    sources = draw(st.lists(st.integers(0, spec.vertex_count - 1), min_size=1, max_size=4))
-    return r, sources
+    vertex = st.integers(0, spec.vertex_count - 1)
+    # Repeats are likely on small boxes: a source may take several bits.
+    sources = draw(st.lists(vertex, min_size=1, max_size=6))
+    targets = draw(st.lists(st.lists(vertex, min_size=3, max_size=3),
+                            min_size=len(sources), max_size=len(sources)))
+    return r, sources, targets
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(bfs_boxes())
 def test_distances_equal_deque_bfs_oracle(case):
-    r, sources = case
+    r, sources, targets = case
     _assert_bfs_matches_oracle(r, sources)
-    indptr, indices = _lexsort_adjacency(r)
+    _assert_bfs_matches_oracle(r, sources, targets)
     m = r.adjacency()
-    assert np.array_equal(m.indptr, indptr) and np.array_equal(m.indices, indices)
-    assert m.data.dtype == np.float64 and np.all(m.data == 1.0)
+    assert all(_bits(a) == _bits(b) for a, b in zip(m, _lexsort_adjacency(r)))
     assert r.adjacency() is m  # built once, then shared
+
+
+# Every level pushes (share 0), or every level pulls (share inf) in
+# chunks of a few arcs that cut most rows' arc runs.
+@pytest.mark.parametrize("share, arcs", [(0, 1 << 16), (math.inf, 1), (math.inf, 3),
+                                         (math.inf, 7)])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bfs_boxes())
+def test_distances_by_push_or_small_pull_chunks_equal_oracle(share, arcs, case):
+    r, sources, targets = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_PUSH_SHARE", share)
+        mp.setattr(graph, "_PULL_ARCS", arcs)
+        _assert_bfs_matches_oracle(r, sources)
+        _assert_bfs_matches_oracle(r, sources, targets)
+
+
+def test_distances_from_star_whose_hub_straddles_a_chunk_boundary(monkeypatch):
+    # The hub, the last vertex, holds the arcs n-1 .. 2n-3, across 2^16.
+    n = 40_000
+    edges = np.stack([np.arange(n - 1), np.full(n - 1, n - 1)], axis=1).astype(np.int64)
+    r = BoxRealization(spec=BoxSpec(d=1, side=n), params=P, seed=0, weights=None, edges=edges)
+    assert n - 1 < graph._PULL_ARCS < 2 * n - 2
+    monkeypatch.setattr(graph, "_PUSH_SHARE", math.inf)  # every level pulls
+    hops = distances_from(r, [0, n - 1])
+    assert hops[0, [0, 1, n - 1]].tolist() == [0, 2, 1]
+    assert (hops[1, :-1] == 1).all() and hops[1, -1] == 0
+    _assert_bfs_matches_oracle(r, [0, 12_345], [[n - 1, 7], [0, n - 2]])
 
 
 def test_distances_from_isolated_source_and_edge_free_box():
     # Vertex 2 has no edge; the rest form a path.
     r = _line_box([(0, 1), (1, 3), (3, 4)], side=5)
-    assert distances_from(r, 2).tolist() == [-1, -1, 0, -1, -1]
+    assert distances_from(r, [2]).tolist() == [[-1, -1, 0, -1, -1]]
     _assert_bfs_matches_oracle(r, range(5))
+    # Unreachable targets read -1, beside reached ones and the source itself.
+    assert distances_from(r, [2, 0], [[4, 2], [2, 4]]).tolist() == [[-1, 0], [-1, 3]]
     empty = generate_box(validate_params(2, 3.0, 1e-300, 2.5), 0, BoxSpec(d=2, side=6))
     assert empty.n_edges == 0
-    _assert_bfs_matches_oracle(empty, (0, 17, 35))
+    _assert_bfs_matches_oracle(empty, (0, 17, 35, 17))
+    _assert_bfs_matches_oracle(empty, (0, 17), [[0, 1], [35, 17]])
+    assert distances_from(empty, []).shape == (0, 36)
 
 
 def test_distances_from_long_path_has_one_level_per_vertex():
     n = 2000
     edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1).astype(np.int64)
     r = BoxRealization(spec=BoxSpec(d=1, side=n), params=P, seed=0, weights=None, edges=edges)
-    assert distances_from(r, 0).tolist() == list(range(n))
-    assert distances_from(r, n - 1).tolist() == list(range(n - 1, -1, -1))
+    assert distances_from(r, [0, n - 1]).tolist() == [list(range(n)), list(range(n - 1, -1, -1))]
     _assert_bfs_matches_oracle(r, [0, 777, n - 1])
+    _assert_bfs_matches_oracle(r, [0, 777], [[n - 1, 5], [776, 778]])
+
+
+@pytest.mark.parametrize("k", [65, 300])
+def test_distances_from_many_sources_span_words_and_batches(k):
+    # 65 sources take two words; 300 take two batches, of 4 words and 1.
+    r = generate_box(validate_params(2, 2.5, 0.5, 2.5), 8, BoxSpec(d=2, side=16), cutoff=4.0)
+    rng = np.random.default_rng(k)
+    sources = rng.integers(0, r.n_vertices, size=k)
+    sources[k // 2] = sources[0]  # a repeat in another word
+    targets = rng.integers(0, r.n_vertices, size=(k, 4))
+    _assert_bfs_matches_oracle(r, sources)
+    _assert_bfs_matches_oracle(r, sources, targets)
+    for name, value in (("_BFS_BATCH", 1), ("_PUSH_SHARE", 0), ("_PUSH_SHARE", math.inf)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, name, value)
+            _assert_bfs_matches_oracle(r, sources, targets)
+
+
+def test_distances_from_stops_at_the_farthest_target(monkeypatch):
+    n = 2000
+    edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1).astype(np.int64)
+    r = BoxRealization(spec=BoxSpec(d=1, side=n), params=P, seed=0, weights=None, edges=edges)
+    levels = []
+    plan = graph._pull_plan
+
+    class Counted(list):
+        def __iter__(self):  # iterated once per level
+            levels.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(graph, "_pull_plan", lambda indptr: Counted(plan(indptr)))
+    monkeypatch.setattr(graph, "_PUSH_SHARE", math.inf)  # every level pulls
+    assert distances_from(r, [0, 1000], [[3, 0], [1002, 998]]).tolist() == [[3, 0], [2, 2]]
+    assert len(levels) == 3
+    levels.clear()
+    assert distances_from(r, [5], [[5]]).tolist() == [[0]]  # no level to pull
+    assert levels == []
+    # Without targets the search runs until it has reached every vertex.
+    assert distances_from(r, [0])[0, -1] == n - 1
+    assert len(levels) == n - 1
+    levels.clear()
+    # or until the frontier is empty, the vertex past the path unreached.
+    longer = BoxRealization(spec=BoxSpec(d=1, side=n + 1), params=P, seed=0, weights=None,
+                            edges=edges)
+    assert distances_from(longer, [0])[0, -2:].tolist() == [n - 1, -1]
+    assert len(levels) == n
 
 
 def test_distances_from_reloaded_realization(tmp_path):
@@ -705,8 +836,8 @@ def test_distances_from_reloaded_realization(tmp_path):
     path = tmp_path / "box.txt"
     save_realization(r, path)
     back = load_realization(path)
-    for s in (0, 97, spec.vertex_count - 1):
-        assert _bits(distances_from(back, s)) == _bits(distances_from(r, s))
+    sources = [0, 97, spec.vertex_count - 1]
+    assert _bits(distances_from(back, sources)) == _bits(distances_from(r, sources))
     _assert_bfs_matches_oracle(back, [0, 97])
 
 
@@ -716,8 +847,7 @@ def test_adjacency_equals_lexsort_on_large_boxes():
               generate_box(validate_params(2, 2.5, 1.0, 2.5, ModelKind.SFP_NN), 4,
                            BoxSpec(d=2, side=40), cutoff=6.0)):
         indptr, indices = _lexsort_adjacency(r)
-        m = r.adjacency()
-        assert np.array_equal(m.indptr, indptr) and np.array_equal(m.indices, indices)
+        assert all(_bits(a) == _bits(b) for a, b in zip(r.adjacency(), (indptr, indices)))
         assert _bits(r.degrees()) == _bits(np.diff(indptr))
 
 
@@ -995,7 +1125,7 @@ for query in (clusters, lambda r: r.degrees(), lambda r: r.has_edges([(0, 1), (0
     assert not scipy_packages(), (query, scipy_packages())
 
 # A distances box whose largest cluster is tiny stops before any BFS;
-# one with a cluster to measure loads the traversal.
+# the numpy BFS measures the others, coupled or not.
 report = os.path.join(sys.argv[1], 'distances.csv')
 distances = ['distances', *model, '--side', '256', '--n-list', '4,8', '--sources', '4',
              '--out', report]
@@ -1003,8 +1133,11 @@ assert cli.main([*distances, '--lambda', '1e-300']) == 0
 with open(report) as fh:
     assert '#flag LargestClusterTiny' in fh.read()
 assert not scipy_packages(), ('distances tiny', scipy_packages())
-assert cli.main(distances) == 0
-assert 'scipy.sparse.csgraph' in sys.modules, scipy_packages()
+for extra in ([], ['--compare-lrp']):
+    assert cli.main([*distances, *extra]) == 0
+    with open(report) as fh:
+        assert sum(line.startswith('lrp,') for line in fh) == (2 if extra else 0)
+    assert not scipy_packages(), (['distances', *extra], scipy_packages())
 """
 
 
