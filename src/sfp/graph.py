@@ -137,18 +137,18 @@ class BoxRealization:
         """The symmetric CSR arrays (indptr, indices), int64, built on first use and cached.
 
         The neighbours of v are indices[indptr[v]:indptr[v + 1]], in
-        increasing order.  The edges are canonical, so the reversed pairs
-        list each row's lower neighbours in increasing order and the
-        forward pairs its higher ones: a stable sort of the doubled edge
-        list by row leaves every row sorted.  Only `distances_from` reads
-        the arrays; treat them as immutable.
+        increasing order: the arcs (v, u) of both directions of every edge
+        are sorted by their keys v * n + u (`_pair_keys`), which order them
+        by v and then u, and indices = key % n.  Only `distances_from` reads
+        the arrays; treat them as immutable.  Raises ParameterError for a
+        box too large to key, before any n-sized array is made.
         """
         if self._adjacency is None:
+            n = self.n_vertices
             lo, hi = self.edges[:, 0], self.edges[:, 1]
-            rows, cols = np.concatenate([hi, lo]), np.concatenate([lo, hi])
-            indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=self.n_vertices), out=indptr[1:])
-            indices = cols[np.argsort(rows, kind="stable")]
+            key = np.sort(np.concatenate([_pair_keys(hi, lo, n), _pair_keys(lo, hi, n)]))
+            indptr = np.concatenate([[0], np.cumsum(self.degrees())])
+            indices = key % n
             for a in (indptr, indices):
                 a.setflags(write=False)
             self._adjacency = indptr, indices
@@ -237,6 +237,7 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
         if total_pairs > pair_budget:
             raise too_large
         runs.append((lead, r_lo, r_hi))
+    _pair_keys(0, 0, n)  # a box too large to key raises here, before any n-sized array
 
     if weights_override is not None:
         weights = np.asarray(weights_override, dtype=np.float64)
@@ -308,8 +309,12 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
     bit for bit, at a fraction of the cost:
 
     - The edge hash absorbs the lower endpoint's coordinates first, so
-      that state is computed once per vertex (`prefix`).  Per block of
-      pairs only the partners' coordinates are absorbed, in place, into
+      that state is computed once per vertex (`prefix`).  The partner's
+      coordinates follow, the lead ones (all but the last) first: for
+      d >= 2 their state does not depend on the last offset, so a piece
+      absorbs them once per lead, over the lead's whole sub-box of lower
+      endpoints, into a cache of at most n words.  Per block of pairs
+      only the partners' last coordinates are absorbed, in place, into
       buffers reused across blocks.  A block is a sub-box of lower
       endpoints times a run of offsets (`_pair_blocks`), so every
       operand is a strided view or a broadcast coordinate axis; nothing
@@ -328,9 +333,13 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
       are decided in forked processes (`_map_forked`): a thread would
       hand the GIL back and forth at every small numpy call.  No block
       depends on the cut, and the closing sort orders the edges, so the
-      array is the same bit for bit at any worker count.
+      array is the same bit for bit at any worker count.  A piece that
+      starts in the middle of a lead absorbs that lead's state itself.
+    - Each piece returns the int64 keys i * n + j of its edges
+      (`_pair_keys`); one unstable sort of all keys, exact since no two
+      edges share a key, and divmod by n give the canonical array.
     """
-    L, d = spec.side, spec.d
+    L, d, n = spec.side, spec.d, spec.vertex_count
     forced = params.kind is ModelKind.SFP_NN
     shape = (L,) * d
     prefix = keyed_words(seed, TAG_EDGE, *spec.all_coords().T).reshape(shape)
@@ -347,29 +356,43 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
     y_weights = sliding_window_view(padded, L, axis=-1)
     strides = spec.strides
 
+    def lead_size(lead):
+        return math.prod(L - abs(dj) for dj in lead)
+
     def pairs(block):
         lead, rows, cols = block
-        return math.prod(L - abs(dj) for dj in lead) * len(rows) * len(cols)
+        return lead_size(lead) * len(rows) * len(cols)
 
     blocks = list(_pair_blocks(L, runs))
 
     def decide(piece):
-        eis, ejs = [], []
+        keys = []
         most = max(map(pairs, piece))
         h, tmp = np.empty(most, np.uint64), np.empty(most, np.uint64)
         t_buf, cand = np.empty(most, np.float64), np.empty(most, np.bool_)
         held, n_held = [], 0  # survivors (words, t, lower, upper) per block
+        if d > 1:
+            sub = max(lead_size(lead) for lead, _, _ in piece) * L
+            lead_buf, lead_tmp = np.empty(sub, np.uint64), np.empty(sub, np.uint64)
+        state_lead = state = None
 
         def settle():
             w, t, lo, hi = map(np.concatenate, zip(*held))
             opened = _opened(unit_from_word(w), t)
-            eis.append(lo[opened])
-            ejs.append(hi[opened])
+            keys.append(_pair_keys(lo[opened], hi[opened], n))
             held.clear()
 
         for lead, rows, cols in piece:
             lead_lo = tuple(slice(max(0, -dj), L - max(0, dj)) for dj in lead)
             lead_hi = tuple(slice(max(0, dj), L - max(0, -dj)) for dj in lead)
+            if lead != state_lead:
+                # The hash after x and the lead coordinates of x + delta, for
+                # the lead's whole lower sub-box: absorbed once per lead.
+                state_lead, state = lead, prefix[lead_lo]
+                for j in range(d - 1):
+                    col = axes[j][lead_hi[j]].reshape([-1 if k == j else 1 for k in range(d)])
+                    state = absorb(state, col, *(b[:state.size].reshape(state.shape)
+                                                 for b in (lead_buf, lead_tmp)))
             block = tuple(s.stop - s.start for s in lead_lo) + (len(rows), len(cols))
             m = math.prod(block)
             x_cols = lead_lo + (slice(cols.start, cols.stop),)
@@ -377,11 +400,7 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
                       slice(0, len(cols)))
 
             w, spare = h[:m].reshape(block), tmp[:m].reshape(block)
-            state = prefix[x_cols][..., None, :]
-            for j in range(d - 1):
-                col = axes[j][lead_hi[j]].reshape([-1 if k == j else 1 for k in range(d + 1)])
-                state = absorb(state, col, w, spare)
-            absorb(state, y_words[y_cols], w, spare)
+            absorb(state[..., None, cols.start:cols.stop], y_words[y_cols], w, spare)
             w = w.reshape(-1)
             bound = unit_lower_bound(w, tmp[:m]).reshape(block)
 
@@ -412,21 +431,28 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
                 n_held = 0
         if held:
             settle()
-        return eis, ejs
+        return keys
 
     found = _map_forked(decide, blocks, [pairs(b) for b in blocks], workers)
-    eis = [e for part, _ in found for e in part]
-    ejs = [e for _, part in found for e in part]
-
-    if eis:
-        ei = np.concatenate(eis)
-        ej = np.concatenate(ejs)
-        order = np.lexsort((ej, ei))
-        edges = np.stack([ei[order], ej[order]], axis=1)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    keys = [k for part in found for k in part]
+    key = np.sort(np.concatenate(keys)) if keys else np.empty(0, np.int64)
+    edges = np.stack(np.divmod(key, n), axis=1)
     edges.setflags(write=False)
     return edges
+
+
+def _pair_keys(rows, cols, n: int) -> np.ndarray:
+    """The int64 keys rows * n + cols of pairs of flat indices in [0, n).
+
+    Keys sort as the pairs do, row first, and divmod(key, n) gives a pair
+    back; no two pairs share a key, so an unstable sort is exact.  The
+    keys fit an int64 only while n^2 < 2^63, so a larger box raises
+    ParameterError.
+    """
+    if n * n >= 2 ** 63:
+        raise ParameterError(f"a box of {n} vertices is too large: pairs of its flat "
+                             f"indices are sorted by int64 keys, which need n^2 < 2^63")
+    return rows * n + cols
 
 
 def _opened(u: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -892,12 +918,52 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# Record lines per chunk of the writer: a chunk's text, or the byte
+# matrix of its edge lines, stays a few MB.
+_CHUNK_LINES = 1 << 16
+
+
 def _record_text(fmt: str, columns):
-    """One `fmt` line per row of the columns, %-formatted 2^16 rows at a time."""
-    for s in range(0, len(columns[0]), 1 << 16):
-        rows = zip(*(c[s:s + (1 << 16)].tolist() for c in columns))
+    """One `fmt` line per row of the columns, %-formatted _CHUNK_LINES rows at a time."""
+    for s in range(0, len(columns[0]), _CHUNK_LINES):
+        rows = zip(*(c[s:s + _CHUNK_LINES].tolist() for c in columns))
         values = tuple(itertools.chain.from_iterable(rows))
         yield (fmt * (len(values) // len(columns))) % values
+
+
+def _edge_lines(spec: BoxSpec, edges: np.ndarray):
+    """The `e` lines of the edges as ASCII bytes, _CHUNK_LINES lines at a time.
+
+    A chunk's lines are laid out in a zero-filled uint8 matrix, one row
+    per line: `e`, then for each coordinate a space, a sign byte if the
+    chunk has a negative coordinate, and the digits right-aligned in a
+    field as wide as the chunk's widest magnitude, then a newline.
+    Dropping the zero bytes leaves the text of "e %d %d ...".  Magnitudes
+    are uint64, where -(-2^63) is 2^63 and not the int64 -2^63 that abs
+    gives.
+    """
+    for s in range(0, len(edges), _CHUNK_LINES):
+        coords = spec.coords_of(edges[s:s + _CHUNK_LINES]).reshape(-1, 2 * spec.d)
+        neg = coords < 0
+        signed = bool(neg.any())
+        mag = coords.view(np.uint64)
+        np.negative(mag, out=mag, where=neg)
+        width = len(str(int(mag.max())))
+        if width < 10:
+            mag = mag.astype(np.uint32)  # divides faster
+        rows, cols = coords.shape
+        field = 1 + signed + width
+        m = np.zeros((rows, cols * field + 2), dtype=np.uint8)
+        m[:, 0], m[:, -1] = ord("e"), ord("\n")
+        fields = m[:, 1:-1].reshape(rows, cols, field)
+        fields[..., 0] = ord(" ")
+        if signed:
+            fields[..., 1] = neg * ord("-")
+        for k in range(width):  # digit k from the right, left 0 past the leading digit
+            q = mag // 10
+            fields[..., -1 - k] = (mag - q * 10 + ord("0")) * ((mag > 0) | (k == 0))
+            mag = q
+        yield m[m != 0].tobytes()
 
 
 def save_realization(r: BoxRealization, path) -> None:
@@ -911,15 +977,15 @@ def save_realization(r: BoxRealization, path) -> None:
         meta += f" trunc={_fmt(r.trunc)}"
         if r.trunc_bias is not None:
             meta += f" truncbias={_fmt(r.trunc_bias)}"
-    parts = [f"{FORMAT_HEADER}\n{meta}\n"]
-    d = r.spec.d
-    if r.weights is not None:
-        # %r of a Python float is repr(float), the same text as _fmt.
-        parts += _record_text("w" + " %d" * d + " %r\n", [*r.spec.all_coords().T, r.weights])
-    ends = r.spec.coords_of(r.edges)  # (E, 2, d)
-    parts += _record_text("e" + " %d" * (2 * d) + "\n", list(ends.reshape(-1, 2 * d).T))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+    with open(path, "wb") as fh:
+        fh.write(f"{FORMAT_HEADER}\n{meta}\n".encode())
+        if r.weights is not None:
+            # %r of a Python float is repr(float), the same text as _fmt.
+            fmt = "w" + " %d" * r.spec.d + " %r\n"
+            for text in _record_text(fmt, [*r.spec.all_coords().T, r.weights]):
+                fh.write(text.encode())
+        for chunk in _edge_lines(r.spec, r.edges):
+            fh.write(chunk)
 
 
 def _outside_box(spec: BoxSpec, coords: np.ndarray, line_nos, per_record: int):

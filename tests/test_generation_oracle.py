@@ -101,6 +101,46 @@ def test_generated_edges_equal_per_pair_oracle(case):
     assert deg.dtype == np.int64 and np.array_equal(deg, np.diff(r.adjacency()[0]))
 
 
+LEAD_BOXES = [
+    (ModelParams(d=2, alpha=3.0, lambda_=2.0, tau=2.5, kind=ModelKind.SFP),
+     BoxSpec(d=2, side=7, origin=(-3, 5)), 3.5),
+    (ModelParams(d=2, alpha=2.5, lambda_=5.0, tau=2.5, kind=ModelKind.LRP),
+     BoxSpec(d=2, side=6, origin=(40, -41)), None),
+    (ModelParams(d=3, alpha=4.0, lambda_=4.0, tau=2.5, kind=ModelKind.SFP_NN),
+     BoxSpec(d=3, side=4, origin=(2, -1, -6)), None),
+]
+
+
+@pytest.mark.parametrize("block", [5, 64])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_lead_state_is_absorbed_anew_for_each_lead(block, workers, monkeypatch):
+    # `_open_pairs` absorbs the lead coordinates once per lead and reuses
+    # that state for every block of the lead.  At these block sizes a lead
+    # spans several offsets and column pieces, and at 2 and 3 workers some
+    # piece starts in the middle of a lead.
+    monkeypatch.setattr(graph, "_BLOCK_PAIRS", block)
+    maps, map_forked = [], graph._map_forked
+
+    def recording(fn, items, sizes, n_workers):
+        maps.append((items, sizes))
+        return map_forked(fn, items, sizes, n_workers)
+
+    monkeypatch.setattr(graph, "_map_forked", recording)
+    for params, spec, cutoff in LEAD_BOXES:
+        r = generate_box(params, 11, spec, cutoff=cutoff, workers=workers)
+        assert r.n_edges > 0
+        assert np.array_equal(r.edges, _oracle_edges(params, 11, spec, cutoff, None))
+    for items, sizes in maps:
+        leads = [lead for lead, _, _ in items]
+        assert max(leads.count(lead) for lead in set(leads)) > 2
+        # The piece of each block, as `_map_forked` cuts them.
+        starts = itertools.accumulate(sizes[:-1], initial=0)
+        piece = [workers * before // sum(sizes) for before in starts]
+        mid_lead = [i for i in range(1, len(items))
+                    if piece[i] != piece[i - 1] and leads[i] == leads[i - 1]]
+        assert bool(mid_lead) == (workers > 1)
+
+
 def _loop_truncation_bias(spec, params, weights, cutoff):
     """The per-lag and per-pair Python loops `_truncation_bias` replaced."""
     L, d = spec.side, spec.d

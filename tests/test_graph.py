@@ -392,6 +392,44 @@ def test_pair_budget_stops_enumeration_with_cutoff(monkeypatch):
     assert produced == [((0,), 1, 501)]
 
 
+def _too_large_to_key(n):
+    return pytest.raises(ParameterError, match=rf"^a box of {n} vertices is too large")
+
+
+def _no_vertex_array(*args):
+    raise AssertionError("an array over every vertex was made for a box too large to key")
+
+
+def test_a_box_too_large_to_key_is_refused_before_any_vertex_array(monkeypatch):
+    # 2^32 vertices: the int64 key i * n + j of a pair needs n^2 < 2^63.
+    # The L - 1 pairs within the cutoff are under the budget, so only the
+    # key bound refuses the box, before the weights are drawn.
+    monkeypatch.setattr(BoxSpec, "all_coords", _no_vertex_array)
+    with _too_large_to_key(2 ** 32):
+        generate_box(P, 0, BoxSpec(d=1, side=2 ** 32), cutoff=1, pair_budget=2 ** 40)
+
+
+def test_pair_keys_fit_int64_up_to_the_bound():
+    n = math.isqrt(2 ** 63)  # 3,037,000,499: n^2 < 2^63 <= (n + 1)^2
+    key = graph._pair_keys(np.array([n - 1]), np.array([n - 1]), n)
+    assert key.dtype == np.int64 and int(key[0]) == n * n - 1
+    with _too_large_to_key(n + 1):
+        graph._pair_keys(np.array([0]), np.array([1]), n + 1)
+
+
+def test_adjacency_of_a_loaded_box_too_large_to_key_is_refused(tmp_path, monkeypatch):
+    n = math.isqrt(2 ** 63) + 1
+    path = tmp_path / "long-line.txt"
+    path.write_text(f"#sfp-box v1\nd=1 alpha=1.5 lambda=1.0 tau=2.5 model=lrp L={n} seed=0\n"
+                    f"e 0 1\n")
+    r = graph.load_realization(path)
+    assert r.n_vertices == n and r.n_edges == 1
+    monkeypatch.setattr(BoxRealization, "degrees", _no_vertex_array)
+    with _too_large_to_key(n):
+        r.adjacency()
+    assert r._adjacency is None
+
+
 def _phi_pareto_15(c):
     # E[exp(-c W)] for P(W >= w) = w^-1.5: exact via erfc.
     c = np.asarray(c, dtype=float)

@@ -4,6 +4,11 @@ Round trip: over model kind x d in {1, 2, 3} x side x origin (negative
 coordinates included) x cutoff or none x seed, `load(save(r))` equals
 `r` bit for bit and `save(load(f))` rewrites the bytes of `f`.
 
+Writer: the bytes `save_realization` writes equal those of the
+%-formatting writer it replaced (kept below as `_percent_file`), over
+d in {1, 2, 3}, origins at both ends of the int64 range, LRP boxes
+without weights, boxes without edges, and chunks of 1 and 3 lines.
+
 Fuzz: one record line of a valid file is changed.  Whitespace changes
 and any reordering of the records load the same realization; a dropped
 field, a non-integer token, an out-of-box coordinate or reversed edge
@@ -12,14 +17,18 @@ endpoints raise ParseError naming that line, and no other exception.
 The examples are derandomized, so every run checks the same cases.
 """
 
+import itertools
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from sfp.graph import BoxSpec, ParseError, generate_box, load_realization, save_realization
+from sfp import graph
+from sfp.graph import (BoxRealization, BoxSpec, ParseError, generate_box, load_realization,
+                       save_realization)
 from sfp.params import ModelKind, ModelParams
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -135,3 +144,68 @@ def test_broken_record_raises_parse_error_at_its_line(r, mutation, data):
         _load_text("\n".join(lines) + "\n")
     assert exc.value.line_number == i + 1
 
+
+def _percent_file(r) -> bytes:
+    """The file as the writer that %-formatted every line wrote it: the oracle."""
+    fmt = lambda x: repr(float(x))
+    meta = (f"d={r.spec.d} alpha={fmt(r.params.alpha)} lambda={fmt(r.params.lambda_)} "
+            f"tau={fmt(r.params.tau)} model={r.params.kind.value} L={r.spec.side} "
+            f"seed={r.seed}")
+    if any(c != 0 for c in r.spec.origin):
+        meta += " origin=" + ",".join(str(c) for c in r.spec.origin)
+    if r.trunc is not None:
+        meta += f" trunc={fmt(r.trunc)}"
+        if r.trunc_bias is not None:
+            meta += f" truncbias={fmt(r.trunc_bias)}"
+    lines = ["#sfp-box v1", meta]
+    if r.weights is not None:
+        for c, w in zip(r.spec.all_coords().tolist(), r.weights.tolist()):
+            lines.append(("w" + " %d" * r.spec.d + " %r") % (*c, w))
+    for ends in r.spec.coords_of(r.edges).reshape(-1, 2 * r.spec.d).tolist():
+        lines.append(("e" + " %d" * (2 * r.spec.d)) % tuple(ends))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def written_boxes(draw):
+    """Realizations built by hand: any canonical edges, origins anywhere in int64."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    side = draw(st.integers(2, MAX_SIDE[d]))
+    axis = (st.sampled_from([-2 ** 63, 2 ** 63 - side, -1, 0]) | st.integers(-60, 60)
+            | st.integers(-2 ** 63, 2 ** 63 - side))
+    spec = BoxSpec(d=d, side=side, origin=tuple(draw(st.lists(axis, min_size=d, max_size=d))))
+    kind = draw(st.sampled_from(list(ModelKind)))
+    params = ModelParams(d=d, alpha=d + 0.5, lambda_=2.0, tau=2.5, kind=kind)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = spec.vertex_count
+    weights = None
+    if kind is not ModelKind.LRP:
+        weights = np.minimum((1.0 - rng.random(n)) ** -draw(st.sampled_from([0.5, 40.0])), 1e300)
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
+    # Relative coordinates, so that the squared distances cannot wrap.
+    steps = np.diff(spec.coords_of(pairs) - np.array(spec.origin), axis=1)
+    nn = (kind is ModelKind.SFP_NN) & (np.sum(steps * steps, axis=-1)[:, 0] == 1)
+    share = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    edges = pairs[(rng.random(len(pairs)) < share) | nn].reshape(-1, 2)
+    trunc = draw(st.none() | st.floats(1.0, 1e6))
+    bias = None if trunc is None else draw(st.none() | st.floats(0.0, 1e9))
+    return BoxRealization(spec=spec, params=params, seed=draw(st.integers(0, 2 ** 64 - 1)),
+                          weights=weights, edges=edges, trunc=trunc, trunc_bias=bias)
+
+
+@SETTINGS
+@given(written_boxes(), st.sampled_from([1, 3, graph._CHUNK_LINES]))
+def test_written_bytes_equal_the_percent_writer(r, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_CHUNK_LINES", chunk)
+        path = _write("")
+        try:
+            save_realization(r, path)
+            data = path.read_bytes()
+            assert data == _percent_file(r)
+            back = load_realization(path)
+            assert _same(back, r)
+            save_realization(back, path)
+            assert path.read_bytes() == data
+        finally:
+            path.unlink()
