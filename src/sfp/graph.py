@@ -23,6 +23,12 @@ seed among its edges only, by the same rule.
 
 Clusters come from the edge array, and hop counts from a bit-parallel
 multi-source BFS over cached CSR arrays: the module uses numpy alone.
+
+`save_realization` and `load_realization` write and read the text
+format v1 _CHUNK_LINES record lines at a time in numpy.  A file in the
+writer's layout is parsed straight into the final arrays, so a load
+holds them and a few chunks; any other file goes through a per-line
+loop that names the first bad line.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import signal
 from array import array
 from dataclasses import dataclass, field, replace
@@ -88,7 +95,11 @@ class BoxSpec:
 
     def coords_of(self, flat) -> np.ndarray:
         """Absolute lattice coordinates for flat indices (row-major), shape (..., d)."""
-        return np.stack(np.unravel_index(flat, (self.side,) * self.d), axis=-1) + self.origin
+        flat = np.asarray(flat, dtype=np.int64)
+        out = np.empty(flat.shape + (self.d,), dtype=np.int64)
+        for j, (stride, o) in enumerate(zip(self.strides, self.origin)):
+            out[..., j] = flat // stride % self.side + o
+        return out
 
     def flat_of(self, coords) -> np.ndarray:
         """Flat indices for absolute coordinates; raises VertexOutOfBox."""
@@ -918,56 +929,60 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# Record lines per chunk of the writer: a chunk's text, or the byte
-# matrix of its edge lines, stays a few MB.
+# Record lines per chunk of the writer and of the loader: a chunk's text,
+# its byte matrix or its token arrays stay a few MB.
 _CHUNK_LINES = 1 << 16
 
-
-def _record_text(fmt: str, columns):
-    """One `fmt` line per row of the columns, %-formatted _CHUNK_LINES rows at a time."""
-    for s in range(0, len(columns[0]), _CHUNK_LINES):
-        rows = zip(*(c[s:s + _CHUNK_LINES].tolist() for c in columns))
-        values = tuple(itertools.chain.from_iterable(rows))
-        yield (fmt * (len(values) // len(columns))) % values
+# A line break of str.splitlines other than "\n" and the "\r" of "\r\n",
+# with a field after it on its line.  str.split() would read it as a
+# separator; the format ends a line only at "\n".
+_STRAY_BREAK = re.compile(r"[\r\v\f\x1c-\x1e\x85\u2028\u2029](?=[^\S\n]*\S)")
 
 
-def _edge_lines(spec: BoxSpec, edges: np.ndarray):
-    """The `e` lines of the edges as ASCII bytes, _CHUNK_LINES lines at a time.
+def _record_lines(tag: str, coords: np.ndarray, tails=None) -> bytes:
+    """The record lines "tag %d %d ..." of the rows of coords, as ASCII bytes.
 
-    A chunk's lines are laid out in a zero-filled uint8 matrix, one row
-    per line: `e`, then for each coordinate a space, a sign byte if the
-    chunk has a negative coordinate, and the digits right-aligned in a
-    field as wide as the chunk's widest magnitude, then a newline.
-    Dropping the zero bytes leaves the text of "e %d %d ...".  Magnitudes
-    are uint64, where -(-2^63) is 2^63 and not the int64 -2^63 that abs
-    gives.
+    The lines are laid out in a zero-filled uint8 matrix, one row per
+    line: the tag, then for each coordinate a space, a sign byte if a
+    coordinate is negative, and the digits right-aligned in a field as
+    wide as the widest magnitude; then, if `tails` (an S array, one item
+    per row) is given, a space and the row's item; then a newline.
+    Dropping the zero bytes leaves the text.  Magnitudes are uint64,
+    where -(-2^63) is 2^63 and not the int64 -2^63 that abs gives; the
+    caller's coords are negated in place.
     """
-    for s in range(0, len(edges), _CHUNK_LINES):
-        coords = spec.coords_of(edges[s:s + _CHUNK_LINES]).reshape(-1, 2 * spec.d)
-        neg = coords < 0
-        signed = bool(neg.any())
-        mag = coords.view(np.uint64)
-        np.negative(mag, out=mag, where=neg)
-        width = len(str(int(mag.max())))
-        if width < 10:
-            mag = mag.astype(np.uint32)  # divides faster
-        rows, cols = coords.shape
-        field = 1 + signed + width
-        m = np.zeros((rows, cols * field + 2), dtype=np.uint8)
-        m[:, 0], m[:, -1] = ord("e"), ord("\n")
-        fields = m[:, 1:-1].reshape(rows, cols, field)
-        fields[..., 0] = ord(" ")
-        if signed:
-            fields[..., 1] = neg * ord("-")
-        for k in range(width):  # digit k from the right, left 0 past the leading digit
-            q = mag // 10
-            fields[..., -1 - k] = (mag - q * 10 + ord("0")) * ((mag > 0) | (k == 0))
-            mag = q
-        yield m[m != 0].tobytes()
+    neg = coords < 0
+    signed = bool(neg.any())
+    mag = coords.view(np.uint64)
+    np.negative(mag, out=mag, where=neg)
+    width = len(str(int(mag.max())))
+    if width < 10:
+        mag = mag.astype(np.uint32)  # divides faster
+    rows, cols = coords.shape
+    field = 1 + signed + width
+    tail = 0 if tails is None else 1 + tails.itemsize
+    m = np.zeros((rows, 1 + cols * field + tail + 1), dtype=np.uint8)
+    m[:, 0], m[:, -1] = ord(tag), ord("\n")
+    fields = m[:, 1:1 + cols * field].reshape(rows, cols, field)
+    fields[..., 0] = ord(" ")
+    if signed:
+        fields[..., 1] = neg * ord("-")
+    for k in range(width):  # digit k from the right, left 0 past the leading digit
+        q = mag // 10
+        fields[..., -1 - k] = (mag - q * 10 + ord("0")) * ((mag > 0) | (k == 0))
+        mag = q
+    if tails is not None:
+        m[:, -1 - tail] = ord(" ")
+        m[:, -tail:-1] = tails.view(np.uint8).reshape(rows, -1)
+    return m[m != 0].tobytes()
 
 
 def save_realization(r: BoxRealization, path) -> None:
-    """Write the text format v1; weights in shortest round-trip decimals."""
+    """Write the text format v1; weights in shortest round-trip decimals.
+
+    The `w` and `e` lines are laid out by `_record_lines`, _CHUNK_LINES
+    at a time; each weight's text is its repr, as `_fmt` writes it.
+    """
     meta = (f"d={r.spec.d} alpha={_fmt(r.params.alpha)} lambda={_fmt(r.params.lambda_)} "
             f"tau={_fmt(r.params.tau)} model={r.params.kind.value} L={r.spec.side} "
             f"seed={r.seed}")
@@ -977,29 +992,36 @@ def save_realization(r: BoxRealization, path) -> None:
         meta += f" trunc={_fmt(r.trunc)}"
         if r.trunc_bias is not None:
             meta += f" truncbias={_fmt(r.trunc_bias)}"
+    spec, k = r.spec, _CHUNK_LINES
     with open(path, "wb") as fh:
         fh.write(f"{FORMAT_HEADER}\n{meta}\n".encode())
-        if r.weights is not None:
-            # %r of a Python float is repr(float), the same text as _fmt.
-            fmt = "w" + " %d" * r.spec.d + " %r\n"
-            for text in _record_text(fmt, [*r.spec.all_coords().T, r.weights]):
-                fh.write(text.encode())
-        for chunk in _edge_lines(r.spec, r.edges):
-            fh.write(chunk)
+        weights = () if r.weights is None else r.weights
+        for s in range(0, len(weights), k):
+            text = np.array([repr(w) for w in weights[s:s + k].tolist()], dtype="S")
+            fh.write(_record_lines("w", spec.coords_of(np.arange(s, s + len(text))), text))
+        for s in range(0, len(r.edges), k):
+            fh.write(_record_lines("e", spec.coords_of(r.edges[s:s + k]).reshape(-1, 2 * spec.d)))
 
 
-def _outside_box(spec: BoxSpec, coords: np.ndarray, line_nos, per_record: int):
-    """ParseError for the first record with a vertex outside the box, or None.
+def _flat_index(spec: BoxSpec, coords: np.ndarray, line_nos, per_record: int):
+    """Flat indices of absolute vertex coordinates (k, d), and None.
 
-    `coords` holds `per_record` vertices (rows) per record, records in
-    file order; `line_nos[k]` is the line of record k.
+    Records hold `per_record` vertices (rows) each, in file order, and
+    `line_nos[i]` is the line of record i.  If a vertex is outside the
+    box, returns None and the ParseError of the first such record.
     """
-    rel = coords - np.asarray(spec.origin, dtype=np.int64)
-    out = np.flatnonzero(np.any((rel < 0) | (rel >= spec.side), axis=1))
-    if out.size == 0:
-        return None
-    k = int(out[0])
-    return ParseError(line_nos[k // per_record], f"coordinates {coords[k].tolist()} outside box")
+    flat = np.zeros(len(coords), dtype=np.int64)
+    out = np.zeros(len(coords), dtype=bool)
+    for j, o in enumerate(spec.origin):  # Horner over the axes
+        rel = coords[:, j] - o
+        out |= rel.view(np.uint64) >= spec.side  # unsigned, a negative offset is past the side
+        flat *= spec.side
+        flat += rel
+    if out.any():
+        k = int(np.argmax(out))
+        return None, ParseError(line_nos[k // per_record],
+                                f"coordinates {coords[k].tolist()} outside box")
+    return flat, None
 
 
 def _missing_nn_edge(r: BoxRealization):
@@ -1065,150 +1087,297 @@ def _scan_records(lines, d: int, weighted: bool):
     return wc, np.frombuffer(w_values, dtype=np.float64), w_lines, ec, e_lines, failure
 
 
-def _scan_layout(lines, d: int, n_weights: int):
-    """Parse a file in the writer's layout with two numpy passes, or None.
+def _line_chunks(fh, counts, line_bytes: int):
+    """For each n in counts, the next n lines of fh as a uint8 array;
+    stops early at the end of the file.
 
-    That layout is n_weights `w` lines, then `e` lines to the end, each
-    with exactly its fields and no blank line between.  Returns what
-    _scan_records returns, the line numbers as ranges; None for any
-    other file, and for tokens that numpy does not parse as int() and
-    float() do (such as 1_0 or non-ASCII digits).
+    Reads (lines still needed) x 5/4 x line_bytes at a time, and keeps
+    the bytes read past a chunk, with their "\n" offsets, for the next.
     """
-    def records(rows, fields):
-        # The tag is a field, so every row must hold exactly these fields.
-        # U2 keeps a longer tag (ew) from passing as its first letter.
-        dtype = np.dtype([("t", "U2"), *fields])
-        if not rows:
-            return np.empty(0, dtype)
-        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+    data, ends = b"", np.empty(0, dtype=np.int64)
+    for n in counts:
+        while len(ends) < n:
+            more = fh.read((n - len(ends)) * line_bytes * 5 // 4 + 64)
+            if not more:
+                return
+            found = np.flatnonzero(np.frombuffer(more, dtype=np.uint8) == 10)
+            ends = np.concatenate([ends, found + len(data)])
+            data += more
+        end = int(ends[n - 1]) + 1
+        yield np.frombuffer(data, dtype=np.uint8, count=end)
+        data, ends = data[end:], ends[n:] - end
 
-    # Slices share the line strings.  loadtxt skips blank lines, so the
-    # row counts below catch them; a blank last row, caught here, would
-    # also make loadtxt warn of a slice with no data.
-    w_rows, e_rows = lines[2:2 + n_weights], lines[2 + n_weights:]
-    if any(not row.strip() for row in w_rows[-1:] + e_rows[-1:]):
+
+def _layout_ints(b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The int64 values of the tokens b[lo:hi], or None unless each is an
+    optional "-" and 1 to 19 digits, with its value in int64."""
+    neg = b[lo] == ord("-")
+    digits = hi - lo - neg
+    if not (np.all(digits >= 1) and np.all(digits <= 19)):
         return None
+    width = int(digits.max(initial=0))
+    digits = digits.astype(np.uint8)
+    mag = np.zeros(len(lo), dtype=np.uint64 if width > 9 else np.uint32)
+    top = np.zeros(len(lo), dtype=np.uint8)  # the largest digit, > 9 for any other byte
+    for k in range(width, 0, -1):  # Horner, k-th digit from the right
+        digit = b.take(hi - k, mode="clip") - np.uint8(ord("0"))  # wraps below "0"
+        digit = np.where(digits >= k, digit, np.uint8(0))
+        np.maximum(top, digit, out=top)
+        mag *= 10
+        mag += digit
+    if top.max(initial=0) > 9 or np.any(mag > np.uint64(2 ** 63 - 1) + neg):
+        return None
+    out = mag.astype(np.int64)
+    np.negative(out, out=out, where=neg)
+    return out
+
+
+def _layout_floats(b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """float() of each token b[lo:hi], or None if float() rejects one or
+    one is longer than 32 bytes (repr never is)."""
+    width = int((hi - lo).max())
+    if width > 32:
+        return None
+    text = np.zeros((len(lo), width), dtype=np.uint8)
+    for c in range(width):
+        at = lo + c
+        text[:, c] = np.where(at < hi, b.take(at, mode="clip"), 0)
     try:
-        w = records(w_rows, [("c", np.int64, (d,)), ("w", np.float64)])
-        e = records(e_rows, [("c", np.int64, (2 * d,))])
+        return np.fromiter(map(float, text.view(f"S{width}").ravel().tolist()),
+                           dtype=np.float64, count=len(lo))
     except ValueError:
         return None
-    if (len(w) != n_weights or len(w) + len(e) != len(lines) - 2
-            or not np.all(w["t"] == "w") or not np.all(e["t"] == "e")):
+
+
+def _layout_records(spec: BoxSpec, b: np.ndarray, n: int, tag: str, first_line: int):
+    """The flat vertex indices and, for `w`, the weights of the n record
+    lines in b, all tagged `tag`, in file order; None unless each is laid
+    out as the writer does.  Raises the ParseError of the first vertex
+    outside the box."""
+    d = spec.d
+    n_ints = d if tag == "w" else 2 * d
+    fields = n_ints + (tag == "w")
+    # Field j of line i is b[sep[i, j] + 1:sep[i, j + 1]]; the token
+    # parsers reject an empty field.
+    sep = np.flatnonzero(b <= 32)
+    if sep.size != n * (fields + 1):
         return None
-    return (w["c"], w["w"], range(3, 3 + n_weights), e["c"].reshape(-1, d),
-            range(3 + n_weights, len(lines) + 1), None)
+    sep = sep.astype(np.int32 if len(b) < 2 ** 31 else np.int64).reshape(n, fields + 1)
+    starts = np.concatenate([[0], sep[:-1, -1] + 1])
+    if not (np.count_nonzero(b == 32) == n * fields and np.all(b[sep[:, -1]] == 10)
+            and np.all(b[starts] == ord(tag)) and np.all(b[starts + 1] == 32)):
+        return None
+    coords = np.empty((n, n_ints), dtype=np.int64)
+    for j in range(n_ints):
+        v = _layout_ints(b, sep[:, j] + 1, sep[:, j + 1])
+        if v is None:
+            return None
+        coords[:, j] = v
+    weights = None if tag == "e" else _layout_floats(b, sep[:, d] + 1, sep[:, d + 1])
+    if tag == "w" and weights is None:
+        return None
+    del sep
+    flat, fault = _flat_index(spec, coords.reshape(-1, d),
+                              range(first_line, first_line + n), n_ints // d)
+    if fault:
+        raise fault
+    return flat, weights
 
 
-def _read_lines(path) -> list:
-    """The lines of a UTF-8 file; ParseError at the line of a byte that is not UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _scan_layout(fh, n_records: int, spec: BoxSpec, n_weights: int):
+    """Parse the records of a file in the writer's layout, or None.
+
+    That layout is n_weights `w` lines, then `e` lines to the end: each
+    line its tag and fields separated by single spaces and ended by
+    "\n", each coordinate an optional "-" and 1 to 19 digits.  `fh` is an
+    ASCII file at its third line, with n_records lines left.  The `w`
+    lines, then the `e` lines, are parsed _CHUNK_LINES at a time in
+    numpy, straight into preallocated arrays: the flat index and the
+    weight of each `w` line and the flat endpoints (m, 2) of each `e`
+    line, in file order.  Raises the ParseError of the first vertex
+    outside the box.  Returns None for any other file, and for
+    coordinates outside int64 and weights that float() rejects, which
+    `_scan_records` then reports.
+    """
+    if n_records < n_weights:
+        return None
+    w_flat = np.empty(n_weights, dtype=np.int64)
+    values = np.empty(n_weights, dtype=np.float64)
+    pairs = np.empty((n_records - n_weights, 2), dtype=np.int64)
+    k, parsed = _CHUNK_LINES, 0
+    plan = [(tag, s, min(k, total - s)) for tag, total in (("w", n_weights), ("e", len(pairs)))
+            for s in range(0, total, k)]
+    line_bytes = (os.fstat(fh.fileno()).st_size - fh.tell()) // max(n_records, 1) + 1
+    chunks = _line_chunks(fh, [n for _, _, n in plan], line_bytes)
+    for (tag, s, n), b in zip(plan, chunks):
+        got = _layout_records(spec, b, n, tag, 3 + s + (tag == "e") * n_weights)
+        if got is None:
+            return None
+        if tag == "w":
+            w_flat[s:s + n], values[s:s + n] = got
+        else:
+            pairs[s:s + n] = got[0].reshape(-1, 2)
+        parsed += n
+    return (w_flat, values, pairs) if parsed == n_records else None
+
+
+def _count_lines(fh) -> tuple:
+    """The lines of a binary file, counted by "\n", and whether it is all ASCII."""
+    count, ascii_only, last = 0, True, b"\n"
+    while block := fh.read(_CHUNK_LINES << 4):  # about one chunk's text
+        count += block.count(b"\n")
+        ascii_only = ascii_only and block.isascii()
+        last = block[-1:]
+    return count + (last != b"\n"), ascii_only
+
+
+def _split_lines(data: bytes) -> tuple:
+    """The lines of UTF-8 bytes, and the ParseError of the first stray line break or None.
+
+    Lines end at "\n", less one "\r" before it.  Raises ParseError at the
+    line of a byte that is not UTF-8.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # "x" stands in for the bad byte, which may start a line.
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(line, f"byte 0x{data[exc.start]:02x} is not UTF-8 "
-                               f"({exc.reason})") from None
-    del data  # before the lines are built
-    return text.splitlines()
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                         f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+    stray = _STRAY_BREAK.search(text)
+    if stray:
+        stray = ParseError(text.count("\n", 0, stray.start()) + 1,
+                           f"stray line break {stray.group()!r} (lines end at '\\n')")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line[:-1] if line[-1:] == "\r" else line for line in lines], stray
 
 
 def load_realization(path) -> BoxRealization:
     """Parse the text format v1 back into a BoxRealization (bit-exact).
 
-    Records may come in any order and their fields may be separated by
-    any whitespace; blank lines are skipped.  Rejects, with the offending
-    line number: a header other than FORMAT_HEADER, bytes that are not
-    UTF-8, unknown metadata keys, a seed outside [0, 2^64), malformed
-    records, coordinates outside the box, weights that are not finite or
-    below 1, a second weight for a vertex, self-loops, edges whose lower
-    endpoint (in flat order) is not written first, and duplicate edges.
-    Missing weights, and for sfpnn a missing nearest-neighbour edge, are
-    reported at the line after the last.
+    Lines end at "\n" (or "\r\n").  Records may come in any order and
+    their fields may be separated by any whitespace other than a line
+    break; blank lines are skipped.  Rejects, with the offending line
+    number: a header other than FORMAT_HEADER, bytes that are not UTF-8,
+    a line break that str.splitlines knows but the format does not (such
+    as "\v", "\x85" or a lone "\r") before a field, unknown metadata
+    keys, a seed outside [0, 2^64), malformed records, coordinates
+    outside the box, weights that are not finite or below 1, a second
+    weight for a vertex, self-loops, edges whose lower endpoint (in flat
+    order) is not written first, and duplicate edges.  Missing weights,
+    and for sfpnn a missing nearest-neighbour edge, are reported at the
+    line after the last.
 
-    A file in the layout `save_realization` writes is parsed by two
-    numpy passes (`_scan_layout`); any other file, hand-edited or
-    malformed, by one Python pass over its lines (`_scan_records`),
-    which names the first bad line.  Every check then runs in numpy;
-    edges already in the writer's order skip the sort.
+    The file is read twice in blocks: once to count its lines and check
+    that it is ASCII, once to parse it.  A file in the layout
+    `save_realization` writes is parsed _CHUNK_LINES lines at a time in
+    numpy (`_scan_layout`), so the memory beyond the final arrays is a
+    few chunks; any other file, hand-edited or malformed, by one Python
+    pass over its lines (`_scan_records`), which names the first bad
+    line.  Every check then runs in numpy; edges already in the writer's
+    order skip the sort.
     """
-    lines = _read_lines(path)
-    if not lines or lines[0] != FORMAT_HEADER:
-        got = lines[0] if lines else "<empty file>"
-        raise ParseError(1, f"expected {FORMAT_HEADER!r}, got {got!r}")
-    if len(lines) < 2:
-        raise ParseError(2, "missing metadata line")
+    with open(path, "rb") as fh:
+        n_lines, ascii_only = _count_lines(fh)
+        fh.seek(0)
+        # A file that is not ASCII is never in the writer's layout; decoding
+        # it first puts a UTF-8 fault before all others.
+        if ascii_only:
+            head, stray = _split_lines(fh.readline() + fh.readline())
+        else:
+            lines, stray = _split_lines(fh.read())
+            head = lines[:2]
+        if not head or head[0] != FORMAT_HEADER:
+            got = head[0] if head else "<empty file>"
+            raise ParseError(1, f"expected {FORMAT_HEADER!r}, got {got!r}")
+        if len(head) < 2:
+            raise ParseError(2, "missing metadata line")
+        if stray and stray.line_number == 2:
+            raise stray
 
-    meta = {}
-    for tok in lines[1].split():
-        if "=" not in tok:
-            raise ParseError(2, f"bad metadata token {tok!r}")
-        k, v = tok.split("=", 1)
-        if k not in _META_KEYS:
-            raise ParseError(2, f"unknown metadata key {k!r}")
-        if k in meta:
-            raise ParseError(2, f"repeated metadata key {k!r}")
-        meta[k] = v
-    try:
-        d = int(meta["d"])
-        side = int(meta["L"])
-        kind = ModelKind.parse(meta["model"])
-        params = ModelParams(d=d, alpha=float(meta["alpha"]),
-                             lambda_=float(meta["lambda"]),
-                             tau=float(meta["tau"]), kind=kind)
-        seed = int(meta["seed"])
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError(f"seed must be in [0, 2^64), got {meta['seed']}")
-        origin = tuple(int(c) for c in meta["origin"].split(",")) if "origin" in meta else None
-        spec = BoxSpec(d=d, side=side, origin=origin)
-        if spec.vertex_count >= 2 ** 63 or not all(-2 ** 63 <= c <= 2 ** 63 - side
-                                                    for c in spec.origin):
-            raise ValueError("box does not fit 64-bit vertex coordinates and indices")
-        trunc = float(meta["trunc"]) if "trunc" in meta else None
-        trunc_bias = float(meta["truncbias"]) if "truncbias" in meta else None
-        # What the writer can write: a cutoff >= 1, as the generator demands,
-        # and a bias >= 0 only with a cutoff.
-        if trunc is not None and not trunc >= 1:
-            raise ValueError(f"trunc must be >= 1, got {meta['trunc']}")
-        if trunc_bias is not None and (trunc is None or not trunc_bias >= 0):
-            raise ValueError(f"truncbias needs a trunc and must be >= 0, got {meta['truncbias']}")
-    except KeyError as exc:
-        raise ParseError(2, f"missing metadata key {exc.args[0]}") from exc
-    except ValueError as exc:
-        raise ParseError(2, str(exc)) from exc
+        meta = {}
+        for tok in head[1].split():
+            if "=" not in tok:
+                raise ParseError(2, f"bad metadata token {tok!r}")
+            k, v = tok.split("=", 1)
+            if k not in _META_KEYS:
+                raise ParseError(2, f"unknown metadata key {k!r}")
+            if k in meta:
+                raise ParseError(2, f"repeated metadata key {k!r}")
+            meta[k] = v
 
-    weighted = kind is not ModelKind.LRP
-    n_weights = spec.vertex_count if weighted else 0
-    wc, values, w_lines, ec, e_lines, failure = (_scan_layout(lines, d, n_weights)
-                                                 or _scan_records(lines, d, weighted))
-    # Every buffered record precedes a failed line, so the first fault in
-    # file order is the least line among these.
-    faults = [f for f in (failure, _outside_box(spec, wc, w_lines, 1),
-                          _outside_box(spec, ec, e_lines, 2)) if f is not None]
-    if faults:
-        raise min(faults, key=lambda f: f.line_number)
+        try:
+            d = int(meta["d"])
+            side = int(meta["L"])
+            kind = ModelKind.parse(meta["model"])
+            params = ModelParams(d=d, alpha=float(meta["alpha"]),
+                                 lambda_=float(meta["lambda"]),
+                                 tau=float(meta["tau"]), kind=kind)
+            seed = int(meta["seed"])
+            if not 0 <= seed < 2 ** 64:
+                raise ValueError(f"seed must be in [0, 2^64), got {meta['seed']}")
+            origin = tuple(int(c) for c in meta["origin"].split(",")) if "origin" in meta else None
+            spec = BoxSpec(d=d, side=side, origin=origin)
+            if spec.vertex_count >= 2 ** 63 or not all(-2 ** 63 <= c <= 2 ** 63 - side
+                                                        for c in spec.origin):
+                raise ValueError("box does not fit 64-bit vertex coordinates and indices")
+            trunc = float(meta["trunc"]) if "trunc" in meta else None
+            trunc_bias = float(meta["truncbias"]) if "truncbias" in meta else None
+            # What the writer can write: a cutoff >= 1, as the generator demands,
+            # and a bias >= 0 only with a cutoff.
+            if trunc is not None and not trunc >= 1:
+                raise ValueError(f"trunc must be >= 1, got {meta['trunc']}")
+            if trunc_bias is not None and (trunc is None or not trunc_bias >= 0):
+                raise ValueError(f"truncbias needs a trunc and must be >= 0, got {meta['truncbias']}")
+        except KeyError as exc:
+            raise ParseError(2, f"missing metadata key {exc.args[0]}") from exc
+        except ValueError as exc:
+            raise ParseError(2, str(exc)) from exc
 
-    weights = None
-    if weighted:
-        bad = np.flatnonzero(~((values >= 1.0) & (values < math.inf)))
-        if bad.size:
-            ln = w_lines[int(bad[0])]
-            raise ParseError(ln, f"weight {lines[ln - 1].split()[-1]} is not finite and >= 1")
-        flat = spec.flat_of(wc)
-        order = np.argsort(flat, kind="stable")
-        repeat = np.flatnonzero(flat[order[1:]] == flat[order[:-1]])
-        if repeat.size:
-            k = int(order[repeat + 1].min())
-            raise ParseError(w_lines[k], f"duplicate weight for vertex {wc[k].tolist()}")
-        missing = spec.vertex_count - len(flat)
-        if missing:
-            raise ParseError(len(lines) + 1, f"{missing} vertex weights missing (truncated file?)")
-        weights = values[order]
-        weights.setflags(write=False)
+        weighted = kind is not ModelKind.LRP
+        n_weights = spec.vertex_count if weighted else 0
+        layout = ascii_only and _scan_layout(fh, n_lines - 2, spec, n_weights)
+        if layout:
+            w_flat, values, pairs = layout
+            w_lines, e_lines = range(3, 3 + n_weights), range(3 + n_weights, n_lines + 1)
+        else:
+            if ascii_only:
+                fh.seek(0)
+                lines, stray = _split_lines(fh.read())
+            if stray:  # the loop reads the lines before it
+                lines = lines[:stray.line_number - 1]
+            wc, values, w_lines, ec, e_lines, failure = _scan_records(lines, d, weighted)
+            del lines
+            w_flat, w_fault = _flat_index(spec, wc, w_lines, 1)
+            e_flat, e_fault = _flat_index(spec, ec, e_lines, 2)
+            # Every buffered record precedes a failed line, so the first
+            # fault in file order is the least line among these.
+            faults = [f for f in (failure or stray, w_fault, e_fault) if f is not None]
+            if faults:
+                raise min(faults, key=lambda f: f.line_number)
+            pairs = e_flat.reshape(-1, 2)
 
-    pairs = spec.flat_of(ec).reshape(-1, 2)
+        weights = None
+        if weighted:
+            bad = np.flatnonzero(~((values >= 1.0) & (values < math.inf)))
+            if bad.size:
+                ln = w_lines[int(bad[0])]
+                fh.seek(0)
+                text = next(itertools.islice(fh, ln - 1, None)).decode("utf-8")
+                raise ParseError(ln, f"weight {text.split()[-1]} is not finite and >= 1")
+            order = np.argsort(w_flat, kind="stable")
+            repeat = np.flatnonzero(w_flat[order[1:]] == w_flat[order[:-1]])
+            if repeat.size:
+                k = int(order[repeat + 1].min())
+                raise ParseError(w_lines[k], f"duplicate weight for vertex "
+                                             f"{spec.coords_of(w_flat[k]).tolist()}")
+            missing = spec.vertex_count - len(w_flat)
+            if missing:
+                raise ParseError(n_lines + 1,
+                                 f"{missing} vertex weights missing (truncated file?)")
+            weights = values[order]
+            weights.setflags(write=False)
+
     bad = np.flatnonzero(pairs[:, 0] >= pairs[:, 1])
     if bad.size:
         k = int(bad[0])
@@ -1232,5 +1401,5 @@ def load_realization(path) -> BoxRealization:
         gap = _missing_nn_edge(r)
         if gap is not None:
             a, b = spec.coords_of(gap).tolist()
-            raise ParseError(len(lines) + 1, f"missing nearest-neighbour edge {a} {b}")
+            raise ParseError(n_lines + 1, f"missing nearest-neighbour edge {a} {b}")
     return r

@@ -9,6 +9,9 @@ Writer: the bytes `save_realization` writes equal those of the
 d in {1, 2, 3}, origins at both ends of the int64 range, LRP boxes
 without weights, boxes without edges, and chunks of 1 and 3 lines.
 
+Memory: loading a writer's file of many chunks holds, at its peak, the
+final arrays, three arrays of one entry per vertex and a few chunks.
+
 Fuzz: one record line of a valid file is changed.  Whitespace changes
 and any reordering of the records load the same realization; a dropped
 field, a non-integer token, an out-of-box coordinate or reversed edge
@@ -19,6 +22,7 @@ The examples are derandomized, so every run checks the same cases.
 
 import itertools
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -209,3 +213,26 @@ def test_written_bytes_equal_the_percent_writer(r, chunk):
             assert path.read_bytes() == data
         finally:
             path.unlink()
+
+
+def test_load_peak_is_the_arrays_plus_a_few_chunks(tmp_path, monkeypatch):
+    r = generate_box(ModelParams(d=2, alpha=3.0, lambda_=1.0, tau=2.5, kind=ModelKind.SFP), 7,
+                     BoxSpec(d=2, side=64), cutoff=6.0)
+    path = tmp_path / "box.txt"
+    save_realization(r, path)
+    chunk = 1024
+    lines = r.n_vertices + r.n_edges
+    assert lines >= 30 * chunk
+    monkeypatch.setattr(graph, "_CHUNK_LINES", chunk)
+    tracemalloc.start()
+    try:
+        back = load_realization(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same(back, r)
+    # Beside the edges and weights: the flat indices, file-order weights
+    # and sort order of the w lines, and 32 chunks' worth of text.
+    bound = (back.edges.nbytes + 4 * back.weights.nbytes
+             + 32 * chunk * path.stat().st_size // lines)
+    assert peak < bound, (peak, bound)

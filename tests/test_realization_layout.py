@@ -1,17 +1,21 @@
-"""The two-pass parse of realization files in the writer's layout.
+"""The chunked parse of realization files in the writer's layout.
 
 `load_realization` parses a file laid out as `save_realization` writes
-it with two numpy passes (`graph._scan_layout`), and any other file with
-the per-line loop (`graph._scan_records`), the reference that names the
-first bad line.
+it in chunks of `graph._CHUNK_LINES` lines in numpy (`graph._scan_layout`),
+and any other file with the per-line loop (`graph._scan_records`), the
+reference that names the first bad line.
 
 Guard: every file the writer makes takes the numpy path, checked by
 making the loop raise, and its edges, already in order, are not sorted.
+So does every such file at any chunk size: one line, three lines, and
+as many lines as, or one more than, the `w` lines.
 
 Differential: a writer's file with one edit, each a token that int(),
-float() and str.split() read differently from numpy or a change to the
+float() and str.split() read differently from numpy, a line break that
+str.splitlines() knows but the format does not, or a change to the
 layout, loads the same realization, or raises the same ParseError (line
-and message), as the loop alone.
+and message), as the loop alone; so does a fault in a chunk after the
+first that leaves the layout as it is.
 """
 
 import itertools
@@ -52,18 +56,19 @@ def _boxes():
 BOXES = dict(_boxes())
 
 
+def _no_loop(*args):
+    raise AssertionError("a file in the writer's layout fell back to the per-line loop")
+
+
 @pytest.mark.parametrize("name", sorted(BOXES))
 def test_writer_files_take_the_numpy_path(name, tmp_path, monkeypatch):
-    def loop(*args):
-        raise AssertionError("a file in the writer's layout fell back to the per-line loop")
-
     def sort(*args):
         raise AssertionError("the writer's edges, already in order, were sorted")
 
     r = BOXES[name]
     path = tmp_path / "box.txt"
     save_realization(r, path)
-    monkeypatch.setattr(graph, "_scan_records", loop)
+    monkeypatch.setattr(graph, "_scan_records", _no_loop)
     monkeypatch.setattr(np, "lexsort", sort)
     assert _same(load_realization(path), r)
 
@@ -108,6 +113,17 @@ CASES = {
     "weight-underscore": (lambda ls: _edit(ls, W + 9, 2, "1_0.5"), None),
     "repeated-edge": (lambda ls: ls.insert(E + 4, ls[E + 1]), E + 5),
 }
+# A line break of str.splitlines() other than "\n" after the last field
+# is trailing whitespace: a later fault keeps its line.  Before a field
+# (here the last) it is rejected at its own line.
+BREAKS = {"vt": "\v", "ff": "\f", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e", "nel": "\x85",
+          "ls": "\u2028", "ps": "\u2029", "cr": "\r"}
+for _name, _ch in BREAKS.items():
+    CASES[f"trailing-{_name}-then-fault"] = (
+        lambda ls, ch=_ch: (ls.__setitem__(W + 3, ls[W + 3] + ch), _reverse(ls, E + 2)), E + 3)
+    CASES[f"{_name}-inside-then-fault"] = (
+        lambda ls, ch=_ch: (ls.__setitem__(E + 1, ch.join(ls[E + 1].rsplit(" ", 1))),
+                            _reverse(ls, E + 2)), E + 2)
 
 
 def _outcome(path):
@@ -117,19 +133,24 @@ def _outcome(path):
         return "raises", (exc.line_number, str(exc))
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_edited_writer_file_loads_as_the_loop_does(case, newline, tmp_path, monkeypatch):
+def _edited_file(tmp_path, edit, newline="\n"):
+    """The d=1 box of side 16 as the writer writes it, lines edited in place."""
     r = generate_box(validate_params(1, 1.5, 2.0, 2.5), 9, BoxSpec(d=1, side=16))
     path = tmp_path / "box.txt"
     save_realization(r, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[E].startswith("e ") and lines[E - 1].startswith("w 15 ")
-    assert len(lines) > E + 4
-    edit, expect_line = CASES[case]
+    assert len(lines) > E + 9
     edit(lines)
     path.write_bytes(newline.join(lines + [""]).encode("utf-8"))
+    return path
 
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_edited_writer_file_loads_as_the_loop_does(case, newline, tmp_path, monkeypatch):
+    edit, expect_line = CASES[case]
+    path = _edited_file(tmp_path, edit, newline)
     got = _outcome(path)
     monkeypatch.setattr(graph, "_scan_layout", lambda *args: None)
     want = _outcome(path)
@@ -139,6 +160,64 @@ def test_edited_writer_file_loads_as_the_loop_does(case, newline, tmp_path, monk
     else:
         assert got == want
         assert got[1][0] == expect_line
+
+
+@pytest.mark.parametrize("chunk", ["1", "3", "to-last-weight", "past-last-weight"])
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_any_chunk_size_loads_as_the_loop_does(name, chunk, tmp_path, monkeypatch):
+    r = BOXES[name]
+    path = tmp_path / "box.txt"
+    save_realization(r, path)
+    n = r.n_vertices  # the w lines of a weighted box
+    k = {"1": 1, "3": 3, "to-last-weight": n, "past-last-weight": n + 1}[chunk]
+    monkeypatch.setattr(graph, "_CHUNK_LINES", k)
+    with monkeypatch.context() as m:
+        m.setattr(graph, "_scan_layout", lambda *args: None)
+        want = load_realization(path)
+    monkeypatch.setattr(graph, "_scan_records", _no_loop)
+    got = load_realization(path)
+    assert _same(got, want) and _same(got, r)
+
+
+# Faults that keep the writer's layout, each after the first chunk of 3
+# lines, and the line of their ParseError.
+LAYOUT_FAULTS = {
+    "weight-outside": (lambda ls: _edit(ls, W + 10, 1, "-1"), W + 11),
+    "weight-below-1": (lambda ls: _edit(ls, W + 10, 2, "0.5"), W + 11),
+    "weight-nan": (lambda ls: _edit(ls, W + 10, 2, "nan"), W + 11),
+    "weight-1e400": (lambda ls: _edit(ls, W + 10, 2, "1e400"), W + 11),
+    "duplicate-weight": (lambda ls: _edit(ls, W + 10, 1, "3"), W + 11),
+    "edge-outside": (lambda ls: _edit(ls, E + 9, 2, "99"), E + 10),
+    "edge-below-origin": (lambda ls: _edit(ls, E + 9, 1, "-3"), E + 10),
+    "reversed-edge": (lambda ls: _reverse(ls, E + 9), E + 10),
+    "self-loop": (lambda ls: _edit(ls, E + 9, 2, ls[E + 9].split()[1]), E + 10),
+    "duplicate-edge": (lambda ls: ls.__setitem__(E + 9, ls[E + 8]), E + 10),
+    "outside-before-bad-weight": (lambda ls: (_edit(ls, W + 4, 2, "0.5"),
+                                              _edit(ls, E + 9, 2, "99")), E + 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_FAULTS))
+def test_a_fault_in_a_later_chunk_is_reported_as_the_loop_does(case, tmp_path, monkeypatch):
+    edit, expect_line = LAYOUT_FAULTS[case]
+    path = _edited_file(tmp_path, edit)
+    monkeypatch.setattr(graph, "_CHUNK_LINES", 3)
+    with monkeypatch.context() as m:
+        m.setattr(graph, "_scan_layout", lambda *args: None)
+        want = _outcome(path)
+    monkeypatch.setattr(graph, "_scan_records", _no_loop)
+    got = _outcome(path)
+    assert got == want
+    assert got[0] == "raises" and got[1][0] == expect_line
+
+
+def test_a_file_without_its_last_newline_loads_as_the_loop_does(tmp_path, monkeypatch):
+    r = BOXES["sfp-d2"]
+    path = tmp_path / "box.txt"
+    save_realization(r, path)
+    path.write_bytes(path.read_bytes()[:-1])
+    monkeypatch.setattr(graph, "_CHUNK_LINES", 3)
+    assert _same(load_realization(path), r)
 
 
 def test_swapped_edge_lines_load_the_writers_edges(tmp_path):
