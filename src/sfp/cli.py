@@ -81,10 +81,11 @@ def _build_parser(required: bool = True) -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=_u64, default=0)
     # Checked here, not by ExperimentConfig: `verify` runs two criteria first.
-    common.add_argument("--threads", default=1,
+    common.add_argument("--threads", default=0,
                         type=_checked(_at_least(0), lambda v: v <= MAX_WORKERS,
                                       f"be in [0, {MAX_WORKERS}]"),
-                        help="worker cap for parallel sections (0 = auto)")
+                        help=f"worker cap for parallel sections "
+                             f"(0 = every usable core, at most {MAX_WORKERS})")
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--config", type=str, default=None,
                         help="flat key = value file; flags override it")

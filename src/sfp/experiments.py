@@ -88,7 +88,8 @@ class ExperimentConfig:
 
     @property
     def worker_count(self) -> int:
-        return self.threads if self.threads > 0 else usable_cores()
+        """`threads`, or for 0 the usable cores, at most MAX_WORKERS."""
+        return self.threads if self.threads > 0 else min(usable_cores(), MAX_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -753,7 +754,7 @@ def run_distance_experiment(cfg: ExperimentConfig, n_list=None, n_sources: int =
     wanted = np.where(mask[targets], targets, sources[:, None])
     medians, rows = {}, []
     for name, real in reals:
-        hops = distances_from(real, sources, wanted)
+        hops = distances_from(real, sources, wanted, workers=cfg.worker_count)
         ok = mask[targets] & (hops >= 0)
         excluded = int(np.count_nonzero(~ok))
         medians[name] = [float(np.median(col[keep])) if keep.any() else math.nan

@@ -508,13 +508,15 @@ def _map_forked(fn, items, sizes, workers: int) -> list:
     and always leaves by os._exit, so it runs no exit handler and flushes
     no buffer it inherited.  A child that dies without a result, or
     raises what cannot be pickled, is a RuntimeError here.  Every child
-    is killed and reaped before this returns or raises.
+    is killed and reaped before this returns or raises.  No items give [].
     """
     groups = [[] for _ in range(workers)]
     total = sum(sizes)
     for item, before in zip(items, itertools.accumulate(sizes, initial=0)):
         groups[workers * before // total].append(item)
     groups = [g for g in groups if g]
+    if not groups:
+        return []
     pids, readers = [], []
     try:
         for group in groups[1:]:
@@ -784,9 +786,10 @@ def clusters(r: BoxRealization) -> Clusters:
                     sizes=dict(zip(roots.tolist(), counts.tolist())))
 
 
-# Sources per traversal: four 64-bit words per vertex, so the bit arrays
-# of a traversal stay O(n) whatever the number of sources.
-_BFS_BATCH = 256
+# Sources per traversal: one 64-bit word per vertex, so a level touches
+# one word per arc, and the bit arrays of a traversal stay O(n) whatever
+# the number of sources.
+_BFS_BATCH = 64
 # Arcs per pull chunk: a chunk's gathered frontier words, at most 2 MiB,
 # stay in L2 while they are reduced.
 _PULL_ARCS = 1 << 16
@@ -797,29 +800,35 @@ _PULL_ARCS = 1 << 16
 _PUSH_SHARE = 4
 
 
-def distances_from(r: BoxRealization, sources, targets=None) -> np.ndarray:
+def distances_from(r: BoxRealization, sources, targets=None, workers: int = 1) -> np.ndarray:
     """Hop counts from each flat vertex of `sources`, as a (k, m) int64 array (-1 unreachable).
 
     Row i holds the hops from sources[i] to the flat vertices targets[i]
     of a (k, m) `targets` array; with targets None, every vertex is a
     target of every source (m = n).  Sources may repeat.  Raises
-    VertexOutOfBox for a source or target outside [0, n).
+    VertexOutOfBox for a source or target outside [0, n), and
+    ParameterError for `workers` outside [1, MAX_WORKERS].
 
     A bit-parallel multi-source BFS (Then et al., "The More the Merrier:
     Efficient Multi-Source Graph Traversal", PVLDB 2014) over the cached
     CSR arrays (`BoxRealization.adjacency`): each source owns one bit of
-    a vertex's uint64 words, so one pass per level advances every source.
-    Sources are traversed _BFS_BATCH at a time, and a batch stops once
-    it has reached all its targets, so it runs only as many levels as
-    the farthest one needs.  A level pushes from a small frontier and
-    pulls into every vertex otherwise, as a direction-optimizing BFS
-    does (Beamer et al., SC 2012).  A batch costs up to levels x arcs x
-    words, against sources x arcs for one search per source, so it pays
-    off when the targets are few levels away, as in the polylogarithmic
-    regime, and loses to one compiled search per source when many
-    sources have targets hundreds of levels away.
+    a vertex's uint64 word, so one pass per level advances every source
+    of a batch.  The k sources are cut into ceil(k / _BFS_BATCH)
+    contiguous batches of near-equal size, and a batch stops once it has
+    reached all its targets, so it runs only as many levels as the
+    farthest one needs.
+    A level pushes from a small frontier and pulls into every vertex
+    otherwise, as a direction-optimizing BFS does (Beamer et al., SC
+    2012).  A batch costs up to levels x arcs, against sources x arcs
+    for one search per source, so it pays off when the targets are few
+    levels away, as in the polylogarithmic regime.  The batches are
+    independent: they are mapped over `workers` processes
+    (`_map_forked`), which share the CSR arrays built before the fork,
+    and the rows come back in source order, the same at any worker count.
     """
     n = r.n_vertices
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ParameterError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
     if targets is None:
         targets = np.broadcast_to(np.arange(n), (len(sources), n))
@@ -833,9 +842,23 @@ def distances_from(r: BoxRealization, sources, targets=None) -> np.ndarray:
     indptr, indices = r.adjacency()
     plan = _pull_plan(indptr)
     out = np.full(targets.shape, -1, dtype=np.int64)
-    for b in range(0, len(sources), _BFS_BATCH):
-        batch = slice(b, b + _BFS_BATCH)
-        _bfs_batch(indptr, indices, plan, sources[batch], targets[batch], out[batch])
+    # Batch i starts at ceil(k i / n_batches): near-equal sizes, the larger
+    # first, so that with as many batches as workers each batch starts a
+    # group of its own in `_map_forked`.
+    k = len(sources)
+    n_batches = -(-k // _BFS_BATCH)
+    starts = [-(-k * i // n_batches) for i in range(n_batches)] + [k]
+    batches = list(zip(starts[:-1], starts[1:]))
+
+    def run(group):
+        for a, z in group:
+            _bfs_batch(indptr, indices, plan, sources[a:z], targets[a:z], out[a:z])
+        return group[0][0], out[group[0][0]:group[-1][1]]
+
+    # The first group ran in this process, straight into `out`; the rows
+    # of the others come back from their children.
+    for a, rows in _map_forked(run, batches, [z - a for a, z in batches], workers)[1:]:
+        out[a:a + len(rows)] = rows
     return out
 
 
@@ -858,7 +881,7 @@ def _pull_plan(indptr: np.ndarray) -> list:
 
 
 def _bfs_batch(indptr, indices, plan, sources, targets, out) -> None:
-    """Write into `out` the hops from at most 64 * 4 sources to their targets.
+    """Write into `out` the hops from at most _BFS_BATCH sources to their targets.
 
     `front`, `unseen` and `nxt` hold, per vertex, one bit per source: on
     the current level, not yet reached, and on the next level; `active`
@@ -882,10 +905,12 @@ def _bfs_batch(indptr, indices, plan, sources, targets, out) -> None:
     pt = targets[pi, pj]
     active, level = np.unique(sources), 0
     while len(pi):
-        level += 1
-        nxt.fill(0)
         lo = indptr[active]
         deg = indptr[active + 1] - lo
+        if not deg.any():
+            break  # no arc leaves the frontier
+        level += 1
+        nxt.fill(0)
         if deg.sum() * _PUSH_SHARE < len(indices):
             arcs = np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
             np.bitwise_or.at(nxt, indices[arcs], np.repeat(front[active], deg, axis=0))

@@ -84,6 +84,21 @@ def test_generate_file_is_the_same_at_any_thread_count(tmp_path):
     assert all((tmp_path / f"t{t}.txt").read_bytes() == first for t in ("2", "3"))
 
 
+def test_distances_run_on_every_usable_core_by_default(monkeypatch):
+    # Two usable cores, so the 96 sources, two batches of 48, map over two
+    # processes; the body is that of one worker.
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["distances", "--alpha", "1.5", "--tau", "3.5", "--lambda", "5", "--model", "sfpnn",
+            "--side", "2048", "--trunc", "64", "--n-list", "16,64,256", "--sources", "96"]
+    (code, auto), (code_one, one) = run_cli(*argv), run_cli(*argv, "--threads", "1")
+    assert code == code_one and "#threads=0" in auto.splitlines()
+
+    def body(text):
+        return [line for line in text.splitlines() if not line.startswith(("#threads", "#wallclock"))]
+
+    assert body(auto) == body(one)
+
+
 def test_generate_without_out_is_usage_error_before_generating(capsys):
     # An oversized box would fail its pair budget if generated first.
     assert main(["generate", "--alpha", "1.5", "--tau", "2.5", "--side", "100000"]) == 1

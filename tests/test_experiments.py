@@ -13,7 +13,7 @@ from sfp.experiments import (ExperimentConfig, FitUndefined, _pareto_into,
                              run_fkg_check)
 from sfp.graph import BoxRealization, BoxSpec
 from sfp.moments import adjacent_expectation_exact
-from sfp.params import ModelKind, ParameterError, validate_params
+from sfp.params import MAX_WORKERS, ModelKind, ParameterError, validate_params
 from sfp.randomness import experiment_uniforms, pareto_from_uniform
 
 P = validate_params(1, 1.5, 1.0, 2.5)
@@ -392,6 +392,9 @@ def test_threads_zero_counts_the_cores_the_process_may_use(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert ExperimentConfig(params=P, threads=0).worker_count == 1
     assert ExperimentConfig(params=P, threads=5).worker_count == 5
+    # Auto never asks for more workers than the cap allows.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(300)), raising=False)
+    assert ExperimentConfig(params=P, threads=0).worker_count == MAX_WORKERS
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert ExperimentConfig(params=P, threads=0).worker_count == 1

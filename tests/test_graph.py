@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from collections import deque
 
 import numpy as np
@@ -811,6 +812,14 @@ def test_distances_from_isolated_source_and_edge_free_box():
     _assert_bfs_matches_oracle(empty, (0, 17, 35, 17))
     _assert_bfs_matches_oracle(empty, (0, 17), [[0, 1], [35, 17]])
     assert distances_from(empty, []).shape == (0, 36)
+    assert distances_from(empty, [], np.empty((0, 3)), workers=2).shape == (0, 3)
+
+
+def test_map_forked_with_no_items_calls_nothing():
+    def fail(group):
+        raise AssertionError(f"called on {group}")
+
+    assert graph._map_forked(fail, [], [], 4) == []
 
 
 def test_distances_from_long_path_has_one_level_per_vertex():
@@ -824,7 +833,7 @@ def test_distances_from_long_path_has_one_level_per_vertex():
 
 @pytest.mark.parametrize("k", [65, 300])
 def test_distances_from_many_sources_span_words_and_batches(k):
-    # 65 sources take two words; 300 take two batches, of 4 words and 1.
+    # 65 sources take two batches of 33 and 32; 300 take five of 60.
     r = generate_box(validate_params(2, 2.5, 0.5, 2.5), 8, BoxSpec(d=2, side=16), cutoff=4.0)
     rng = np.random.default_rng(k)
     sources = rng.integers(0, r.n_vertices, size=k)
@@ -836,6 +845,68 @@ def test_distances_from_many_sources_span_words_and_batches(k):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, name, value)
             _assert_bfs_matches_oracle(r, sources, targets)
+
+
+@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 130, 256])
+def test_distances_from_any_worker_count_equals_one_worker(k):
+    r = generate_box(validate_params(2, 2.5, 0.5, 2.5), 8, BoxSpec(d=2, side=16), cutoff=4.0)
+    rng = np.random.default_rng(k)
+    sources = rng.integers(0, r.n_vertices, size=k)
+    targets = rng.integers(0, r.n_vertices, size=(k, 4))
+    _assert_bfs_matches_oracle(r, sources, targets)
+    # As tuned, every level pulling, and every level pulling in chunks of 5 arcs.
+    for share, arcs in ((graph._PUSH_SHARE, graph._PULL_ARCS), (math.inf, graph._PULL_ARCS),
+                        (math.inf, 5)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_PUSH_SHARE", share)
+            mp.setattr(graph, "_PULL_ARCS", arcs)
+            for t in (None, targets):
+                one = distances_from(r, sources, t)
+                for workers in (1, 2, 3):
+                    assert _bits(distances_from(r, sources, t, workers=workers)) == _bits(one)
+    _assert_no_child_left()
+
+
+def test_distances_from_cuts_the_sources_into_near_equal_batches(monkeypatch):
+    r = _line_box([(0, 1), (1, 2)], side=4)
+    sizes, batch = [], graph._bfs_batch
+
+    def recording(indptr, indices, plan, sources, *rest):
+        sizes.append(len(sources))
+        return batch(indptr, indices, plan, sources, *rest)
+
+    monkeypatch.setattr(graph, "_bfs_batch", recording)
+    for k, want in ((1, [1]), (64, [64]), (65, [33, 32]), (96, [48, 48]), (130, [44, 43, 43])):
+        sizes.clear()
+        hops = distances_from(r, np.arange(k) % 4)
+        assert sizes == want
+        assert hops[:4].tolist()[:k] == [[0, 1, 2, -1], [1, 0, 1, -1], [2, 1, 0, -1],
+                                         [-1, -1, -1, 0]][:k]
+
+
+def test_distances_fork_from_the_main_thread_and_leave_no_child(monkeypatch):
+    # 65 sources are batches of 33 and 32, one per worker at 2 workers.
+    # 256 are 4 batches of 64: at 3 workers, groups of 2, 1 and 1, so two
+    # batches run here and two forked children run one each.
+    from_main, fork = [], os.fork
+
+    def recording_fork():
+        from_main.append(threading.current_thread() is threading.main_thread())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    r = generate_box(validate_params(2, 2.5, 0.5, 2.5), 8, BoxSpec(d=2, side=16), cutoff=4.0)
+    sources = np.random.default_rng(0).integers(0, r.n_vertices, size=256)
+    assert _bits(distances_from(r, sources[:65], workers=2)) == _bits(distances_from(r, sources[:65]))
+    assert from_main == [True]
+    hops = distances_from(r, sources, workers=3)
+    assert from_main == [True] * 3
+    _assert_no_child_left()
+    assert _bits(hops) == _bits(_oracle_hops(r, sources))
+    with pytest.raises(ParameterError):
+        distances_from(r, sources, workers=0)
+    with pytest.raises(ParameterError):
+        distances_from(r, sources, workers=graph.MAX_WORKERS + 1)
 
 
 def test_distances_from_stops_at_the_farthest_target(monkeypatch):
