@@ -16,6 +16,7 @@ flag via --config; explicit flags override the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -72,8 +73,10 @@ def _int_path(text: str) -> list:
     return [_int_list(part) for part in text.split(";")]
 
 
+@functools.cache
 def _build_parser(required: bool = True) -> _Parser:
-    """The CLI parser; with `required=False` no option is required, to check one flag alone."""
+    """The CLI parser, built once per `required` value (parsing leaves it as it is);
+    with `required=False` no option is required, to check one flag alone."""
     top = _Parser(prog="sfp", description=__doc__)
     top.add_argument("--version", action="version", version=f"sfp {__version__}")
     sub = top.add_subparsers(dest="command", required=True)

@@ -25,10 +25,11 @@ Clusters come from the edge array, and hop counts from a bit-parallel
 multi-source BFS over cached CSR arrays: the module uses numpy alone.
 
 `save_realization` and `load_realization` write and read the text
-format v1 _CHUNK_LINES record lines at a time in numpy.  A file in the
-writer's layout is parsed straight into the final arrays, so a load
-holds them and a few chunks; any other file goes through a per-line
-loop that names the first bad line.
+format v1 _CHUNK_LINES record lines at a time in numpy, straight into
+the final arrays, so a load holds them and a few chunks, whatever the
+file's line ends, separators or record order.  Only a chunk that numpy
+cannot parse as Python would goes through a per-line loop, which names
+the first bad line.
 """
 
 from __future__ import annotations
@@ -955,8 +956,9 @@ def _fmt(x: float) -> str:
 
 
 # Record lines per chunk of the writer and of the loader: a chunk's text,
-# its byte matrix or its token arrays stay a few MB.
-_CHUNK_LINES = 1 << 16
+# its byte matrix or its token arrays stay a few MB.  Of 2^13 .. 2^16, 2^14
+# loaded and saved a 3 MB d=2 file fastest on a 2-core Xeon (2 MiB L2 a core).
+_CHUNK_LINES = 1 << 14
 
 # A line break of str.splitlines other than "\n" and the "\r" of "\r\n",
 # with a field after it on its line.  str.split() would read it as a
@@ -1044,7 +1046,7 @@ def _flat_index(spec: BoxSpec, coords: np.ndarray, line_nos, per_record: int):
         flat += rel
     if out.any():
         k = int(np.argmax(out))
-        return None, ParseError(line_nos[k // per_record],
+        return None, ParseError(int(line_nos[k // per_record]),
                                 f"coordinates {coords[k].tolist()} outside box")
     return flat, None
 
@@ -1073,19 +1075,47 @@ def _record_fault(parts: list, d: int, weighted: bool) -> str:
     return f"unknown record type {tag!r}"
 
 
-def _scan_records(lines, d: int, weighted: bool):
-    """Parse the record lines one at a time, in any order and layout.
+def _split_lines(data: bytes, first_line: int) -> tuple:
+    """The lines of UTF-8 bytes, numbered from first_line, before the first
+    byte that is not UTF-8 or stray line break, and its ParseError or None.
 
-    Returns the weight coordinates (k, d), weights (k,) and their line
-    numbers, the edge endpoint coordinates (2m, d) and their line
-    numbers, and the ParseError of the first malformed line or None.
-    The buffers then hold the records before that line.
+    Lines end at "\n", less one "\r" before it.
     """
+    fault = None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text = data[:exc.start].decode("utf-8")
+        fault = ParseError(first_line + text.count("\n"),
+                           f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")
+        text = text[:text.rfind("\n") + 1]
+    stray = _STRAY_BREAK.search(text)
+    if stray:
+        fault = ParseError(first_line + text.count("\n", 0, stray.start()),
+                           f"stray line break {stray.group()!r} (lines end at '\\n')")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if fault:
+        lines = lines[:fault.line_number - first_line]
+    return [line[:-1] if line[-1:] == "\r" else line for line in lines], fault
+
+
+def _scan_records(data: bytes, first_line: int, spec: BoxSpec, weighted: bool):
+    """Parse the record lines in data, numbered from first_line, one at a
+    time, in any order and layout: the reference parser.
+
+    Returns the flat index and the weight of each `w` line and the flat
+    endpoints (m, 2) of each `e` line, in file order.  Raises the
+    ParseError of the first bad line.
+    """
+    lines, fault = _split_lines(data, first_line)
+    d = spec.d
     w_fields, e_fields = d + 2, 2 * d + 1
     w_coords, w_values, w_lines = array("q"), array("d"), array("q")
     e_coords, e_lines = array("q"), array("q")
     failure = None
-    for ln, line in enumerate(itertools.islice(lines, 2, None), start=3):
+    for ln, line in enumerate(lines, start=first_line):
         parts = line.split()
         if not parts:
             continue
@@ -1109,28 +1139,14 @@ def _scan_records(lines, d: int, weighted: bool):
     # keep whole records only.
     wc = np.frombuffer(w_coords, dtype=np.int64)[:len(w_lines) * d].reshape(-1, d)
     ec = np.frombuffer(e_coords, dtype=np.int64)[:len(e_lines) * 2 * d].reshape(-1, d)
-    return wc, np.frombuffer(w_values, dtype=np.float64), w_lines, ec, e_lines, failure
-
-
-def _line_chunks(fh, counts, line_bytes: int):
-    """For each n in counts, the next n lines of fh as a uint8 array;
-    stops early at the end of the file.
-
-    Reads (lines still needed) x 5/4 x line_bytes at a time, and keeps
-    the bytes read past a chunk, with their "\n" offsets, for the next.
-    """
-    data, ends = b"", np.empty(0, dtype=np.int64)
-    for n in counts:
-        while len(ends) < n:
-            more = fh.read((n - len(ends)) * line_bytes * 5 // 4 + 64)
-            if not more:
-                return
-            found = np.flatnonzero(np.frombuffer(more, dtype=np.uint8) == 10)
-            ends = np.concatenate([ends, found + len(data)])
-            data += more
-        end = int(ends[n - 1]) + 1
-        yield np.frombuffer(data, dtype=np.uint8, count=end)
-        data, ends = data[end:], ends[n:] - end
+    w_flat, w_fault = _flat_index(spec, wc, w_lines, 1)
+    e_flat, e_fault = _flat_index(spec, ec, e_lines, 2)
+    # Every buffered record precedes a failed line, so the first fault in
+    # file order is the least line among these.
+    faults = [f for f in (failure or fault, w_fault, e_fault) if f is not None]
+    if faults:
+        raise min(faults, key=lambda f: f.line_number)
+    return w_flat, np.frombuffer(w_values, dtype=np.float64), e_flat.reshape(-1, 2)
 
 
 def _layout_ints(b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -1174,107 +1190,98 @@ def _layout_floats(b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         return None
 
 
-def _layout_records(spec: BoxSpec, b: np.ndarray, n: int, tag: str, first_line: int):
-    """The flat vertex indices and, for `w`, the weights of the n record
-    lines in b, all tagged `tag`, in file order; None unless each is laid
-    out as the writer does.  Raises the ParseError of the first vertex
-    outside the box."""
+def _parse_chunk(b: np.ndarray, first_line: int, spec: BoxSpec, weighted: bool):
+    """`_scan_records` in numpy over the lines in b, whose fields are runs of
+    bytes above " " split by runs of spaces and tabs.  None, for the loop, at
+    a byte that is not ASCII, a control byte other than a tab, "\n" or the
+    "\r" of "\r\n", a last line without "\n", a tag or field count other
+    than a record's, or a token that `_layout_ints` or `_layout_floats` rejects.
+    """
+    if b[-1] != 10:
+        return None
     d = spec.d
-    n_ints = d if tag == "w" else 2 * d
-    fields = n_ints + (tag == "w")
-    # Field j of line i is b[sep[i, j] + 1:sep[i, j + 1]]; the token
-    # parsers reject an empty field.
-    sep = np.flatnonzero(b <= 32)
-    if sep.size != n * (fields + 1):
-        return None
-    sep = sep.astype(np.int32 if len(b) < 2 ** 31 else np.int64).reshape(n, fields + 1)
-    starts = np.concatenate([[0], sep[:-1, -1] + 1])
-    if not (np.count_nonzero(b == 32) == n * fields and np.all(b[sep[:, -1]] == 10)
-            and np.all(b[starts] == ord(tag)) and np.all(b[starts + 1] == 32)):
-        return None
-    coords = np.empty((n, n_ints), dtype=np.int64)
-    for j in range(n_ints):
-        v = _layout_ints(b, sep[:, j] + 1, sep[:, j + 1])
-        if v is None:
+    n_lines = np.count_nonzero(b == 10)
+    # Bytes below " " but tabs and "\n"s, or past "~": only a "\r" before each "\n" may go.
+    odd = np.count_nonzero((b - np.uint8(32)) > np.uint8(94)) - n_lines - np.count_nonzero(b == 9)
+    if odd:
+        cr = np.flatnonzero(b == 13)
+        if len(cr) != odd or not np.all(b.take(cr + 1) == 10):
             return None
-        coords[:, j] = v
-    weights = None if tag == "e" else _layout_floats(b, sep[:, d] + 1, sep[:, d + 1])
-    if tag == "w" and weights is None:
+    # Token k is b[lo[k]:hi[k]] (a separator is assumed before b[0]; b ends with one).
+    sep = np.ones(len(b) + 1, dtype=bool)
+    np.less_equal(b, 32, out=sep[1:])
+    cut = np.flatnonzero(sep[1:] != sep[:-1]).astype(np.int32 if len(b) < 2 ** 31 else np.int64)
+    lo, hi = cut[0::2], cut[1::2]
+    # The i-th line that is not blank is line first_line + rec[i], and its
+    # fields are tokens last[i] - fields[i] + 1 .. last[i].
+    end = b.take(hi)
+    last = np.flatnonzero((end == 10) | (end == 13))  # the tokens a line break follows
+    rec = np.arange(len(last))
+    if len(last) != n_lines:  # a blank line, or a space or tab before a line break
+        last = np.searchsorted(lo, np.flatnonzero(b == 10)) - 1
+        rec = np.flatnonzero(np.diff(last, prepend=-1))
+        last = last[rec]
+    fields = np.diff(last, prepend=-1)
+    start = lo.take(last - fields + 1)
+    tag = np.where(hi.take(last - fields + 1) - start == 1, b.take(start), 0)
+    is_w = (tag == ord("w")) & (fields == d + 2) & weighted
+    is_e = (tag == ord("e")) & (fields == 2 * d + 1)
+    if not np.all(is_w | is_e):
         return None
-    del sep
-    flat, fault = _flat_index(spec, coords.reshape(-1, d),
-                              range(first_line, first_line + n), n_ints // d)
-    if fault:
-        raise fault
-    return flat, weights
-
-
-def _scan_layout(fh, n_records: int, spec: BoxSpec, n_weights: int):
-    """Parse the records of a file in the writer's layout, or None.
-
-    That layout is n_weights `w` lines, then `e` lines to the end: each
-    line its tag and fields separated by single spaces and ended by
-    "\n", each coordinate an optional "-" and 1 to 19 digits.  `fh` is an
-    ASCII file at its third line, with n_records lines left.  The `w`
-    lines, then the `e` lines, are parsed _CHUNK_LINES at a time in
-    numpy, straight into preallocated arrays: the flat index and the
-    weight of each `w` line and the flat endpoints (m, 2) of each `e`
-    line, in file order.  Raises the ParseError of the first vertex
-    outside the box.  Returns None for any other file, and for
-    coordinates outside int64 and weights that float() rejects, which
-    `_scan_records` then reports.
-    """
-    if n_records < n_weights:
-        return None
-    w_flat = np.empty(n_weights, dtype=np.int64)
-    values = np.empty(n_weights, dtype=np.float64)
-    pairs = np.empty((n_records - n_weights, 2), dtype=np.int64)
-    k, parsed = _CHUNK_LINES, 0
-    plan = [(tag, s, min(k, total - s)) for tag, total in (("w", n_weights), ("e", len(pairs)))
-            for s in range(0, total, k)]
-    line_bytes = (os.fstat(fh.fileno()).st_size - fh.tell()) // max(n_records, 1) + 1
-    chunks = _line_chunks(fh, [n for _, _, n in plan], line_bytes)
-    for (tag, s, n), b in zip(plan, chunks):
-        got = _layout_records(spec, b, n, tag, 3 + s + (tag == "e") * n_weights)
-        if got is None:
+    flats, faults, values = [np.empty(0, dtype=np.int64)] * 2, [], np.empty(0)
+    for k, (rows, n_fields, n_ints) in enumerate(((is_w, d + 2, d), (is_e, 2 * d + 1, 2 * d))):
+        if not rows.any():
+            continue
+        # Field j of these lines is tokens t_lo[j::n_fields], t_hi[j::n_fields].
+        keep = slice(None) if rows.all() else np.repeat(rows, fields)
+        t_lo, t_hi = lo[keep], hi[keep]
+        cols = [_layout_ints(b, t_lo[j::n_fields], t_hi[j::n_fields]) for j in range(1, n_ints + 1)]
+        if any(c is None for c in cols):
             return None
-        if tag == "w":
-            w_flat[s:s + n], values[s:s + n] = got
-        else:
-            pairs[s:s + n] = got[0].reshape(-1, 2)
-        parsed += n
-    return (w_flat, values, pairs) if parsed == n_records else None
+        flats[k], fault = _flat_index(spec, np.stack(cols, axis=1).reshape(-1, d),
+                                      first_line + rec[rows], n_ints // d)
+        faults += [fault] if fault else []
+        if rows is is_w:
+            values = _layout_floats(b, t_lo[d + 1::n_fields], t_hi[d + 1::n_fields])
+            if values is None:
+                return None
+    if faults:
+        raise min(faults, key=lambda f: f.line_number)
+    return flats[0], values, flats[1].reshape(-1, 2)
 
 
-def _count_lines(fh) -> tuple:
-    """The lines of a binary file, counted by "\n", and whether it is all ASCII."""
-    count, ascii_only, last = 0, True, b"\n"
-    while block := fh.read(_CHUNK_LINES << 4):  # about one chunk's text
-        count += block.count(b"\n")
-        ascii_only = ascii_only and block.isascii()
+def _line_chunks(fh):
+    """The rest of a binary file in pieces of _CHUNK_LINES lines (the last may be
+    shorter or lack its "\n"), from blocks of about a chunk's text joined once a piece."""
+    n, parts, have = _CHUNK_LINES, [], 0  # the blocks since the last piece, and their "\n"s
+    while block := fh.read(_CHUNK_LINES << 4):
+        view, start, nl = memoryview(block), 0, np.frombuffer(block, dtype=np.uint8) == 10
+        count = np.count_nonzero(nl)
+        if have + count >= n:  # a piece ends in this block
+            for end in np.flatnonzero(nl)[n - have - 1::n]:
+                yield b"".join(parts + [view[start:end + 1]])
+                parts, start, have = [], end + 1, have - n
+        parts.append(view[start:])
+        have += count
+    if tail := b"".join(parts):
+        yield tail
+
+
+def _count_lines(fh) -> int:
+    """The lines of a binary file, counted by "\n"."""
+    count, last = 0, b"\n"
+    while block := fh.read(_CHUNK_LINES << 4):
+        count += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == 10)
         last = block[-1:]
-    return count + (last != b"\n"), ascii_only
+    return count + (last != b"\n")
 
 
-def _split_lines(data: bytes) -> tuple:
-    """The lines of UTF-8 bytes, and the ParseError of the first stray line break or None.
-
-    Lines end at "\n", less one "\r" before it.  Raises ParseError at the
-    line of a byte that is not UTF-8.
-    """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
-                         f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
-    stray = _STRAY_BREAK.search(text)
-    if stray:
-        stray = ParseError(text.count("\n", 0, stray.start()) + 1,
-                           f"stray line break {stray.group()!r} (lines end at '\\n')")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return [line[:-1] if line[-1:] == "\r" else line for line in lines], stray
+def _line_of_record(path, tag: str, k: int) -> tuple:
+    """The line number and the fields of the k-th record tagged `tag` of a file that parses."""
+    with open(path, "rb") as fh:
+        found = ((ln, f) for ln, line in enumerate(itertools.islice(fh, 2, None), start=3)
+                 if (f := line.decode("utf-8").split())[:1] == [tag])
+        return next(itertools.islice(found, k, None))
 
 
 def load_realization(path) -> BoxRealization:
@@ -1293,32 +1300,25 @@ def load_realization(path) -> BoxRealization:
     and for sfpnn a missing nearest-neighbour edge, are reported at the
     line after the last.
 
-    The file is read twice in blocks: once to count its lines and check
-    that it is ASCII, once to parse it.  A file in the layout
-    `save_realization` writes is parsed _CHUNK_LINES lines at a time in
-    numpy (`_scan_layout`), so the memory beyond the final arrays is a
-    few chunks; any other file, hand-edited or malformed, by one Python
-    pass over its lines (`_scan_records`), which names the first bad
-    line.  Every check then runs in numpy; edges already in the writer's
-    order skip the sort.
+    The file is read twice in blocks: once to count its lines, once to
+    parse it _CHUNK_LINES lines at a time, straight into arrays sized for
+    the writer's file (grown once if its record counts differ).  Each
+    chunk is parsed in numpy (`_parse_chunk`); only a chunk that numpy
+    cannot take goes through the per-line loop (`_scan_records`).  The
+    first fault found while parsing, in file order, is raised at once;
+    the checks over all records then run in numpy.  Edges already in
+    the writer's order skip the sort.
     """
     with open(path, "rb") as fh:
-        n_lines, ascii_only = _count_lines(fh)
+        n_lines = _count_lines(fh)
         fh.seek(0)
-        # A file that is not ASCII is never in the writer's layout; decoding
-        # it first puts a UTF-8 fault before all others.
-        if ascii_only:
-            head, stray = _split_lines(fh.readline() + fh.readline())
-        else:
-            lines, stray = _split_lines(fh.read())
-            head = lines[:2]
-        if not head or head[0] != FORMAT_HEADER:
+        head, fault = _split_lines(fh.readline() + fh.readline(), 1)
+        if head[:1] != [FORMAT_HEADER]:
             got = head[0] if head else "<empty file>"
-            raise ParseError(1, f"expected {FORMAT_HEADER!r}, got {got!r}")
+            raise fault if fault and not head else ParseError(
+                1, f"expected {FORMAT_HEADER!r}, got {got!r}")
         if len(head) < 2:
-            raise ParseError(2, "missing metadata line")
-        if stray and stray.line_number == 2:
-            raise stray
+            raise fault or ParseError(2, "missing metadata line")
 
         meta = {}
         for tok in head[1].split():
@@ -1360,42 +1360,36 @@ def load_realization(path) -> BoxRealization:
             raise ParseError(2, str(exc)) from exc
 
         weighted = kind is not ModelKind.LRP
-        n_weights = spec.vertex_count if weighted else 0
-        layout = ascii_only and _scan_layout(fh, n_lines - 2, spec, n_weights)
-        if layout:
-            w_flat, values, pairs = layout
-            w_lines, e_lines = range(3, 3 + n_weights), range(3 + n_weights, n_lines + 1)
-        else:
-            if ascii_only:
-                fh.seek(0)
-                lines, stray = _split_lines(fh.read())
-            if stray:  # the loop reads the lines before it
-                lines = lines[:stray.line_number - 1]
-            wc, values, w_lines, ec, e_lines, failure = _scan_records(lines, d, weighted)
-            del lines
-            w_flat, w_fault = _flat_index(spec, wc, w_lines, 1)
-            e_flat, e_fault = _flat_index(spec, ec, e_lines, 2)
-            # Every buffered record precedes a failed line, so the first
-            # fault in file order is the least line among these.
-            faults = [f for f in (failure or stray, w_fault, e_fault) if f is not None]
-            if faults:
-                raise min(faults, key=lambda f: f.line_number)
-            pairs = e_flat.reshape(-1, 2)
+        n_records = n_lines - 2
+        n_weights = min(spec.vertex_count, n_records) if weighted else 0
+        w_flat = np.empty(n_weights, dtype=np.int64)
+        values = np.empty(n_weights, dtype=np.float64)
+        pairs = np.empty((n_records - n_weights, 2), dtype=np.int64)
+        nw = ne = 0
+        for i, data in enumerate(_line_chunks(fh)):
+            first = 3 + i * _CHUNK_LINES
+            w, v, e = (_parse_chunk(np.frombuffer(data, dtype=np.uint8), first, spec, weighted)
+                       or _scan_records(data, first, spec, weighted))
+            # More w lines than vertices, or fewer: a later check fails, at its own line.
+            if nw + len(w) > len(w_flat) or ne + len(e) > len(pairs):
+                w_flat, values, pairs = (np.resize(a, (n_records,) + a.shape[1:])
+                                         for a in (w_flat, values, pairs))
+            w_flat[nw:nw + len(w)], values[nw:nw + len(w)], pairs[ne:ne + len(e)] = w, v, e
+            nw, ne = nw + len(w), ne + len(e)
+        w_flat, values, pairs = w_flat[:nw], values[:nw], pairs[:ne]
 
         weights = None
         if weighted:
             bad = np.flatnonzero(~((values >= 1.0) & (values < math.inf)))
             if bad.size:
-                ln = w_lines[int(bad[0])]
-                fh.seek(0)
-                text = next(itertools.islice(fh, ln - 1, None)).decode("utf-8")
-                raise ParseError(ln, f"weight {text.split()[-1]} is not finite and >= 1")
+                ln, parts = _line_of_record(path, "w", int(bad[0]))
+                raise ParseError(ln, f"weight {parts[-1]} is not finite and >= 1")
             order = np.argsort(w_flat, kind="stable")
             repeat = np.flatnonzero(w_flat[order[1:]] == w_flat[order[:-1]])
             if repeat.size:
                 k = int(order[repeat + 1].min())
-                raise ParseError(w_lines[k], f"duplicate weight for vertex "
-                                             f"{spec.coords_of(w_flat[k]).tolist()}")
+                raise ParseError(_line_of_record(path, "w", k)[0], "duplicate weight for vertex "
+                                 f"{spec.coords_of(w_flat[k]).tolist()}")
             missing = spec.vertex_count - len(w_flat)
             if missing:
                 raise ParseError(n_lines + 1,
@@ -1406,7 +1400,7 @@ def load_realization(path) -> BoxRealization:
     bad = np.flatnonzero(pairs[:, 0] >= pairs[:, 1])
     if bad.size:
         k = int(bad[0])
-        raise ParseError(e_lines[k], "self-loop" if pairs[k, 0] == pairs[k, 1]
+        raise ParseError(_line_of_record(path, "e", k)[0], "self-loop" if pairs[k, 0] == pairs[k, 1]
                          else "edge endpoints reversed (lower endpoint must come first)")
     # The writer's rows increase strictly, so they need no sort and hold
     # no duplicate; any other order is sorted and scanned.
@@ -1418,7 +1412,7 @@ def load_realization(path) -> BoxRealization:
         dup = np.flatnonzero(np.all(edges[1:] == edges[:-1], axis=1))
         if dup.size:
             k = int(np.maximum(order[dup], order[dup + 1]).min())
-            raise ParseError(e_lines[k], "duplicate edge")
+            raise ParseError(_line_of_record(path, "e", k)[0], "duplicate edge")
     edges.setflags(write=False)
     r = BoxRealization(spec=spec, params=params, seed=seed, weights=weights,
                        edges=edges, trunc=trunc, trunc_bias=trunc_bias)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sfp import cli
 from sfp.cli import main
 
 
@@ -297,6 +298,19 @@ def test_config_file_merge_and_flag_override(tmp_path):
                         "--tau", "3.5")
     assert code == 0
     assert out.strip().splitlines()[-1].split(",")[2] == "3.5"  # flag wins
+
+
+def test_calls_in_one_process_share_a_parser_that_stays_as_built(tmp_path):
+    args = ("moments", "adjacent", "--alpha", "1.5", "--tau", "2.5", "--rxy", "20", "--ryz", "4")
+    first = run_cli(*args)
+    assert first[0] == 0
+    assert run_cli(*args, "--frobnicate")[0] == 1
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text("oracle = true\nseed = 11\n")
+    code, out = run_cli(*args, "--config", str(cfg))
+    assert code == 0 and "#config seed=11" in out
+    assert run_cli(*args) == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

@@ -10,7 +10,9 @@ d in {1, 2, 3}, origins at both ends of the int64 range, LRP boxes
 without weights, boxes without edges, and chunks of 1 and 3 lines.
 
 Memory: loading a writer's file of many chunks holds, at its peak, the
-final arrays, three arrays of one entry per vertex and a few chunks.
+final arrays, three arrays of one entry per vertex and a few chunks; so
+does a copy with CRLF line ends or tabs for spaces.  A copy with its
+records shuffled holds 1.5 times the edges more, to sort them.
 
 Fuzz: one record line of a valid file is changed.  Whitespace changes
 and any reordering of the records load the same realization; a dropped
@@ -215,11 +217,19 @@ def test_written_bytes_equal_the_percent_writer(r, chunk):
             path.unlink()
 
 
-def test_load_peak_is_the_arrays_plus_a_few_chunks(tmp_path, monkeypatch):
+def test_load_peak_is_the_arrays_plus_a_few_chunks(tmp_path, monkeypatch, shape="writer"):
     r = generate_box(ModelParams(d=2, alpha=3.0, lambda_=1.0, tau=2.5, kind=ModelKind.SFP), 7,
                      BoxSpec(d=2, side=64), cutoff=6.0)
     path = tmp_path / "box.txt"
     save_realization(r, path)
+    # The writer's file, or a copy with CRLF line ends, tabs for spaces or its records shuffled.
+    header, meta, *records = path.read_bytes().split(b"\n")[:-1]
+    if shape == "tab":
+        records = [rec.replace(b" ", b"\t") for rec in records]
+    if shape == "shuffled":
+        records = [records[i] for i in np.random.default_rng(1).permutation(len(records))]
+    end = b"\r\n" if shape == "crlf" else b"\n"
+    path.write_bytes(end.join([header, meta, *records, b""]))
     chunk = 1024
     lines = r.n_vertices + r.n_edges
     assert lines >= 30 * chunk
@@ -232,7 +242,15 @@ def test_load_peak_is_the_arrays_plus_a_few_chunks(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert _same(back, r)
     # Beside the edges and weights: the flat indices, file-order weights
-    # and sort order of the w lines, and 32 chunks' worth of text.
+    # and sort order of the w lines, and 32 chunks' worth of text.  The
+    # shuffled copy's edges are sorted after the parse: their file-order
+    # pairs and the int64 sort order add 1.5 times the edges.
     bound = (back.edges.nbytes + 4 * back.weights.nbytes
-             + 32 * chunk * path.stat().st_size // lines)
+             + 32 * chunk * path.stat().st_size // lines
+             + (shape == "shuffled") * 3 * back.edges.nbytes // 2)
     assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize("shape", ["crlf", "tab", "shuffled"])
+def test_load_peak_of_a_copy_in_another_layout(shape, tmp_path, monkeypatch):
+    test_load_peak_is_the_arrays_plus_a_few_chunks(tmp_path, monkeypatch, shape)

@@ -1,21 +1,23 @@
-"""The chunked parse of realization files in the writer's layout.
+"""The chunked parse of realization files.
 
-`load_realization` parses a file laid out as `save_realization` writes
-it in chunks of `graph._CHUNK_LINES` lines in numpy (`graph._scan_layout`),
-and any other file with the per-line loop (`graph._scan_records`), the
-reference that names the first bad line.
+`load_realization` parses every file in chunks of `graph._CHUNK_LINES`
+lines, each in numpy (`graph._parse_chunk`) unless numpy cannot take it:
+then that chunk alone goes through the per-line loop
+(`graph._scan_records`), the reference that names the first bad line.
 
-Guard: every file the writer makes takes the numpy path, checked by
-making the loop raise, and its edges, already in order, are not sorted.
-So does every such file at any chunk size: one line, three lines, and
-as many lines as, or one more than, the `w` lines.
+Guard: every file the writer makes, and its copies with CRLF line ends
+or tabs for spaces, is parsed in numpy alone, checked by making the loop
+raise, and its edges, already in order, are not sorted.  So is every
+writer's file at any chunk size: one line, three lines, and as many
+lines as, or one more than, the `w` lines.
 
 Differential: a writer's file with one edit, each a token that int(),
 float() and str.split() read differently from numpy, a line break that
-str.splitlines() knows but the format does not, or a change to the
-layout, loads the same realization, or raises the same ParseError (line
-and message), as the loop alone; so does a fault in a chunk after the
-first that leaves the layout as it is.
+str.splitlines() knows but the format does not, a byte that is not
+UTF-8, or a change to the layout, loads the same realization, or raises
+the same ParseError (line and message), as the loop alone over every
+chunk, at the default chunk size and at chunks of 3 lines; so does a
+fault that numpy parses, in a chunk after the first.
 """
 
 import itertools
@@ -61,16 +63,27 @@ def _no_loop(*args):
 
 
 @pytest.mark.parametrize("name", sorted(BOXES))
-def test_writer_files_take_the_numpy_path(name, tmp_path, monkeypatch):
+def test_writer_files_take_the_numpy_path(name, tmp_path, monkeypatch, shape="writer"):
     def sort(*args):
         raise AssertionError("the writer's edges, already in order, were sorted")
 
     r = BOXES[name]
     path = tmp_path / "box.txt"
     save_realization(r, path)
+    header, meta, *records = path.read_bytes().split(b"\n")[:-1]
+    if shape == "tab":
+        records = [rec.replace(b" ", b"\t") for rec in records]
+    end = b"\r\n" if shape == "crlf" else b"\n"
+    path.write_bytes(end.join([header, meta, *records, b""]))
     monkeypatch.setattr(graph, "_scan_records", _no_loop)
     monkeypatch.setattr(np, "lexsort", sort)
     assert _same(load_realization(path), r)
+
+
+@pytest.mark.parametrize("shape", ["crlf", "tab"])
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_crlf_and_tab_copies_take_the_numpy_path(name, shape, tmp_path, monkeypatch):
+    test_writer_files_take_the_numpy_path(name, tmp_path, monkeypatch, shape)
 
 
 def _edit(lines, i, j, text):
@@ -112,6 +125,7 @@ CASES = {
     "weight-1e400": (lambda ls: _edit(ls, W + 9, 2, "1e400"), W + 10),
     "weight-underscore": (lambda ls: _edit(ls, W + 9, 2, "1_0.5"), None),
     "repeated-edge": (lambda ls: ls.insert(E + 4, ls[E + 1]), E + 5),
+    "byte-0xff": (lambda ls: ls.__setitem__(E + 6, ls[E + 6] + "\udcff"), E + 7),
 }
 # A line break of str.splitlines() other than "\n" after the last field
 # is trailing whitespace: a later fault keeps its line.  Before a field
@@ -142,7 +156,8 @@ def _edited_file(tmp_path, edit, newline="\n"):
     assert lines[E].startswith("e ") and lines[E - 1].startswith("w 15 ")
     assert len(lines) > E + 9
     edit(lines)
-    path.write_bytes(newline.join(lines + [""]).encode("utf-8"))
+    # surrogateescape writes a lone surrogate \udcXX as the raw byte 0xXX.
+    path.write_bytes(newline.join(lines + [""]).encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -152,7 +167,7 @@ def test_edited_writer_file_loads_as_the_loop_does(case, newline, tmp_path, monk
     edit, expect_line = CASES[case]
     path = _edited_file(tmp_path, edit, newline)
     got = _outcome(path)
-    monkeypatch.setattr(graph, "_scan_layout", lambda *args: None)
+    monkeypatch.setattr(graph, "_parse_chunk", lambda *args: None)
     want = _outcome(path)
     if expect_line is None:
         assert got[0] == want[0] == "loads", got
@@ -160,6 +175,14 @@ def test_edited_writer_file_loads_as_the_loop_does(case, newline, tmp_path, monk
     else:
         assert got == want
         assert got[1][0] == expect_line
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_edited_writer_file_in_chunks_of_3_lines_loads_as_the_loop_does(case, newline, tmp_path,
+                                                                        monkeypatch):
+    monkeypatch.setattr(graph, "_CHUNK_LINES", 3)
+    test_edited_writer_file_loads_as_the_loop_does(case, newline, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("chunk", ["1", "3", "to-last-weight", "past-last-weight"])
@@ -172,7 +195,7 @@ def test_any_chunk_size_loads_as_the_loop_does(name, chunk, tmp_path, monkeypatc
     k = {"1": 1, "3": 3, "to-last-weight": n, "past-last-weight": n + 1}[chunk]
     monkeypatch.setattr(graph, "_CHUNK_LINES", k)
     with monkeypatch.context() as m:
-        m.setattr(graph, "_scan_layout", lambda *args: None)
+        m.setattr(graph, "_parse_chunk", lambda *args: None)
         want = load_realization(path)
     monkeypatch.setattr(graph, "_scan_records", _no_loop)
     got = load_realization(path)
@@ -203,7 +226,7 @@ def test_a_fault_in_a_later_chunk_is_reported_as_the_loop_does(case, tmp_path, m
     path = _edited_file(tmp_path, edit)
     monkeypatch.setattr(graph, "_CHUNK_LINES", 3)
     with monkeypatch.context() as m:
-        m.setattr(graph, "_scan_layout", lambda *args: None)
+        m.setattr(graph, "_parse_chunk", lambda *args: None)
         want = _outcome(path)
     monkeypatch.setattr(graph, "_scan_records", _no_loop)
     got = _outcome(path)
@@ -216,8 +239,9 @@ def test_a_file_without_its_last_newline_loads_as_the_loop_does(tmp_path, monkey
     path = tmp_path / "box.txt"
     save_realization(r, path)
     path.write_bytes(path.read_bytes()[:-1])
-    monkeypatch.setattr(graph, "_CHUNK_LINES", 3)
-    assert _same(load_realization(path), r)
+    for chunk in (3, graph._CHUNK_LINES):  # a last chunk of 2 lines, and one chunk
+        monkeypatch.setattr(graph, "_CHUNK_LINES", chunk)
+        assert _same(load_realization(path), r)
 
 
 def test_swapped_edge_lines_load_the_writers_edges(tmp_path):
