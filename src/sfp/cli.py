@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .params import (MAX_WORKERS, ModelKind, ParameterError, classify_regime, derived_exponents,
-                     validate_params)
+from .params import (DEFAULT_PAIR_BUDGET, MAX_WORKERS, ModelKind, ParameterError,
+                     classify_regime, derived_exponents, validate_params)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +110,7 @@ def _build_parser(required: bool = True) -> _Parser:
                        help="derived exponents and phase-diagram regime")
 
     p = sub.add_parser("generate", parents=[box], help="sample one realization")
-    p.add_argument("--pair-budget", type=_at_least(1), default=None)
+    p.add_argument("--pair-budget", type=_at_least(1), default=DEFAULT_PAIR_BUDGET)
 
     p = sub.add_parser("degrees", parents=[box], help="degree-tail experiment")
     p.add_argument("--replicates", type=_at_least(1), default=1)
@@ -267,12 +267,11 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from .graph import DEFAULT_PAIR_BUDGET, generate_box, save_realization
+    from .graph import generate_box, save_realization
     if not args.out:
         raise ParameterError("generate requires --out FILE")
     cfg = _experiment_config(args)
-    budget = DEFAULT_PAIR_BUDGET if args.pair_budget is None else args.pair_budget
-    r = generate_box(cfg.params, cfg.seed, cfg.spec, args.trunc, pair_budget=budget,
+    r = generate_box(cfg.params, cfg.seed, cfg.spec, args.trunc, pair_budget=args.pair_budget,
                      workers=cfg.worker_count)
     save_realization(r, args.out)
     print(f"wrote {r.n_edges} edges on {r.n_vertices} vertices to {args.out}",

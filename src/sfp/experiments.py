@@ -235,8 +235,6 @@ def hill_estimator(samples, k: int) -> EstimateWithCI:
 def loglog_slope(points) -> EstimateWithCI:
     """Least-squares slope of log y against log x with its standard error."""
     arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        arr = arr.reshape(-1, 2)
     n = len(arr)
     if n < 3:
         raise FitUndefined(f"need at least 3 points, got {n}")

@@ -46,11 +46,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .params import MAX_WORKERS, ModelKind, ModelParams, ParameterError
+from .params import DEFAULT_PAIR_BUDGET, MAX_WORKERS, ModelKind, ModelParams, ParameterError
 from .randomness import (TAG_EDGE, absorb, keyed_words, unit_from_word,
                          unit_lower_bound, vertex_weights)
-
-DEFAULT_PAIR_BUDGET = 2 ** 32
 
 FORMAT_HEADER = "#sfp-box v1"
 _META_KEYS = {"d", "alpha", "lambda", "tau", "model", "L", "seed", "origin", "trunc", "truncbias"}
@@ -84,6 +82,12 @@ class BoxSpec:
         if len(origin) != self.d:
             raise ValueError("origin length must equal d")
         object.__setattr__(self, "origin", origin)
+        # The one bound on a box: its coordinates and pair keys (`_pair_keys`) fit int64.
+        if (n := self.vertex_count) ** 2 >= 2 ** 63:
+            raise ParameterError(f"a box of {n} vertices is too large: pairs of its flat "
+                                 f"indices are sorted by int64 keys, which need n^2 < 2^63")
+        if not all(-2 ** 63 <= c <= 2 ** 63 - self.side for c in origin):
+            raise ParameterError(f"origin {list(origin)} puts coordinates outside int64")
 
     @property
     def vertex_count(self) -> int:
@@ -152,8 +156,7 @@ class BoxRealization:
         increasing order: the arcs (v, u) of both directions of every edge
         are sorted by their keys v * n + u (`_pair_keys`), which order them
         by v and then u, and indices = key % n.  Only `distances_from` reads
-        the arrays; treat them as immutable.  Raises ParameterError for a
-        box too large to key, before any n-sized array is made.
+        the arrays; treat them as immutable.
         """
         if self._adjacency is None:
             n = self.n_vertices
@@ -173,17 +176,18 @@ class BoxRealization:
     def has_edges(self, pairs) -> np.ndarray:
         """Whether each row (i, j), i < j, of `pairs` is an open edge: one bool per row.
 
-        Rows are searched as 16-byte records, i then j big-endian, whose byte
-        order is the lexsort order of non-negative indices; unlike a key
-        i * n + j, they cannot wrap, whatever the box.
+        The rows' keys (`_pair_keys`) are searched among the edges' keys,
+        which increase.  A key names one pair only within [0, n)^2, so a row
+        outside it, whose key may wrap or name another pair, is False; so is
+        a reversed row, whose key no edge has.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        rows, want = (np.ascontiguousarray(a, dtype=">u8").view("V16").ravel()
-                      for a in (self.edges, pairs))
-        pos = np.searchsorted(rows, want)
+        n = self.n_vertices
+        keys, want = _pair_keys(*self.edges.T, n), _pair_keys(*pairs.T, n)
+        pos = np.searchsorted(keys, want)
         hit = pos < self.n_edges
-        hit[hit] = np.all(self.edges[pos[hit]] == pairs[hit], axis=1)
-        return hit
+        hit[hit] = keys[pos[hit]] == want[hit]
+        return hit & np.all(pairs.view(np.uint64) < n, axis=1)  # a negative index is past n
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,6 @@ def _generate(params: ModelParams, seed: int, spec: BoxSpec,
         if total_pairs > pair_budget:
             raise too_large
         runs.append((lead, r_lo, r_hi))
-    _pair_keys(0, 0, n)  # a box too large to key raises here, before any n-sized array
 
     if weights_override is not None:
         weights = np.asarray(weights_override, dtype=np.float64)
@@ -454,16 +457,13 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
 
 
 def _pair_keys(rows, cols, n: int) -> np.ndarray:
-    """The int64 keys rows * n + cols of pairs of flat indices in [0, n).
+    """The int64 keys rows * n + cols of pairs of flat indices in [0, n): the
+    one canonical order of edges, row first, then column.
 
-    Keys sort as the pairs do, row first, and divmod(key, n) gives a pair
-    back; no two pairs share a key, so an unstable sort is exact.  The
-    keys fit an int64 only while n^2 < 2^63, so a larger box raises
-    ParameterError.
+    divmod(key, n) gives a pair back, and no two pairs share a key, so an
+    unstable sort is exact.  The keys fit an int64, since `BoxSpec` holds
+    n^2 < 2^63.
     """
-    if n * n >= 2 ** 63:
-        raise ParameterError(f"a box of {n} vertices is too large: pairs of its flat "
-                             f"indices are sorted by int64 keys, which need n^2 < 2^63")
     return rows * n + cols
 
 
@@ -1152,7 +1152,7 @@ def _scan_records(data: bytes, first_line: int, spec: BoxSpec, weighted: bool):
 def _layout_ints(b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """The int64 values of the tokens b[lo:hi], or None unless each is an
     optional "-" and 1 to 19 digits, with its value in int64."""
-    neg = b[lo] == ord("-")
+    neg = b.take(lo) == ord("-")
     digits = hi - lo - neg
     if not (np.all(digits >= 1) and np.all(digits <= 19)):
         return None
@@ -1343,9 +1343,6 @@ def load_realization(path) -> BoxRealization:
                 raise ValueError(f"seed must be in [0, 2^64), got {meta['seed']}")
             origin = tuple(int(c) for c in meta["origin"].split(",")) if "origin" in meta else None
             spec = BoxSpec(d=d, side=side, origin=origin)
-            if spec.vertex_count >= 2 ** 63 or not all(-2 ** 63 <= c <= 2 ** 63 - side
-                                                        for c in spec.origin):
-                raise ValueError("box does not fit 64-bit vertex coordinates and indices")
             trunc = float(meta["trunc"]) if "trunc" in meta else None
             trunc_bias = float(meta["truncbias"]) if "truncbias" in meta else None
             # What the writer can write: a cutoff >= 1, as the generator demands,
@@ -1402,20 +1399,22 @@ def load_realization(path) -> BoxRealization:
         k = int(bad[0])
         raise ParseError(_line_of_record(path, "e", k)[0], "self-loop" if pairs[k, 0] == pairs[k, 1]
                          else "edge endpoints reversed (lower endpoint must come first)")
-    # The writer's rows increase strictly, so they need no sort and hold
-    # no duplicate; any other order is sorted and scanned.
-    a, b = pairs[:-1], pairs[1:]
-    edges = pairs
-    if not np.all((a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] < b[:, 1]))):
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        edges = pairs[order]
-        dup = np.flatnonzero(np.all(edges[1:] == edges[:-1], axis=1))
+    # The writer's keys increase strictly: no sort, no duplicate.  Any other
+    # order is sorted by key and scanned, and the sorted keys become the edges.
+    key = _pair_keys(*pairs.T, spec.vertex_count)
+    if not np.all(key[1:] > key[:-1]):
+        pairs = None  # freed before the sort
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        dup = np.flatnonzero(key[1:] == key[:-1])
         if dup.size:
             k = int(np.maximum(order[dup], order[dup + 1]).min())
             raise ParseError(_line_of_record(path, "e", k)[0], "duplicate edge")
-    edges.setflags(write=False)
+        pairs = np.empty((len(key), 2), dtype=np.int64)
+        np.divmod(key, spec.vertex_count, out=(pairs[:, 0], pairs[:, 1]))
+    pairs.setflags(write=False)
     r = BoxRealization(spec=spec, params=params, seed=seed, weights=weights,
-                       edges=edges, trunc=trunc, trunc_bias=trunc_bias)
+                       edges=pairs, trunc=trunc, trunc_bias=trunc_bias)
     if kind is ModelKind.SFP_NN:
         gap = _missing_nn_edge(r)
         if gap is not None:

@@ -24,9 +24,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-# Most workers a call may ask for: each but the first is a forked process.
-# Here rather than in `graph`, so the CLI checks --threads without loading it.
+# Most workers a call may ask for: each but the first is a forked process;
+# and the pairs a box may decide unless the caller raises the budget.  Here
+# rather than in `graph`, so the CLI checks its flags without loading it.
 MAX_WORKERS = 256
+DEFAULT_PAIR_BUDGET = 2 ** 32
 
 
 class ModelKind(Enum):

@@ -26,7 +26,7 @@ import numpy as np
 from .experiments import (ExperimentConfig, run_adjacent_mc, run_bridge_experiment,
                           run_coupling_check, run_degree_experiment,
                           run_distance_experiment, run_fkg_check)
-from .graph import BoxRealization, BoxSpec
+from .graph import BoxRealization, BoxSpec, _pair_keys
 from .hierarchy import (Hierarchy, check_gap_paths_condition, decompose_paths,
                         validate_hierarchy)
 from .moments import (adjacent_expectation_exact, adjacent_expectation_quadrature,
@@ -281,7 +281,7 @@ def forced_realization(edges) -> BoxRealization:
     spec = BoxSpec(d=2, side=15, origin=(-6, -6))
     params = ModelParams(d=2, alpha=1.5, lambda_=1.0, tau=2.5, kind=ModelKind.LRP)
     flat = np.sort(spec.flat_of(np.array(edges, dtype=np.int64).reshape(-1, 2, 2)), axis=1)
-    flat = flat[np.lexsort((flat[:, 1], flat[:, 0]))]
+    flat = flat[np.argsort(_pair_keys(*flat.T, spec.vertex_count))]
     return BoxRealization(spec=spec, params=params, seed=0, weights=None, edges=flat)
 
 

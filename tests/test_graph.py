@@ -412,23 +412,23 @@ def test_a_box_too_large_to_key_is_refused_before_any_vertex_array(monkeypatch):
 
 def test_pair_keys_fit_int64_up_to_the_bound():
     n = math.isqrt(2 ** 63)  # 3,037,000,499: n^2 < 2^63 <= (n + 1)^2
+    assert BoxSpec(d=1, side=n).vertex_count == n
     key = graph._pair_keys(np.array([n - 1]), np.array([n - 1]), n)
     assert key.dtype == np.int64 and int(key[0]) == n * n - 1
     with _too_large_to_key(n + 1):
-        graph._pair_keys(np.array([0]), np.array([1]), n + 1)
+        BoxSpec(d=1, side=n + 1)
+    with _too_large_to_key(2 ** 33):  # a box too large to key at any dimension
+        BoxSpec(d=3, side=2 ** 11)
 
 
-def test_adjacency_of_a_loaded_box_too_large_to_key_is_refused(tmp_path, monkeypatch):
+def test_a_loaded_box_too_large_to_key_is_refused_at_line_2(tmp_path):
     n = math.isqrt(2 ** 63) + 1
     path = tmp_path / "long-line.txt"
     path.write_text(f"#sfp-box v1\nd=1 alpha=1.5 lambda=1.0 tau=2.5 model=lrp L={n} seed=0\n"
                     f"e 0 1\n")
-    r = graph.load_realization(path)
-    assert r.n_vertices == n and r.n_edges == 1
-    monkeypatch.setattr(BoxRealization, "degrees", _no_vertex_array)
-    with _too_large_to_key(n):
-        r.adjacency()
-    assert r._adjacency is None
+    with pytest.raises(ParseError, match=rf"^line 2: a box of {n} vertices is too large") as exc:
+        graph.load_realization(path)
+    assert exc.value.line_number == 2
 
 
 def _phi_pareto_15(c):
@@ -1175,16 +1175,21 @@ def test_has_edges_matches_the_edge_set():
     assert empty.n_edges == 0 and not empty.has_edges([[0, 1], [2, 3]]).any()
 
 
-def test_has_edges_is_exact_where_a_flat_key_wraps(tmp_path):
-    # n = 2^62, so n^2 >= 2^63: the key lo * n + hi of (4, 7) wraps onto
-    # that of the open edge (0, 7), and past lo = 2 the keys turn negative.
-    n = 2 ** 62
+def test_has_edges_is_exact_at_the_largest_keyable_box(tmp_path):
+    # n = 3,037,000,499, the largest n with n^2 < 2^63: the keys of the
+    # rows reach n^2 - 1.  A row outside [0, n)^2 may share a key with an
+    # edge, as (0, n + 7) and (2, 7 - n) do with (1, 7), or wrap, and a
+    # reversed row is not the edge it reverses: all are False.
+    n = math.isqrt(2 ** 63)
     path = tmp_path / "huge.txt"
     path.write_text(f"#sfp-box v1\nd=1 alpha=1.5 lambda=1.0 tau=2.5 model=lrp L={n} seed=0\n"
-                    f"e 0 7\ne 3 {n - 1}\ne {n - 3} {n - 2}\n")
+                    f"e 1 7\ne 3 {n - 1}\ne {n - 3} {n - 2}\ne {n - 2} {n - 1}\n")
     r = load_realization(path)
-    pairs = [(0, 7), (4, 7), (3, n - 1), (2, n - 1), (n - 3, n - 2), (n - 3, n - 1), (0, 1)]
-    assert r.has_edges(pairs).tolist() == [True, False, True, False, True, False, False]
+    assert int(graph._pair_keys(*r.edges.T, n).max()) == n * n - 1 - n
+    pairs = [(1, 7), (3, n - 1), (n - 3, n - 2), (n - 2, n - 1), (0, n + 7), (2, 7 - n), (7, 1),
+             (n - 1, n - 2), (n - 1, n - 1), (2, n - 1), (-1, 2 * n + 7), (2 ** 62, 7),
+             (n - 3, n - 1), (0, 1)]
+    assert r.has_edges(pairs).tolist() == [True] * 4 + [False] * 10
 
 
 def test_graph_import_does_not_load_moments():

@@ -64,10 +64,17 @@ def _no_loop(*args):
 
 @pytest.mark.parametrize("name", sorted(BOXES))
 def test_writer_files_take_the_numpy_path(name, tmp_path, monkeypatch, shape="writer"):
-    def sort(*args):
-        raise AssertionError("the writer's edges, already in order, were sorted")
+    # The loader sorts the keys of edges out of order with np.argsort, and
+    # the flat indices of the w lines too, which never equal the edges' keys:
+    # those of the writer's file, 0, 1, ..., n - 1, hold 0, which no edge
+    # key (i * n + j, i < j) is.
+    def sort(a, *args, **kwargs):
+        if np.array_equal(a, keys):
+            raise AssertionError("the writer's edges, already in order, were sorted")
+        return argsort(a, *args, **kwargs)
 
     r = BOXES[name]
+    keys, argsort = graph._pair_keys(*r.edges.T, r.n_vertices), np.argsort
     path = tmp_path / "box.txt"
     save_realization(r, path)
     header, meta, *records = path.read_bytes().split(b"\n")[:-1]
@@ -76,7 +83,7 @@ def test_writer_files_take_the_numpy_path(name, tmp_path, monkeypatch, shape="wr
     end = b"\r\n" if shape == "crlf" else b"\n"
     path.write_bytes(end.join([header, meta, *records, b""]))
     monkeypatch.setattr(graph, "_scan_records", _no_loop)
-    monkeypatch.setattr(np, "lexsort", sort)
+    monkeypatch.setattr(np, "argsort", sort)
     assert _same(load_realization(path), r)
 
 
@@ -107,6 +114,10 @@ CASES = {
     "plus-sign": (lambda ls: (_edit(ls, W + 5, 1, "+5"),
                               _edit(ls, E, 2, "+" + ls[E].split()[2])), None),
     "leading-zeros": (lambda ls: _edit(ls, W + 7, 1, "007"), None),
+    "coordinate-of-20-digits": (lambda ls: _edit(ls, W + 7, 1, "7".zfill(20)), None),
+    "lone-minus": (lambda ls: _edit(ls, E + 2, 1, "-"), E + 3),
+    "weight-of-40-characters": (lambda ls: _edit(ls, W + 9, 2, ls[W + 9].split()[2].rjust(40, "0")),
+                                None),
     "underscore": (lambda ls: _edit(ls, W + 10, 1, "1_0"), None),
     "arabic-indic-digit": (lambda ls: _edit(ls, W + 3, 1, "٣"), None),
     "nbsp-separator": (lambda ls: ls.__setitem__(W + 4, ls[W + 4].replace(" ", "\xa0", 1)),
@@ -242,6 +253,18 @@ def test_a_file_without_its_last_newline_loads_as_the_loop_does(tmp_path, monkey
     for chunk in (3, graph._CHUNK_LINES):  # a last chunk of 2 lines, and one chunk
         monkeypatch.setattr(graph, "_CHUNK_LINES", chunk)
         assert _same(load_realization(path), r)
+
+
+def test_a_weight_line_in_an_lrp_file_is_refused_as_the_loop_does(tmp_path, monkeypatch):
+    r = BOXES["lrp-d1"]
+    path = tmp_path / "box.txt"
+    save_realization(r, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(4, "w 3 2.0")
+    path.write_text("\n".join(lines + [""]), encoding="utf-8")
+    got = _outcome(path)
+    monkeypatch.setattr(graph, "_parse_chunk", lambda *args: None)
+    assert got == _outcome(path) == ("raises", (5, "line 5: weight line in a weightless model"))
 
 
 def test_swapped_edge_lines_load_the_writers_edges(tmp_path):
