@@ -395,7 +395,7 @@ def _cmd_hierarchy_check(args) -> int:
                 raise ParameterError(f"{where}: coordinates {' '.join(parts[2:])!r} "
                                      f"are not integers") from None
             try:
-                real.spec.flat_of(np.asarray(sites[key], dtype=np.int64))
+                real.spec.flat_of(sites[key])
             except VertexOutOfBox as exc:
                 raise ParameterError(f"{where}: site key {key!r}: {exc}") from None
             site_line[key] = ln

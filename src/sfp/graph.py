@@ -25,11 +25,11 @@ Clusters come from the edge array, and hop counts from a bit-parallel
 multi-source BFS over cached CSR arrays: the module uses numpy alone.
 
 `save_realization` and `load_realization` write and read the text
-format v1 _CHUNK_LINES record lines at a time in numpy, straight into
-the final arrays, so a load holds them and a few chunks, whatever the
-file's line ends, separators or record order.  Only a chunk that numpy
-cannot parse as Python would goes through a per-line loop, which names
-the first bad line.
+format v1 _CHUNK_LINES record lines at a time in numpy.  A load finds
+where each chunk ends in one pass, then reads each in one read and
+parses it straight into the final arrays, so it holds them and a few
+chunks, whatever the line ends, separators or record order.  Only a
+chunk that numpy cannot parse as Python would takes a per-line loop.
 """
 
 from __future__ import annotations
@@ -83,8 +83,10 @@ class BoxSpec:
             raise ValueError("origin length must equal d")
         object.__setattr__(self, "origin", origin)
         # The one bound on a box: its coordinates and pair keys (`_pair_keys`) fit int64.
-        if (n := self.vertex_count) ** 2 >= 2 ** 63:
-            raise ParameterError(f"a box of {n} vertices is too large: pairs of its flat "
+        # Every d >= 32 has n^2 >= 2^64, and n = side^d is not computed there.
+        if (n := self.vertex_count if self.d < 32 else math.inf) ** 2 >= 2 ** 63:
+            shown = n if n < 2 ** 64 else f"{self.side}^{self.d}"  # str(n) may be too long
+            raise ParameterError(f"a box of {shown} vertices is too large: pairs of its flat "
                                  f"indices are sorted by int64 keys, which need n^2 < 2^63")
         if not all(-2 ** 63 <= c <= 2 ** 63 - self.side for c in origin):
             raise ParameterError(f"origin {list(origin)} puts coordinates outside int64")
@@ -107,8 +109,11 @@ class BoxSpec:
         return out
 
     def flat_of(self, coords) -> np.ndarray:
-        """Flat indices for absolute coordinates; raises VertexOutOfBox."""
-        coords = np.asarray(coords, dtype=np.int64)
+        """Flat indices for absolute coordinates; raises VertexOutOfBox, also past int64."""
+        try:
+            coords = np.asarray(coords, dtype=np.int64)
+        except OverflowError:
+            raise VertexOutOfBox(f"coordinates {np.asarray(coords).tolist()} outside box") from None
         rel = coords - np.asarray(self.origin, dtype=np.int64)
         if np.any(rel < 0) or np.any(rel >= self.side):
             raise VertexOutOfBox(f"coordinates {coords.tolist()} outside box")
@@ -317,7 +322,7 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
 
     Every pair of every model kind is decided by one rule: with
     t = lambda W_x W_y r^-alpha, it is open iff its uniform u satisfies
-    u < min(t, 1) and u < -expm1(-t) (`_opened`).  LRP passes unit weights.  For
+    u < -expm1(-t) = p_xy (`_opened`).  LRP passes unit weights.  For
     SFP_NN a nearest-neighbour row gets the scale inf, so t = inf and
     u < 1 holds for every uniform: those pairs are forced open.  The
     decisions are those of `uniform_for_edge` and `weight_for_vertex`,
@@ -339,7 +344,7 @@ def _open_pairs(params: ModelParams, seed: int, spec: BoxSpec, runs,
       partner weights read 0 outside the box, so t = 0 (or nan on a
       forced row) there and the ragged corner never survives.
     - A block keeps only its survivors' words, t and endpoint indices.
-      The exact u and the two comparisons run on them in batches, once
+      The exact u and the comparison run on them in batches, once
       the held survivors reach _BLOCK_PAIRS and at the end of the
       piece, so the many small numpy calls per block become a few per
       batch, and a batch holds about one block's worth of survivors.
@@ -468,8 +473,8 @@ def _pair_keys(rows, cols, n: int) -> np.ndarray:
 
 
 def _opened(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Which pairs are open: u < min(t, 1) and u < -expm1(-t), u the pair's uniform."""
-    return (u < np.minimum(t, 1.0)) & (u < -np.expm1(-t))
+    """Which pairs are open: u < -expm1(-t) = 1 - exp(-t), u the pair's uniform."""
+    return u < -np.expm1(-t)
 
 
 def _open_candidates(params: ModelParams, seed: int, spec: BoxSpec,
@@ -1250,30 +1255,17 @@ def _parse_chunk(b: np.ndarray, first_line: int, spec: BoxSpec, weighted: bool):
     return flats[0], values, flats[1].reshape(-1, 2)
 
 
-def _line_chunks(fh):
-    """The rest of a binary file in pieces of _CHUNK_LINES lines (the last may be
-    shorter or lack its "\n"), from blocks of about a chunk's text joined once a piece."""
-    n, parts, have = _CHUNK_LINES, [], 0  # the blocks since the last piece, and their "\n"s
+def _chunk_cuts(fh) -> tuple:
+    """The lines of a binary file from its position on, counted by "\n" (a last
+    line without one counts too), and the offsets that cut them into chunks:
+    where they start, where every _CHUNK_LINES-th one ends, and the file's end."""
+    cuts, count, last, pos = [fh.tell()], 0, b"\n", fh.tell()
     while block := fh.read(_CHUNK_LINES << 4):
-        view, start, nl = memoryview(block), 0, np.frombuffer(block, dtype=np.uint8) == 10
-        count = np.count_nonzero(nl)
-        if have + count >= n:  # a piece ends in this block
-            for end in np.flatnonzero(nl)[n - have - 1::n]:
-                yield b"".join(parts + [view[start:end + 1]])
-                parts, start, have = [], end + 1, have - n
-        parts.append(view[start:])
-        have += count
-    if tail := b"".join(parts):
-        yield tail
-
-
-def _count_lines(fh) -> int:
-    """The lines of a binary file, counted by "\n"."""
-    count, last = 0, b"\n"
-    while block := fh.read(_CHUNK_LINES << 4):
-        count += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == 10)
-        last = block[-1:]
-    return count + (last != b"\n")
+        ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
+        # ends[j] ends line count + 1 + j: a cut follows every _CHUNK_LINES-th line.
+        cuts += (pos + 1 + ends[(-count - 1) % _CHUNK_LINES::_CHUNK_LINES]).tolist()
+        count, pos, last = count + len(ends), pos + len(block), block[-1:]
+    return count + (last != b"\n"), cuts + [pos] * (cuts[-1] != pos)
 
 
 def _line_of_record(path, tag: str, k: int) -> tuple:
@@ -1300,18 +1292,16 @@ def load_realization(path) -> BoxRealization:
     and for sfpnn a missing nearest-neighbour edge, are reported at the
     line after the last.
 
-    The file is read twice in blocks: once to count its lines, once to
-    parse it _CHUNK_LINES lines at a time, straight into arrays sized for
-    the writer's file (grown once if its record counts differ).  Each
-    chunk is parsed in numpy (`_parse_chunk`); only a chunk that numpy
-    cannot take goes through the per-line loop (`_scan_records`).  The
-    first fault found while parsing, in file order, is raised at once;
-    the checks over all records then run in numpy.  Edges already in
-    the writer's order skip the sort.
+    The records are read twice: in blocks, to count their lines and find
+    where every _CHUNK_LINES-th one ends (`_chunk_cuts`), then one read a
+    chunk, parsed straight into arrays sized for the writer's file (grown
+    once if its record counts differ).  Each chunk is parsed in numpy
+    (`_parse_chunk`); only a chunk that numpy cannot take goes through the
+    per-line loop (`_scan_records`).  The first fault found while parsing,
+    in file order, is raised at once; the checks over all records then
+    run in numpy.  Edges already in the writer's order skip the sort.
     """
     with open(path, "rb") as fh:
-        n_lines = _count_lines(fh)
-        fh.seek(0)
         head, fault = _split_lines(fh.readline() + fh.readline(), 1)
         if head[:1] != [FORMAT_HEADER]:
             got = head[0] if head else "<empty file>"
@@ -1357,14 +1347,15 @@ def load_realization(path) -> BoxRealization:
             raise ParseError(2, str(exc)) from exc
 
         weighted = kind is not ModelKind.LRP
-        n_records = n_lines - 2
+        n_records, cuts = _chunk_cuts(fh)
         n_weights = min(spec.vertex_count, n_records) if weighted else 0
         w_flat = np.empty(n_weights, dtype=np.int64)
         values = np.empty(n_weights, dtype=np.float64)
         pairs = np.empty((n_records - n_weights, 2), dtype=np.int64)
         nw = ne = 0
-        for i, data in enumerate(_line_chunks(fh)):
-            first = 3 + i * _CHUNK_LINES
+        fh.seek(cuts[0])
+        for i, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+            first, data = 3 + i * _CHUNK_LINES, fh.read(stop - start)
             w, v, e = (_parse_chunk(np.frombuffer(data, dtype=np.uint8), first, spec, weighted)
                        or _scan_records(data, first, spec, weighted))
             # More w lines than vertices, or fewer: a later check fails, at its own line.
@@ -1387,9 +1378,8 @@ def load_realization(path) -> BoxRealization:
                 k = int(order[repeat + 1].min())
                 raise ParseError(_line_of_record(path, "w", k)[0], "duplicate weight for vertex "
                                  f"{spec.coords_of(w_flat[k]).tolist()}")
-            missing = spec.vertex_count - len(w_flat)
-            if missing:
-                raise ParseError(n_lines + 1,
+            if missing := spec.vertex_count - len(w_flat):
+                raise ParseError(n_records + 3,
                                  f"{missing} vertex weights missing (truncated file?)")
             weights = values[order]
             weights.setflags(write=False)
@@ -1419,5 +1409,5 @@ def load_realization(path) -> BoxRealization:
         gap = _missing_nn_edge(r)
         if gap is not None:
             a, b = spec.coords_of(gap).tolist()
-            raise ParseError(n_lines + 1, f"missing nearest-neighbour edge {a} {b}")
+            raise ParseError(n_records + 3, f"missing nearest-neighbour edge {a} {b}")
     return r

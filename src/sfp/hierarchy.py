@@ -39,7 +39,7 @@ class Violation:
 
 
 def _as_site(v) -> tuple:
-    return tuple(int(c) for c in np.atleast_1d(np.asarray(v, dtype=np.int64)))
+    return tuple(int(c) for c in np.atleast_1d(v))
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def validate_hierarchy(h: Hierarchy, r: BoxRealization) -> Violation | None:
     # Precondition: all sites inside the box.
     for key, site in sorted(h.sites.items()):
         try:
-            r.spec.flat_of(np.asarray(site, dtype=np.int64))
+            r.spec.flat_of(site)
         except VertexOutOfBox as exc:
             raise VertexOutOfBox(f"site z_{key} = {site}: {exc}") from exc
 

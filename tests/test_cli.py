@@ -52,6 +52,15 @@ def test_runtime_error_exit_code(tmp_path):
     assert code == 3
 
 
+def test_a_box_too_large_to_print_is_a_usage_error(tmp_path, capsys):
+    # 2^20000 vertices: more digits than str() writes, so the message writes side^d.
+    code, out = run_cli("generate", "--alpha", "1.5", "--tau", "2.5", "--side", "2",
+                        "--dim", "20000", "--out", str(tmp_path / "box.txt"))
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: a box of 2^20000 vertices is too large")
+
+
 def test_a_realization_of_another_format_version_is_a_parse_error(tmp_path, capsys):
     real = tmp_path / "v2.txt"
     real.write_text("#sfp-box v2\nd=1 alpha=1.5 lambda=1 tau=2.5 model=sfp L=4 seed=0\n")
@@ -640,10 +649,12 @@ def _toy_site_lines():
     ("s 2 3 4", "site key '2' is not a binary string"),
     ("s 1 5 7", "site key '1' already given on line 2"),
     ("s 01 99 0", "site key '01': coordinates [99, 0] outside box"),
+    ("s 01 1180591620717411303424 0",
+     "site key '01': coordinates [1180591620717411303424, 0] outside box"),
     ("s 01 3", "expected 's <binary> <2 coords>'"),
     ("t 01 3 4", "expected 's <binary> <2 coords>'"),
-], ids=["non-integer-coordinate", "bad-key", "repeated-key", "outside-box", "too-few-fields",
-        "not-a-site-line"])
+], ids=["non-integer-coordinate", "bad-key", "repeated-key", "outside-box", "outside-int64",
+        "too-few-fields", "not-a-site-line"])
 def test_hierarchy_check_rejects_bad_site_line_with_its_number(tmp_path, capsys, bad, message):
     from sfp.graph import save_realization
     from sfp.verify import forced_realization, toy_hierarchy

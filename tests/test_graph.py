@@ -431,6 +431,16 @@ def test_a_loaded_box_too_large_to_key_is_refused_at_line_2(tmp_path):
     assert exc.value.line_number == 2
 
 
+def test_a_loaded_box_too_large_to_print_is_refused_at_line_2(tmp_path):
+    # 2^20000 vertices: more digits than str() writes, so the message writes side^d.
+    path = tmp_path / "wide.txt"
+    path.write_text("#sfp-box v1\nd=20000 alpha=1.5 lambda=1.0 tau=2.5 model=lrp L=2 seed=0\n")
+    too_large = r"^line 2: a box of 2\^20000 vertices is too large"
+    with pytest.raises(ParseError, match=too_large) as exc:
+        graph.load_realization(path)
+    assert exc.value.line_number == 2
+
+
 def _phi_pareto_15(c):
     # E[exp(-c W)] for P(W >= w) = w^-1.5: exact via erfc.
     c = np.asarray(c, dtype=float)

@@ -18,6 +18,12 @@ UTF-8, or a change to the layout, loads the same realization, or raises
 the same ParseError (line and message), as the loop alone over every
 chunk, at the default chunk size and at chunks of 3 lines; so does a
 fault that numpy parses, in a chunk after the first.
+
+Cuts: the offsets that cut a file's records into chunks
+(`graph._chunk_cuts`, read in blocks of `_CHUNK_LINES << 4` bytes) are
+those of its lines read one at a time, at chunks of 1, 2 and 3 lines,
+for records that fill their last block, or their last chunk with or
+without its final newline, and for a CRLF pair cut by a block boundary.
 """
 
 import itertools
@@ -253,6 +259,49 @@ def test_a_file_without_its_last_newline_loads_as_the_loop_does(tmp_path, monkey
     for chunk in (3, graph._CHUNK_LINES):  # a last chunk of 2 lines, and one chunk
         monkeypatch.setattr(graph, "_CHUNK_LINES", chunk)
         assert _same(load_realization(path), r)
+
+
+def _line_cuts(path, k):
+    """The line count and chunk offsets of a file's records, one line at a time:
+    where they start, where every k-th line ends, and where the file ends."""
+    with open(path, "rb") as fh:
+        fh.readline(), fh.readline()
+        start = fh.tell()
+        lengths = [len(line) for line in fh]
+    ends = list(itertools.accumulate(lengths, initial=start))
+    return len(lengths), ends[::k] + ends[-1:] * (len(lengths) % k > 0)
+
+
+@pytest.mark.parametrize("shape", ["block-multiple", "full-last-chunk",
+                                   "full-last-chunk-without-newline", "crlf-across-block"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chunk_cuts_are_the_line_ends_and_load_as_the_loop_does(k, shape, tmp_path, monkeypatch):
+    r = BOXES["sfp-d1"]
+    path = tmp_path / "box.txt"
+    save_realization(r, path)
+    header, meta, *records = path.read_bytes().split(b"\n")[:-1]
+    block = k << 4  # the count pass reads blocks of this many bytes, from the first record
+    end = b"\r\n" if shape == "crlf-across-block" else b"\n"
+    if shape == "crlf-across-block":
+        records[0] += b" " * ((block - 1 - len(records[0])) % block)
+    if shape.startswith("full-last-chunk"):
+        records = [b""] * (-len(records) % k) + records
+    text = end.join(records) + end
+    if shape == "block-multiple":
+        text = text[:-1] + b" " * (-len(text) % block) + b"\n"
+        assert len(text) % block == 0
+    if shape == "crlf-across-block":
+        assert text.index(b"\r") % block == block - 1
+    if shape == "full-last-chunk-without-newline":
+        text = text[:-1]
+    path.write_bytes(header + end + meta + end + text)
+    monkeypatch.setattr(graph, "_CHUNK_LINES", k)
+    with open(path, "rb") as fh:
+        fh.readline(), fh.readline()
+        assert graph._chunk_cuts(fh) == _line_cuts(path, k)
+    got = load_realization(path)
+    monkeypatch.setattr(graph, "_parse_chunk", lambda *args: None)
+    assert _same(got, r) and _same(load_realization(path), r)
 
 
 def test_a_weight_line_in_an_lrp_file_is_refused_as_the_loop_does(tmp_path, monkeypatch):
