@@ -346,8 +346,7 @@ def _cmd_moments(args) -> int:
             diff = abs(res.middle_expectation - oracle)
             gap = diff / abs(oracle) if oracle else (0.0 if diff == 0 else math.inf)
             row += [_fmt(oracle), _fmt(gap)]
-        lines.append(cols)
-        lines.append(",".join(row))
+        lines += [cols, ",".join(row)]
     elif args.moments_command == "second":
         p = _params_from(args)
         m = moments.single_edge_second_moment(p, args.r)
@@ -355,9 +354,7 @@ def _cmd_moments(args) -> int:
         lines.append(f"{_fmt(args.r)},{_fmt(m)}")
     else:  # convolution
         p = validate_params(args.dim, args.alpha, 1.0, 2.5)
-        radius = args.radius
-        if radius is None:
-            radius = {1: 1e4, 2: 200.0}.get(args.dim, 50.0)
+        radius = args.radius or {1: 1e4, 2: 200.0}.get(args.dim, 50.0)  # --radius is > 0
         u = np.zeros(args.dim, dtype=np.int64)
         v = np.zeros(args.dim, dtype=np.int64)
         v[0] = int(round(args.dist))
@@ -392,8 +389,11 @@ def _cmd_hierarchy_check(args) -> int:
             try:
                 sites[key] = tuple(int(c) for c in parts[2:])
             except ValueError:
-                raise ParameterError(f"{where}: coordinates {' '.join(parts[2:])!r} "
-                                     f"are not integers") from None
+                # A decimal literal int() refuses is past its digit limit, so outside the box.
+                big = [c for c in parts[2:] if len(c) > 20 and c[c[0] in "+-":].isdecimal()]
+                what = (f"site key {key!r}: coordinate {big[0][:12]}... outside box" if big
+                        else f"coordinates {' '.join(parts[2:])!r} are not integers")
+                raise ParameterError(f"{where}: {what}") from None
             try:
                 real.spec.flat_of(sites[key])
             except VertexOutOfBox as exc:

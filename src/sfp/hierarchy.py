@@ -19,6 +19,7 @@ simple paths.  The gap-path condition demands that the bottom gaps
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -38,8 +39,11 @@ class Violation:
         return f"condition {self.condition} violated: {self.witness}"
 
 
-def _as_site(v) -> tuple:
-    return tuple(int(c) for c in np.atleast_1d(v))
+def _as_site(v, name: str) -> tuple:
+    try:  # a float is refused, not truncated
+        return tuple(operator.index(c) for c in np.atleast_1d(v))
+    except TypeError:
+        raise ValueError(f"{name}: coordinates {v!r} are not integers") from None
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ class Hierarchy:
         for key, value in self.sites.items():
             if not key or any(c not in "01" for c in key):
                 raise ValueError(f"bad site key {key!r}")
-            clean[key] = _as_site(value)
+            clean[key] = _as_site(value, f"site key {key!r}")
         object.__setattr__(self, "sites", clean)
 
     def level_keys(self, level: int):
@@ -212,7 +216,7 @@ def check_gap_paths_condition(h: Hierarchy, gap_paths: dict) -> bool:
     for s in bottom:
         if s not in gap_paths:
             raise ValueError(f"missing gap path for sigma = {s}")
-        path = [_as_site(v) for v in gap_paths[s]]
+        path = [_as_site(v, f"gap path for sigma = {s}") for v in gap_paths[s]]
         za, zb = h.sites[s + "0"], h.sites[s + "1"]
         if not path or path[0] != za or path[-1] != zb:
             raise ValueError(

@@ -669,3 +669,20 @@ def test_hierarchy_check_rejects_bad_site_line_with_its_number(tmp_path, capsys,
                         "--hierarchy", str(hier_path))
     assert code == 1 and out == ""
     assert f"{hier_path}:4: {message}" in capsys.readouterr().err
+
+
+def test_hierarchy_check_reports_an_over_long_coordinate_as_outside_the_box(tmp_path, capsys):
+    from sfp.graph import save_realization
+    from sfp.verify import forced_realization, toy_hierarchy
+    real_path = tmp_path / "real.txt"
+    hier_path = tmp_path / "hier.txt"
+    save_realization(forced_realization(toy_hierarchy().required_edges()), real_path)
+    lines = _toy_site_lines()
+    lines.insert(3, f"s 01 {'9' * 5000} 0")
+    hier_path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("hierarchy", "check", "--realization", str(real_path),
+                        "--hierarchy", str(hier_path))
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert f"{hier_path}:4: site key '01': coordinate 999999999999... outside box" in err
+    assert len(err) < len(str(hier_path)) + 200

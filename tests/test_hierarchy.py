@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sfp.graph import BoxSpec, VertexOutOfBox, generate_box
@@ -200,3 +201,17 @@ class TestGapPaths:
                                              r"\(0, 0\) to z_01 = \(4, 2\)$"):
             check_gap_paths_condition(h, {"0": [(0, 0), (3, 3)],
                                           "1": [(6, -2), (10, 0)]})
+
+
+def test_sites_are_integers_and_a_float_coordinate_is_refused():
+    h = Hierarchy(depth=1, sites={"0": np.array([1, 2]), "1": (np.int64(3), 2 ** 70)})
+    assert h.sites == {"0": (1, 2), "1": (3, 2 ** 70)}
+    assert all(type(c) is int for z in h.sites.values() for c in z)
+    with pytest.raises(ValueError, match=r"^site key '0': coordinates \(0\.7, 0\) "
+                                         r"are not integers$"):
+        Hierarchy(depth=1, sites={"0": (0.7, 0), "1": (1.9, 0)})
+    h = Hierarchy(depth=2, sites={"0": (0, 0), "1": (2, 0), "00": (0, 0), "01": (1, 0),
+                                  "10": (1, 0), "11": (2, 0)})
+    with pytest.raises(ValueError, match=r"^gap path for sigma = 1: coordinates "
+                                         r"\(1\.5, 0\) are not integers$"):
+        check_gap_paths_condition(h, {"0": [(0, 0), (1, 0)], "1": [(1, 0), (1.5, 0), (2, 0)]})

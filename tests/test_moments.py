@@ -127,6 +127,34 @@ class TestSecondMoment:
             single_edge_second_moment(P, 0.5)
 
 
+def _adjacent_quad(p, a_xy, a_yz):
+    """E[(lambda W/A ^ 1)(lambda W/B ^ 1)] by scipy's adaptive quadrature (test-side oracle).
+
+    The oracle's split in s = log u: [0, log b], [log b, log a] and
+    [log a, inf), with the tail integrated too, not taken in closed form.
+    """
+    from scipy import integrate
+    tau, lam, alpha = p.tau, p.lambda_, p.alpha
+    log_a = alpha * math.log(max(a_xy, a_yz)) - math.log(lam)
+    log_b = alpha * math.log(min(a_xy, a_yz)) - math.log(lam)
+
+    def f(s):
+        return (tau - 1.0) * math.exp(min(s - log_a, 0.0) + min(s - log_b, 0.0)
+                                      + (1.0 - tau) * s)
+
+    cuts = [0.0] + sorted({c for c in (log_b, log_a) if c > 0.0}) + [math.inf]
+    # With full_output, quad returns its roundoff warning (raised on the
+    # steepest pieces at epsrel 1e-12) as a message instead of warning.
+    return sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200, full_output=1)[0]
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+# Criterion 2's grid: tau x lambda x the ratio a/b at b = 10.
+_CRITERION_2_GRID = [(float(tau), lam, 10.0 * ratio, 10.0)
+                     for tau in np.linspace(2.05, 2.95, 12)
+                     for lam in (0.5, 1.0, 2.0) for ratio in (1.0, 10.0, 100.0)]
+
+
 class TestAdjacentExpectation:
     def test_reference_point(self):
         res = adjacent_expectation_exact(P, 100.0 ** (2 / 3), 10.0 ** (2 / 3))
@@ -188,12 +216,34 @@ class TestAdjacentExpectation:
         assert q(P, 20.0, 6.0) < q(P, 20.0, 5.0)
 
     def test_quadrature_error_above_tolerance_is_a_runtime_error(self, monkeypatch):
-        from scipy import integrate
-        # Three pieces (kinks at 4 and 20), each reporting an error equal to its value.
-        monkeypatch.setattr(integrate, "quad", lambda f, a, b, **kwargs: (1.0, 1.0))
+        from numpy.polynomial import legendre
+        rule = legendre.leggauss
+        # The 8-node weights doubled: the two orders then differ by the whole
+        # integral below the last kink, 0.0172 (the value) less the tail
+        # 20^(-1.5 * 1.5) = 0.00118 past it.
+        monkeypatch.setattr(legendre, "leggauss",
+                            lambda n: (rule(n)[0], rule(n)[1] * (2.0 if n == 8 else 1.0)))
         with pytest.raises(RuntimeError, match=r"^adjacent expectation at \(20\.0, 4\.0\): "
-                                               r"error 3 vs value 3$"):
+                                               r"error 0\.016 vs value 0\.0172$"):
             adjacent_expectation_quadrature(P, 20.0, 4.0)
+
+    def test_quadrature_equals_scipy_on_criterion_2_grid(self):
+        assert len(_CRITERION_2_GRID) == 108
+        for tau, lam, a, b in _CRITERION_2_GRID:
+            p = validate_params(1, 1.5, lam, tau)
+            r_xy, r_yz = a ** (1 / p.alpha), b ** (1 / p.alpha)
+            ours = adjacent_expectation_quadrature(p, r_xy, r_yz)
+            assert ours == pytest.approx(_adjacent_quad(p, r_xy, r_yz), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("tau, lam, r_xy, r_yz", [
+        (2.5, 1.0, 1e6, 1e3), (3.7, 0.3, 1e8, 2.0), (2.01, 5.0, 1e12, 1e11),
+        (12.0, 0.3, 1e4, 3.0), (30.0, 0.3, 1e4, 3.0), (100.0, 0.3, 1e4, 3.0),
+        (3.0, 1.0, 1e5, 1e2), (1e4, 1e-3, 1.5, 1.01)])
+    def test_quadrature_equals_scipy_far_from_the_grid(self, tau, lam, r_xy, r_yz):
+        # tau = 3 has a flat segment; 1e4 keeps a sliver of both segments.
+        p = validate_params(1, 1.5, lam, tau)
+        ours = adjacent_expectation_quadrature(p, r_xy, r_yz)
+        assert ours == pytest.approx(_adjacent_quad(p, r_xy, r_yz), rel=1e-13, abs=0.0)
 
     def test_exact_requires_tau_in_2_3(self):
         with pytest.raises(ParameterError, match="closed form requires tau in"):
